@@ -38,6 +38,7 @@ from .errors import (
     SingularityError,
     TruncationError,
 )
+from .gammaphase import _x_minus_arctan
 
 __all__ = [
     "WindowParams",
@@ -119,7 +120,7 @@ def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
     lp = primes.log_primes[keep]
     th = theta[keep]
     if p_max is not None:
-        cut = np.searchsorted(p, p_max, side="left")
+        cut = np.searchsorted(p, p_max, side="right")
         p, lp, th = p[:cut], lp[:cut], th[:cut]
     if __debug__ and p.size > 1:
         assert np.all(np.diff(p) > 0), "prime order violated"
@@ -135,12 +136,7 @@ def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float
     """Euler-product phase partial sum at s, accumulated over ascending primes."""
     _check_eps(s.eps)
     p, lp, th = _prime_data(chi, primes)
-    denom = p ** (0.5 + s.eps) - np.cos(lp * s.t - th)
-    bad = np.abs(denom) < 1e-14
-    if np.any(bad):
-        raise SingularityError("vanishing arctan denominator",
-                               where=int(p[np.argmax(bad)]))
-    return float(-np.sum(np.arctan(np.sin(lp * s.t - th) / denom)))
+    return float(-np.sum(_arctan_terms(p, lp, th, s.t, s.eps)))
 
 
 def _arctan_terms(p, lp, th, t, eps):
@@ -181,14 +177,6 @@ class EstimatorResidual:
     coupled: float        # sin*cos / ((p^sigma - cos) p^sigma) piece
 
 
-def _x_minus_arctan_arr(x: np.ndarray) -> np.ndarray:
-    small = np.abs(x) < 0.1
-    xs = np.where(small, x, 0.1)
-    x2 = xs * xs
-    series = xs * x2 * (1.0 / 3.0 + x2 * (-1.0 / 5.0 + x2 * (1.0 / 7.0 + x2 * (-1.0 / 9.0 + x2 / 11.0))))
-    return np.where(small, series, x - np.arctan(x))
-
-
 def estimator_residual(t: float, eps: float, chi: DirichletCharacter,
                        primes: PrimeTable, window: WindowParams) -> EstimatorResidual:
     """windowed_ratio_exact - windowed_ratio_approx, split termwise.
@@ -215,7 +203,7 @@ def estimator_residual(t: float, eps: float, chi: DirichletCharacter,
             raise SingularityError("vanishing arctan denominator",
                                    where=int(p[np.argmax(bad)]))
         x = sin_a / denom
-        higher += sign * (-_x_minus_arctan_arr(x))
+        higher += sign * (-_x_minus_arctan(x))
         coupled += sign * (sin_a * cos_a / (denom * p ** sigma))
     higher_val = float(pref * np.sum(higher))
     coupled_val = float(pref * np.sum(coupled))
@@ -331,9 +319,8 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
         # first k whose falling boundary exceeds 2 (intervals fully below 2 are empty)
         k = int(math.floor((t * math.log(2.0) - math.pi / 2.0 - th) / (2.0 * math.pi))) + 1
         for kk in range(k, k_max + 1):
-            x_up = math.exp((2.0 * math.pi * kk - math.pi / 2.0 + th) / t)
-            x_down = math.exp((2.0 * math.pi * kk + math.pi / 2.0 + th) / t)
-            x_next = math.exp((2.0 * math.pi * (kk + 1) - math.pi / 2.0 + th) / t)
+            x_up, x_down = oscillation_boundaries(kk, h, t, chi)
+            x_next = oscillation_boundaries(kk + 1, h, t, chi)[0]
             entries.append(LedgerEntry(
                 k=kk, h=h, x_up=x_up, x_down=x_down, x_up_next=x_next,
                 o_plus_sum=_mass_sum(pc, lc, th, t, eps, lnps, x_up, x_down),

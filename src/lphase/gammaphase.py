@@ -13,7 +13,9 @@ with a = Re z = (1/2+eps+alpha)/2 and v = Im z = t/2.  Terms fall off like
 1/n^2, so the N-term truncation error is O(1/N); `gamma_phase` additionally
 sums the tail in closed form (digamma plus Hurwitz-zeta series), giving the
 limit to near machine precision at small cost.  This route is valid for all
-t, including t = 0.
+t, including t = 0.  The N-term sums are reduced in numpy's pairwise order over
+cache-sized leaves of 8192 terms, with 2^20-term blocks added in ascending
+order, bit for bit equal to one np.sum per block.
 
 Asymptotic route ("stirling"): ln Gamma(z+1) with z = (2*eps+2*alpha-3)/4 +
 i*t/2, expanded through the Bernoulli series with an explicit remainder
@@ -32,6 +34,7 @@ by a Richardson-extrapolated central difference.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,6 +72,8 @@ EULER_GAMMA = float(np.euler_gamma)
 GW_DEFAULT_TERMS = 10 ** 6
 T_STIRLING_MIN = 0.5
 _BLOCK = 1 << 20
+_LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB float64 leaf buffers stay in cache
+_RAMP = np.arange(_LEAF, dtype=np.float64)
 _MACH = float(np.finfo(float).eps)
 
 BERNOULLI = {
@@ -144,13 +149,38 @@ def _ab(s: SPoint, alpha: int) -> tuple[float, float]:
     return a, v
 
 
+def _x_minus_arctan_series(x: np.ndarray, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # x - arctan(x) = x^3/3 - x^5/5 + ... through x^11, for |x| < 0.1; x2 is scratch
+    np.divide(np.multiply(x, x, x2), 11.0, out)
+    for c in (-1.0 / 9.0, 1.0 / 7.0, -1.0 / 5.0):
+        np.multiply(x2, np.add(c, out, out), out)
+    np.add(1.0 / 3.0, out, out)
+    return np.multiply(np.multiply(x, x2, x2), out, out)
+
+
 def _x_minus_arctan(x: np.ndarray) -> np.ndarray:
     # x - arctan(x), stable for small x where direct subtraction cancels
     small = np.abs(x) < 0.1
     xs = np.where(small, x, 0.1)  # clip unused branch to avoid overflow
-    x2 = xs * xs
-    series = xs * x2 * (1.0 / 3.0 + x2 * (-1.0 / 5.0 + x2 * (1.0 / 7.0 + x2 * (-1.0 / 9.0 + x2 / 11.0))))
+    series = _x_minus_arctan_series(xs, np.empty_like(xs), np.empty_like(xs))
     return np.where(small, series, x - np.arctan(x))
+
+
+def _gw_sum(total: float, n_terms: int, leaf) -> float:
+    """Add the summands for n = 1..n_terms to `total`, one np.sum-ordered sum per 2^20 block.
+
+    `leaf(lo, m)` returns the m summands from n = lo; it is called only at leaves of at
+    most _LEAF terms of numpy's pairwise split (n//2 rounded down to a multiple of 8).
+    """
+    def pairwise(lo: int, m: int) -> float:
+        if m <= _LEAF:
+            return float(np.add.reduce(leaf(lo, m)))
+        m2 = m // 2 - (m // 2) % 8
+        return pairwise(lo, m2) + pairwise(lo + m2, m - m2)
+
+    for lo in range(1, n_terms + 1, _BLOCK):
+        total += pairwise(lo, min(_BLOCK, n_terms + 1 - lo))
+    return total
 
 
 def gw_log_gamma_phase(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> float:
@@ -158,15 +188,20 @@ def gw_log_gamma_phase(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
     a, v = _ab(s, alpha)
-    total = -EULER_GAMMA * v - math.atan(v / a)
-    lo = 1
-    while lo <= n_terms:
-        hi = min(lo + _BLOCK, n_terms + 1)
-        n = np.arange(lo, hi, dtype=np.float64)
-        x = v / (n + a)
-        total += float(np.sum(v * a / (n * (n + a)) + _x_minus_arctan(x)))
-        lo = hi
-    return total
+    # |v/(n+a)| falls with n: the first n_big terms take arctan, the rest the series
+    n_big = bisect.bisect_left(range(1, n_terms + 1), True, key=lambda n: abs(v / (n + a)) < 0.1)
+    buf = np.empty((4, _LEAF))
+
+    def leaf(lo: int, m: int) -> np.ndarray:
+        n, na, x, y = buf[:, :m]
+        np.divide(v, np.add(np.add(_RAMP[:m], lo, n), a, na), x)
+        np.divide(v * a, np.multiply(n, na, y), y)
+        k = min(max(n_big + 1 - lo, 0), m)
+        np.subtract(x[:k], np.arctan(x[:k], na[:k]), na[:k])
+        _x_minus_arctan_series(x[k:], n[k:], na[k:])
+        return np.add(y, na, y)
+
+    return _gw_sum(-EULER_GAMMA * v - math.atan(v / a), n_terms, leaf)
 
 
 def gw_phase_tail_estimate(s: SPoint, alpha: int, n_terms: int) -> float:
@@ -189,6 +224,29 @@ def _tail_order(vmax: float, w: float) -> int:
     return max(2, min(j, 40))
 
 
+def _head_grid(t, eps: float, alpha: int):
+    """a, v = t/2 as an array, max |v|, the head indices n = 1..n0 as a column, w = n0+1+a."""
+    a, _ = _ab(SPoint(eps, 0.0), alpha)
+    v = np.atleast_1d(np.asarray(t, dtype=np.float64)) / 2.0
+    vmax = float(np.max(np.abs(v))) if v.size else 0.0
+    n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
+    return a, v, vmax, np.arange(1, n0 + 1, dtype=np.float64)[:, None], n0 + 1.0 + a
+
+
+def _hurwitz_tail(tail, pw, v, vmax: float, w: float, j0: int, coef):
+    # add c * zeta(s, w) * pw for j = j0, j0+1, ... with (c, s) = coef(j), multiplying
+    # pw by v^2 before each term; stop after _tail_order terms or once a term is negligible
+    v2 = v * v
+    for j in range(j0, _tail_order(vmax, w) + 1):
+        pw = pw * v2
+        c, order = coef(j)
+        term = c * float(hurwitz_zeta_real(order, w)) * pw
+        tail += term
+        if np.max(np.abs(term)) < 1e-18 * (1.0 + np.max(np.abs(tail))):
+            break
+    return tail
+
+
 def gamma_phase(t, eps: float, alpha: int) -> np.ndarray | float:
     """Limit of the product-route phase, vectorized over t.
 
@@ -196,26 +254,11 @@ def gamma_phase(t, eps: float, alpha: int) -> np.ndarray | float:
     v*(psi(N+1+a) - psi(N+1)) + sum_j (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, N+1+a),
     giving near machine precision for every t.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    a, _ = _ab(SPoint(eps, 0.0), alpha)
-    v = t_arr / 2.0
-    vmax = float(np.max(np.abs(v))) if v.size else 0.0
-    n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
-
-    n = np.arange(1, n0 + 1, dtype=np.float64)[:, None]
+    a, v, vmax, n, w = _head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
     head = np.sum(v[None, :] * a / (n * (n + a)) + _x_minus_arctan(x), axis=0)
-
-    w = n0 + 1.0 + a
-    tail = v * float(digamma(w) - digamma(n0 + 1.0))
-    v2 = v * v
-    pw = v.copy()
-    for j in range(1, _tail_order(vmax, w) + 1):
-        pw = pw * v2
-        term = ((-1) ** (j + 1)) / (2 * j + 1) * float(hurwitz_zeta_real(2 * j + 1, w)) * pw
-        tail += term
-        if np.max(np.abs(term)) < 1e-18 * (1.0 + np.max(np.abs(tail))):
-            break
+    tail = _hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 1,
+                         lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
     out = -EULER_GAMMA * v - np.arctan(v / a) + head + tail
     return out if np.ndim(t) else float(out[0])
 
@@ -228,27 +271,12 @@ def gamma_log_abs(t, eps: float, alpha: int) -> np.ndarray | float:
                        - sum_{n>=1} (1/2) log(1 + (v/(n+a))^2),
     and the tail of the sum is again a Hurwitz-zeta series.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    a, _ = _ab(SPoint(eps, 0.0), alpha)
-    v = t_arr / 2.0
-    vmax = float(np.max(np.abs(v))) if v.size else 0.0
-    n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
-
-    n = np.arange(1, n0 + 1, dtype=np.float64)[:, None]
+    a, v, vmax, n, w = _head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
     head = 0.5 * np.sum(np.log1p(x * x), axis=0)
-
-    w = n0 + 1.0 + a
-    v2 = v * v
-    tail = np.zeros_like(v)
-    pw = np.ones_like(v)
-    for j in range(1, _tail_order(vmax, w) + 1):
-        pw = pw * v2
-        term = ((-1) ** (j + 1)) / (2.0 * j) * float(hurwitz_zeta_real(2 * j, w)) * pw
-        tail += term
-        if np.max(np.abs(term)) < 1e-18 * (1.0 + np.max(np.abs(tail))):
-            break
-    out = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v2) - head - tail
+    tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 1,
+                         lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
+    out = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
     return out if np.ndim(t) else float(out[0])
 
 
@@ -262,44 +290,29 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS,
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
     a, v = _ab(s, alpha)
-    total = -EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v))
-    last = 0.0
-    lo = 1
-    while lo <= n_terms:
-        hi = min(lo + _BLOCK, n_terms + 1)
-        n = np.arange(lo, hi, dtype=np.float64)
-        na = n + a
-        terms = 0.5 * (a * na + v * v) / (n * (na * na + v * v))
-        total += float(np.sum(terms))
-        last = float(terms[-1])
-        lo = hi
+    buf = np.empty((3, _LEAF))
+
+    def leaf(lo: int, m: int) -> np.ndarray:
+        n, na, w = buf[:, :m]
+        np.add(np.add(_RAMP[:m], lo, n), a, na)
+        np.multiply(n, np.add(np.multiply(na, na, w), v * v, w), w)
+        np.multiply(0.5, np.add(np.multiply(a, na, na), v * v, na), na)
+        return np.divide(na, w, na)
+
+    total = _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, leaf)
     if return_last_term:
-        return total, abs(last)
+        return total, abs(float(leaf(n_terms, 1)[0]))
     return total
 
 
 def gamma_dphase_dt(t, eps: float, alpha: int) -> np.ndarray | float:
     """Limit of `gw_dphase_dt`, vectorized over t (head sum plus closed tail)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    a, _ = _ab(SPoint(eps, 0.0), alpha)
-    v = t_arr / 2.0
-    vmax = float(np.max(np.abs(v))) if v.size else 0.0
-    n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
-
-    n = np.arange(1, n0 + 1, dtype=np.float64)[:, None]
+    a, v, vmax, n, w = _head_grid(t, eps, alpha)
     na = n + a
     v2 = v * v
     head = 0.5 * np.sum((a * na + v2[None, :]) / (n * (na * na + v2[None, :])), axis=0)
-
-    w = n0 + 1.0 + a
-    tail = 0.5 * float(digamma(w) - digamma(n0 + 1.0)) * np.ones_like(v)
-    pw = np.ones_like(v)
-    for j in range(_tail_order(vmax, w) + 1):
-        pw = pw * v2
-        term = 0.5 * ((-1) ** j) * float(hurwitz_zeta_real(2 * j + 3, w)) * pw
-        tail += term
-        if np.max(np.abs(term)) < 1e-18 * (1.0 + np.max(np.abs(tail))):
-            break
+    tail = _hurwitz_tail(0.5 * float(digamma(w) - digamma(len(n) + 1.0)) * np.ones_like(v),
+                         np.ones_like(v), v, vmax, w, 0, lambda j: (0.5 * ((-1) ** j), 2 * j + 3))
     out = -EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v2)) + head + tail
     return out if np.ndim(t) else float(out[0])
 

@@ -77,6 +77,13 @@ def test_approx_term_vanishes_at_quarter_turn():
     assert abs(ep.windowed_ratio_approx(t, 0.0, chi1, table, w)) < 1e-14
 
 
+def test_pmax_cut_keeps_prime_pmax(chi3, primes_1e5_q3):
+    # primes p <= p_max are summed: p_max = 101 (prime) includes 101, like p_max = 102
+    ratio = lambda p_max: ep.windowed_ratio_approx(
+        5.0, 0.0, chi3, primes_1e5_q3, ep.WindowParams(p_star=1e3, p_max=p_max))
+    assert ratio(101) == ratio(102) != ratio(100)
+
+
 def test_spike_present_near_first_zero(chi3, primes_1e5_q3):
     w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
     grid = np.arange(5.0, 11.0001, 0.05)

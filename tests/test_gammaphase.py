@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lphase import gammaphase as gp
 from lphase.arith import SPoint
@@ -92,6 +93,53 @@ def test_gw_dphase_matches_digamma():
         assert 0 < last < 1e-11
         lim = gp.gamma_dphase_dt(t, eps, alpha)
         assert lim == pytest.approx(ref, abs=1e-12)
+
+
+# one-block np.sum formulas of the product route: the reference the blocked
+# Gauss-Weierstrass kernel must reproduce bit for bit
+
+def _ref_x_minus_arctan(x):
+    small = np.abs(x) < 0.1
+    xs = np.where(small, x, 0.1)
+    x2 = xs * xs
+    series = xs * x2 * (1.0 / 3.0 + x2 * (-1.0 / 5.0 + x2 * (1.0 / 7.0 + x2 * (-1.0 / 9.0 + x2 / 11.0))))
+    return np.where(small, series, x - np.arctan(x))
+
+
+def _ref_gw(s, alpha, n_terms):
+    a, v = (0.5 + s.eps + alpha) / 2.0, s.t / 2.0
+    phase = -gp.EULER_GAMMA * v - math.atan(v / a)
+    dphase = -gp.EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v))
+    for lo in range(1, n_terms + 1, 1 << 20):
+        n = np.arange(lo, min(lo + (1 << 20), n_terms + 1), dtype=np.float64)
+        phase += float(np.sum(v * a / (n * (n + a)) + _ref_x_minus_arctan(v / (n + a))))
+        na = n + a
+        terms = 0.5 * (a * na + v * v) / (n * (na * na + v * v))
+        dphase += float(np.sum(terms))
+    return phase, dphase, abs(float(terms[-1]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_terms=st.sampled_from([1, 7, 8191, 8193, 12345, 2 * 10 ** 5, 10 ** 6, (1 << 20) + 5]),
+       t=st.floats(-3000.0, 3000.0), eps=st.floats(-0.4, 0.5), alpha=st.sampled_from([0, 1, 2]))
+@example(n_terms=10 ** 6, t=0.0, eps=0.0, alpha=1)
+@example(n_terms=(1 << 20) + 5, t=-14.13, eps=0.1, alpha=0)
+@example(n_terms=12345, t=1800.3, eps=0.0, alpha=1)        # arctan/series split inside the second leaf
+@example(n_terms=2 * 10 ** 5, t=-1800.3, eps=-0.2, alpha=2)
+def test_gw_sums_bit_identical_to_one_block_sum(n_terms, t, eps, alpha):
+    s = SPoint(eps, t)
+    phase, dphase, last = _ref_gw(s, alpha, n_terms)
+    assert gp.gw_log_gamma_phase(s, alpha, n_terms) == phase
+    assert gp.gw_dphase_dt(s, alpha, n_terms) == dphase
+    assert gp.gw_dphase_dt(s, alpha, n_terms, return_last_term=True) == (dphase, last)
+
+
+def test_x_minus_arctan_bit_identical():
+    rng = np.random.default_rng(20241)
+    x = np.concatenate([rng.normal(0.0, 0.2, 4000), rng.normal(0.0, 50.0, 1000), [0.0, -0.1, 0.1]])
+    assert np.array_equal(gp._x_minus_arctan(x), _ref_x_minus_arctan(x))
+    grid = x[:4900].reshape(-1, 7)
+    assert np.array_equal(gp._x_minus_arctan(grid), _ref_x_minus_arctan(grid))
 
 
 def test_gw_domain_guard():
