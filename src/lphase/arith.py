@@ -1,16 +1,20 @@
 """Exact Dirichlet-character arithmetic and elementary prime-counting tools.
 
-Characters mod q are stored with exact phases: on the unit group the value
-is exp(2*pi*i*r) where r is a rational number of turns kept as a
-`fractions.Fraction`.  Multiplicativity then holds exactly (addition of
-fractions mod 1), so the million-term prime sums built downstream carry no
-phase drift from the character table itself.
+A character mod q is stored as an integer log-index array: on the unit group
+chi(n) = exp(2*pi*i * k[n] / m), where m is the exponent of (Z/qZ)* and
+k[n] is an integer in [0, m) (-1 where chi vanishes).  Multiplicativity then
+holds exactly (integer addition mod m), so the million-term prime sums built
+downstream carry no phase drift from the character table itself, and every
+derived quantity (phases, parity, conductor, conjugate, inducer, Gauss sum)
+is computed from k with integer arithmetic before one correctly rounded
+division.
 
 Construction decomposes (Z/qZ)* into cyclic factors by the CRT: one
 primitive root per odd prime power, and the {-1, 5} generator pair for 2^k
 with k >= 3.  Characters are indexed by exponent tuples over those factors,
 enumerated lexicographically, which fixes a deterministic ordering (index 0
-is always the principal character).
+is always the principal character).  All k rows of one modulus come from a
+single integer product of the exponent table with the discrete-log table.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -32,7 +36,6 @@ __all__ = [
     "DirichletCharacter",
     "PrimeTable",
     "enumerate_characters",
-    "conductor_and_primitivity",
     "primitive_inducer",
     "gauss_sum",
     "phase_sum_reduced",
@@ -92,8 +95,6 @@ def euler_phi(q: int) -> int:
 
 
 def _primitive_root_mod_p(p: int) -> int:
-    if p == 2:
-        return 1
     fac = [f for f, _ in _factorize(p - 1)]
     for g in range(2, p):
         if all(pow(g, (p - 1) // f, p) != 1 for f in fac):
@@ -111,48 +112,36 @@ def _primitive_root_prime_power(p: int, e: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class _CyclicFactor:
-    """One cyclic factor of (Z/qZ)*, with a discrete-log table mod p^e."""
+def _logs(g: int, order: int, modulus: int) -> np.ndarray:
+    """Discrete logs to base g mod `modulus`, indexed by residue (0 off <g>)."""
+    table = np.zeros(modulus, dtype=np.int64)
+    val = 1
+    for j in range(order):
+        table[val] = j
+        val = val * g % modulus
+    return table
 
-    prime_power: int
-    order: int
-    dlog: dict[int, int]  # residue mod prime_power -> exponent
 
-
-def _unit_group_factors(q: int) -> list[_CyclicFactor]:
-    factors: list[_CyclicFactor] = []
+def _unit_group(q: int) -> tuple[list[int], np.ndarray]:
+    """Orders of the cyclic factors of (Z/qZ)* and the discrete log of every
+    residue n < q on each factor, as a (factors, q) array."""
+    n = np.arange(q)
+    orders, rows = [], []
     for p, e in _factorize(q):
         pe = p ** e
         if p == 2:
-            if e == 1:
-                continue  # trivial group
-            if e == 2:
-                factors.append(_CyclicFactor(4, 2, {1: 0, 3: 1}))
-            else:
-                # (Z/2^eZ)* = <-1> x <5>; split the discrete log jointly
-                half = pe // 4
-                log_minus: dict[int, int] = {}
-                log_five: dict[int, int] = {}
-                val = 1
-                for j in range(half):
-                    log_minus[val] = 0
-                    log_five[val] = j
-                    log_minus[pe - val] = 1
-                    log_five[pe - val] = j
-                    val = (val * 5) % pe
-                factors.append(_CyclicFactor(pe, 2, log_minus))
-                factors.append(_CyclicFactor(pe, half, log_five))
+            # (Z/2^eZ)* = <-1> x <5>; the <5> factor is trivial for e <= 2
+            if e >= 2:
+                orders.append(2)
+                rows.append((n % 4 == 3).astype(np.int64))
+            if e >= 3:
+                orders.append(pe // 4)
+                rows.append(_logs(5, pe // 4, pe)[np.where(n % 4 == 3, -n, n) % pe])
         else:
-            g = _primitive_root_prime_power(p, e)
             order = (p - 1) * p ** (e - 1)
-            table = {}
-            val = 1
-            for j in range(order):
-                table[val] = j
-                val = (val * g) % pe
-            factors.append(_CyclicFactor(pe, order, table))
-    return factors
+            orders.append(order)
+            rows.append(_logs(_primitive_root_prime_power(p, e), order, pe)[n % pe])
+    return orders, np.array(rows, dtype=np.int64).reshape(len(orders), q)
 
 
 # --------------------------------------------------------------------------
@@ -161,99 +150,69 @@ def _unit_group_factors(q: int) -> list[_CyclicFactor]:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Dirichlet character mod q with exact rational phases.
+    """Dirichlet character mod q as an integer log-index array.
 
-    ``phase_turns[n]`` is the phase of chi(n) as a fraction of a full turn
-    for gcd(n, q) = 1, and None where chi vanishes.  ``parity`` is 0 for
-    even characters (chi(-1) = 1) and 1 for odd ones.
+    chi(n) = exp(2*pi*i * k[n] / m) for gcd(n, q) = 1, where ``m`` is the
+    exponent of (Z/qZ)* (the lcm of its cyclic-factor orders) and ``k`` is a
+    read-only integer array of length q with entries in [0, m), and -1 where
+    chi vanishes.  ``phase_turns`` is the same data as exact `Fraction` turns
+    (None where chi vanishes), built on first use.  ``parity`` is 0 for even
+    characters (chi(-1) = 1) and 1 for odd ones.
     """
 
     q: int
     index: int
     exponents: tuple[int, ...]
-    phase_turns: tuple[Fraction | None, ...]
+    k: np.ndarray
+    m: int
     conductor: int
     parity: int
     is_principal: bool
     is_primitive: bool
-    _angles: np.ndarray = field(repr=False, compare=False, hash=False, default=None)
+
+    @cached_property
+    def phase_turns(self) -> tuple[Fraction | None, ...]:
+        return tuple(None if r < 0 else Fraction(r, self.m) for r in self.k.tolist())
 
     def turn(self, n: int) -> Fraction | None:
         return self.phase_turns[n % self.q]
 
     def value(self, n: int) -> complex:
-        r = self.phase_turns[n % self.q]
-        if r is None:
+        r = int(self.k[n % self.q])
+        if r < 0:
             return 0.0 + 0.0j
-        a = 2.0 * math.pi * float(r)
+        a = 2.0 * math.pi * (r / self.m)
         return complex(math.cos(a), math.sin(a))
 
     def angle(self, n: int) -> float:
         """Phase of chi(n) in radians, in [0, 2*pi).  Requires gcd(n, q)=1."""
-        r = self.phase_turns[n % self.q]
-        if r is None:
+        r = int(self.k[n % self.q])
+        if r < 0:
             raise DomainError(f"chi({n}) = 0 mod {self.q}; phase undefined")
-        return 2.0 * math.pi * float(r)
+        return 2.0 * math.pi * (r / self.m)
 
     def angles_by_residue(self) -> np.ndarray:
         """Array of phases in radians indexed by residue, NaN off the units."""
-        return self._angles
+        return np.where(self.k >= 0, 2.0 * math.pi * (self.k / self.m), np.nan)
 
     def conjugate(self) -> "DirichletCharacter":
-        for other in enumerate_characters(self.q):
-            if all(
-                (a is None and b is None) or (a is not None and b is not None and (a + b) % 1 == 0)
-                for a, b in zip(self.phase_turns, other.phase_turns)
-            ):
-                return other
-        raise RuntimeError("conjugate character not found")  # unreachable
+        # the conjugate's exponents are the negated ones, so its k is -k mod m;
+        # the last character in the enumeration holds the factor orders minus 1
+        chars = enumerate_characters(self.q)
+        index = 0
+        for e, top in zip(self.exponents, chars[-1].exponents):
+            index = index * (top + 1) + (-e) % (top + 1)
+        return chars[index]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DirichletCharacter)
             and self.q == other.q
-            and self.phase_turns == other.phase_turns
+            and np.array_equal(self.k, other.k)
         )
 
     def __hash__(self) -> int:
-        return hash((self.q, self.phase_turns))
-
-
-def _build_character(q: int, index: int, exps: tuple[int, ...],
-                     factors: list[_CyclicFactor]) -> DirichletCharacter:
-    turns: list[Fraction | None] = []
-    for n in range(q):
-        if gcd(n, q) != 1:
-            turns.append(None)
-            continue
-        r = Fraction(0)
-        for a, fac in zip(exps, factors):
-            r += Fraction(a * fac.dlog[n % fac.prime_power], fac.order)
-        turns.append(r % 1)
-    turns_t = tuple(turns)
-
-    parity_turn = turns_t[(q - 1) % q]
-    parity = 0 if parity_turn == 0 else 1
-    is_principal = all(r == 0 for r in turns_t if r is not None)
-    conductor = _conductor_from_turns(q, turns_t)
-
-    angles = np.full(q, np.nan)
-    for n, r in enumerate(turns_t):
-        if r is not None:
-            angles[n] = 2.0 * math.pi * float(r)
-    angles.setflags(write=False)
-
-    return DirichletCharacter(
-        q=q,
-        index=index,
-        exponents=exps,
-        phase_turns=turns_t,
-        conductor=conductor,
-        parity=parity,
-        is_principal=is_principal,
-        is_primitive=(conductor == q),
-        _angles=angles,
-    )
+        return hash((self.q, self.k.tobytes()))
 
 
 def _divisors(q: int) -> list[int]:
@@ -263,42 +222,28 @@ def _divisors(q: int) -> list[int]:
     return sorted(divs)
 
 
-def _conductor_from_turns(q: int, turns: tuple[Fraction | None, ...]) -> int:
-    # smallest induced modulus d | q: chi trivial on units congruent to 1 mod d
-    for d in _divisors(q):
-        ok = True
-        for n in range(1, q + 1):
-            if gcd(n, q) == 1 and n % d == 1 % d and turns[n % q] != 0:
-                ok = False
-                break
-        if ok:
-            return d
-    return q
-
-
 @lru_cache(maxsize=None)
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, ordered by exponent tuple (principal first)."""
     if q < 1:
         raise DomainError("modulus must be a positive integer")
-    if q == 1:
-        angles = np.zeros(1)
-        angles.setflags(write=False)
-        trivial = DirichletCharacter(
-            q=1, index=0, exponents=(), phase_turns=(Fraction(0),),
-            conductor=1, parity=0, is_principal=True, is_primitive=True,
-            _angles=angles,
-        )
-        return (trivial,)
-    factors = _unit_group_factors(q)
-    chars = []
-    for idx, exps in enumerate(product(*(range(f.order) for f in factors))):
-        chars.append(_build_character(q, idx, tuple(exps), factors))
-    return tuple(chars)
-
-
-def conductor_and_primitivity(chi: DirichletCharacter) -> tuple[int, bool]:
-    return chi.conductor, chi.is_primitive
+    orders, dlog = _unit_group(q)
+    m = math.lcm(*orders)
+    tuples = list(product(*map(range, orders)))
+    exps = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(orders))
+    n = np.arange(q)
+    units = np.gcd(n, q) == 1
+    K = np.where(units, (exps * (m // np.array(orders, dtype=np.int64))) @ dlog % m, -1)
+    K.setflags(write=False)
+    # conductor: the smallest d | q with chi trivial on the units = 1 mod d
+    conductor = np.empty(len(K), dtype=np.int64)
+    for d in reversed(_divisors(q)):
+        conductor[np.all(K[:, units & (n % d == 1 % d)] == 0, axis=1)] = d
+    return tuple(
+        DirichletCharacter(q=q, index=i, exponents=tuples[i], k=K[i], m=m, conductor=d,
+                           parity=int(K[i, q - 1] != 0), is_principal=d == 1, is_primitive=d == q)
+        for i, d in enumerate(conductor.tolist())
+    )
 
 
 def primitive_inducer(chi: DirichletCharacter) -> DirichletCharacter:
@@ -306,44 +251,36 @@ def primitive_inducer(chi: DirichletCharacter) -> DirichletCharacter:
     d = chi.conductor
     if d == chi.q:
         return chi
-    wanted: dict[int, Fraction] = {}
-    for m in range(d):
-        if gcd(m, d) != 1:
-            continue
-        n = m
-        while gcd(n, chi.q) != 1:  # lift m to a residue coprime to q
-            n += d
-        wanted[m] = chi.phase_turns[n % chi.q]
-    for psi in enumerate_characters(d):
-        if all(psi.phase_turns[m] == r for m, r in wanted.items()):
+    chars = enumerate_characters(d)
+    # lift each residue r mod d to the smallest n = r (mod d) coprime to q
+    # (non-units mod d stay non-units, k = -1); the exponent of (Z/dZ)*
+    # divides chi.m, so psi.k = chi.k[lift] * psi.m / chi.m exactly, and
+    # floor division keeps the -1
+    lifts = np.arange(chi.q).reshape(-1, d)
+    lift = lifts[np.argmax(np.gcd(lifts, chi.q) == 1, axis=0), np.arange(d)]
+    wanted = (chi.k[lift] // (chi.m // chars[0].m)).tobytes()
+    for psi in chars:
+        if psi.k.tobytes() == wanted:
             return psi
     raise RuntimeError("inducing character not found")  # unreachable
 
 
+def _sum_exp_i(angles: list[float]) -> complex:
+    """Sum of exp(i*a) over the angles, each part summed with math.fsum."""
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+
+
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum over m of chi(m) exp(2*pi*i*m/q), in double precision."""
-    q = chi.q
-    re_parts, im_parts = [], []
-    for m in range(1, q + 1):
-        r = chi.phase_turns[m % q]
-        if r is None:
-            continue
-        a = 2.0 * math.pi * float((r + Fraction(m, q)) % 1)
-        re_parts.append(math.cos(a))
-        im_parts.append(math.sin(a))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    """tau(chi) = sum over n of chi(n) exp(2*pi*i*n/q), in double precision."""
+    q, m, ks = chi.q, chi.m, chi.k.tolist()
+    # chi(n) e(n/q) = e((r*q + n*m) / (m*q)) with r = k[n], reduced mod 1 exactly
+    return _sum_exp_i([2.0 * math.pi * (((ks[n % q] * q + n * m) % (m * q)) / (m * q))
+                       for n in range(1, q + 1) if ks[n % q] >= 0])
 
 
 def phase_sum_reduced(chi: DirichletCharacter) -> complex:
     """Sum of exp(i*angle(chi(h))) over reduced residues h (zero unless principal)."""
-    re_parts, im_parts = [], []
-    for r in chi.phase_turns:
-        if r is None:
-            continue
-        a = 2.0 * math.pi * float(r)
-        re_parts.append(math.cos(a))
-        im_parts.append(math.sin(a))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return _sum_exp_i([2.0 * math.pi * (r / chi.m) for r in chi.k.tolist() if r >= 0])
 
 
 # --------------------------------------------------------------------------
@@ -362,7 +299,6 @@ class PrimeTable:
     q: int
     primes: np.ndarray            # int64, strictly increasing
     residues: np.ndarray          # primes % q
-    classes: dict[int, np.ndarray]  # reduced residue h -> ordered primes = h (mod q)
     _log_primes: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -372,9 +308,10 @@ class PrimeTable:
         return self._log_primes
 
     def class_primes(self, h: int) -> np.ndarray:
+        """Ordered primes = h (mod q) for a reduced residue h."""
         if gcd(h % self.q, self.q) != 1:
             raise DomainError(f"h={h} is not a reduced residue mod {self.q}")
-        return self.classes[h % self.q]
+        return self.primes[self.residues == h % self.q]
 
     def count(self) -> int:
         return int(self.primes.size)
@@ -391,7 +328,7 @@ def _simple_sieve(n: int) -> np.ndarray:
 
 def sieve_primes(p_max: int, q: int = 1, *, segment_size: int = _SEGMENT_SIZE,
                  p_budget: int = _DEFAULT_P_BUDGET) -> PrimeTable:
-    """Segmented Eratosthenes sieve up to p_max, class-partitioned mod q."""
+    """Segmented Eratosthenes sieve up to p_max, with residues mod q."""
     if p_max < 2:
         raise DomainError("p_max must be at least 2")
     if q < 1:
@@ -415,13 +352,7 @@ def sieve_primes(p_max: int, q: int = 1, *, segment_size: int = _SEGMENT_SIZE,
         lo = hi
     primes = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
 
-    residues = primes % q
-    classes = {
-        h: primes[residues == h]
-        for h in range(q)
-        if gcd(h, q) == 1 or (q == 1 and h == 0)
-    }
-    return PrimeTable(p_max=p_max, q=q, primes=primes, residues=residues, classes=classes)
+    return PrimeTable(p_max=p_max, q=q, primes=primes, residues=primes % q)
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +381,8 @@ def pnt_class_ratio(x: float, q: int, table: PrimeTable | None = None) -> dict[i
     phi = euler_phi(q)
     li_x = li(float(x))
     out = {}
-    for h, plist in sorted(table.classes.items()):
-        n = int(np.searchsorted(plist, x, side="right"))
-        out[h] = n * phi / li_x
+    for h in range(q):
+        if gcd(h, q) == 1:
+            n = int(np.searchsorted(table.class_primes(h), x, side="right"))
+            out[h] = n * phi / li_x
     return out

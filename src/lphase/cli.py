@@ -106,14 +106,24 @@ def _t_grid(args) -> np.ndarray:
 # commands
 # --------------------------------------------------------------------------
 
+def _turn_names(m: int) -> list[str]:
+    """str(Fraction(r, m)) for r in range(m), then "" (index -1: chi vanishes)."""
+    names = []
+    for r in range(m):
+        g = math.gcd(r, m)
+        names.append(str(r // g) if g == m else f"{r // g}/{m // g}")
+    return names + [""]
+
+
 def _cmd_characters(args) -> int:
     chars = arith.enumerate_characters(args.q)
+    names = _turn_names(chars[0].m)
     header = ["chi_index", "conductor", "parity", "is_principal", "is_primitive"]
     header += [f"angle_turns_n{n}" for n in range(args.q)]
     rows = []
     for c in chars:
         row = [c.index, c.conductor, c.parity, int(c.is_principal), int(c.is_primitive)]
-        row += ["" if r is None else str(r) for r in c.phase_turns]
+        row += [names[r] for r in c.k.tolist()]
         rows.append(row)
     _write_csv(args.out, "characters", {"q": args.q}, header, rows)
     return 0

@@ -236,7 +236,7 @@ def max_k_for_bound(t: float, chi: DirichletCharacter, bound: float) -> int:
         raise DomainError("need t > 0 and bound > 2")
     ks = []
     for h in range(chi.q):
-        if chi.phase_turns[h] is not None:
+        if chi.k[h] >= 0:
             th = chi.angle(h)
             ks.append(int(math.floor((t * math.log(bound) + math.pi / 2.0 - th)
                                      / (2.0 * math.pi))) - 1)
@@ -311,8 +311,7 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
     lnps = math.log(window.p_star)
     phi_q = euler_phi(chi.q)
     entries = []
-    classes = sorted(h for h in range(chi.q) if chi.phase_turns[h] is not None)
-    for h in classes:
+    for h in np.flatnonzero(chi.k >= 0).tolist():
         th = chi.angle(h)
         pc = (primes.class_primes(h) if chi.q > 1 else primes.primes).astype(np.float64)
         lc = np.log(pc)
@@ -445,7 +444,7 @@ def class_li_combination(t: float, eps: float, chi: DirichletCharacter,
     lnps = math.log(window.p_star)
     phi_q = euler_phi(chi.q)
     total = 0.0
-    for h in sorted(hh for hh in range(chi.q) if chi.phase_turns[hh] is not None):
+    for h in np.flatnonzero(chi.k >= 0).tolist():
         th = chi.angle(h)
         f = lambda u: (math.cos(u * t - th) * math.sin(math.pi * u / lnps)
                        * math.exp(u * (0.5 - eps)) / u)

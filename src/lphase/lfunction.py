@@ -44,14 +44,12 @@ from .gammaphase import (
 
 __all__ = [
     "LValue",
-    "EtaSample",
     "ZeroRecord",
     "l_eval",
     "l_on_grid",
     "xi_eval",
     "xi_on_grid",
     "normalizer_phase",
-    "eta_eval",
     "eta_on_grid",
     "angular_momentum",
     "angular_momentum_on_grid",
@@ -129,7 +127,7 @@ def _em_sizes(t_max: float) -> tuple[int, int]:
 
 
 def _l_values(chi: DirichletCharacter, svals: np.ndarray,
-              n_head: int | None = None) -> tuple[np.ndarray, float, int]:
+              n_head: int | None = None) -> tuple[np.ndarray, float]:
     s = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
     t_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
     nh, nb = _em_sizes(t_max)
@@ -142,8 +140,7 @@ def _l_values(chi: DirichletCharacter, svals: np.ndarray,
     # for a non-principal character the removed parts sum to zero exactly
     drop_pole = not chi.is_principal
     for r in range(1, q + 1):
-        turn = chi.phase_turns[r % q]
-        if turn is None:
+        if chi.k[r % q] < 0:
             continue
         z, e = _hurwitz_zeta(s, r / q, nh, nb,  # r = q occurs only for q = 1 (a = 1)
                              subtract_pole=drop_pole)
@@ -151,7 +148,7 @@ def _l_values(chi: DirichletCharacter, svals: np.ndarray,
         err += e
     scale = np.exp(-s * math.log(q)) if q > 1 else np.ones_like(s)
     qfac = float(q) ** (-float(np.min(s.real)))
-    return scale * total, err * qfac, nh
+    return scale * total, err * qfac
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,6 @@ class LValue:
     chi: DirichletCharacter
     value: complex
     abs_err_estimate: float
-    n_terms_used: int
 
 
 def l_eval(s: SPoint, chi: DirichletCharacter, tol: float = 1e-10) -> LValue:
@@ -180,12 +176,11 @@ def l_eval(s: SPoint, chi: DirichletCharacter, tol: float = 1e-10) -> LValue:
 
     nh, _ = _em_sizes(abs(s.t))
     for _ in range(6):
-        vals, err, used = _l_values(chi, np.array([s.s]), n_head=nh)
+        vals, err = _l_values(chi, np.array([s.s]), n_head=nh)
         if err <= tol or nh > 4000:
             break
         nh = int(nh * 1.7) + 8
-    return LValue(s=s, chi=chi, value=complex(vals[0]),
-                  abs_err_estimate=float(err), n_terms_used=used * max(chi.q, 1))
+    return LValue(s=s, chi=chi, value=complex(vals[0]), abs_err_estimate=float(err))
 
 
 def l_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.ndarray:
@@ -193,7 +188,7 @@ def l_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.nda
     if chi.is_principal and eps <= 0.5:
         raise DomainError("principal character inside the strip has a pole-bearing L")
     s = 0.5 + eps + 1j * np.asarray(t_grid, dtype=np.float64)
-    vals, _, _ = _l_values(chi, s)
+    vals, _ = _l_values(chi, s)
     return vals
 
 
@@ -229,26 +224,12 @@ def normalizer_phase(chi: DirichletCharacter) -> float:
     return 0.5 * math.atan2(w.imag, w.real)
 
 
-@dataclass(frozen=True)
-class EtaSample:
-    t: float
-    eps: float
-    chi: DirichletCharacter
-    eta: complex
-    normalizer: float
-
-
 def eta_on_grid(chi: DirichletCharacter, eps: float,
                 t_grid: np.ndarray) -> tuple[np.ndarray, float]:
     """Rotated completion eta over a t grid; real up to noise when eps = 0."""
     half = normalizer_phase(chi)
     rot = complex(math.cos(half), math.sin(half))
     return rot * xi_on_grid(chi, eps, t_grid), half
-
-
-def eta_eval(t: float, eps: float, chi: DirichletCharacter) -> EtaSample:
-    vals, half = eta_on_grid(chi, eps, np.array([t]))
-    return EtaSample(t=t, eps=eps, chi=chi, eta=complex(vals[0]), normalizer=half)
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lphase import arith
 from lphase.errors import DomainError, ResourceLimitError
@@ -116,7 +119,7 @@ def test_conductor_against_oracle():
 def test_prime_modulus_all_primitive_or_principal():
     for chi in arith.enumerate_characters(5):
         if not chi.is_principal:
-            assert arith.conductor_and_primitivity(chi) == (5, True)
+            assert (chi.conductor, chi.is_primitive) == (5, True)
 
 
 def test_q6_q10_have_no_primitive_characters():
@@ -174,6 +177,130 @@ def test_conjugate_character(chi5_odd):
 
 
 # --------------------------------------------------------------------------
+# the integer log-index core against the exact Fraction construction
+# --------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _fraction_rows(q):
+    """Phase rows of all characters mod q as Fraction turns (None off the units).
+
+    Reference construction: per-factor discrete-log dicts and a Fraction sum
+    over the factors reduced mod 1, in the library's exponent order.
+    """
+    factors = []  # (prime power, order, residue -> discrete log)
+    for p, e in arith._factorize(q):
+        pe = p ** e
+        if p == 2 and e == 2:
+            factors.append((4, 2, {1: 0, 3: 1}))
+        elif p == 2 and e >= 3:
+            half = pe // 4
+            log_minus, log_five = {}, {}
+            val = 1
+            for j in range(half):
+                log_minus[val], log_five[val] = 0, j
+                log_minus[pe - val], log_five[pe - val] = 1, j
+                val = val * 5 % pe
+            factors += [(pe, 2, log_minus), (pe, half, log_five)]
+        elif p != 2:
+            g = arith._primitive_root_prime_power(p, e)
+            order = (p - 1) * p ** (e - 1)
+            table, val = {}, 1
+            for j in range(order):
+                table[val] = j
+                val = val * g % pe
+            factors.append((pe, order, table))
+    rows = []
+    for exps in product(*(range(order) for _, order, _ in factors)):
+        turns = []
+        for n in range(q):
+            if gcd(n, q) != 1:
+                turns.append(None)
+                continue
+            r = Fraction(0)
+            for a, (pe, order, dlog) in zip(exps, factors):
+                r += Fraction(a * dlog[n % pe], order)
+            turns.append(r % 1)
+        rows.append(tuple(turns))
+    return rows
+
+
+def _reference_conductor(q, turns):
+    for d in sorted(x for x in range(1, q + 1) if q % x == 0):
+        if all(turns[n] in (0, None) for n in range(1 % d, q, d)):
+            return d
+
+
+@lru_cache(maxsize=None)
+def _row_index(q):
+    return {row: i for i, row in enumerate(_fraction_rows(q))}
+
+
+def _reference_inducer(q, turns, d):
+    wanted = [None] * d
+    for a in range(d):
+        if gcd(a, d) == 1:
+            n = a
+            while gcd(n, q) != 1:  # lift a to a residue coprime to q
+                n += d
+            wanted[a] = turns[n % q]
+    return _row_index(d)[tuple(wanted)]
+
+
+def _reference_gauss_sum(q, turns):
+    re_parts, im_parts = [], []
+    for n in range(1, q + 1):
+        r = turns[n % q]
+        if r is not None:
+            a = 2.0 * math.pi * float((r + Fraction(n, q)) % 1)
+            re_parts.append(math.cos(a))
+            im_parts.append(math.sin(a))
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
+
+
+@pytest.mark.parametrize("qs", [range(1, 61), (512, 630)], ids=["q<=60", "q=512,630"])
+def test_log_index_core_matches_fraction_oracle(qs):
+    for q in qs:
+        rows = _fraction_rows(q)
+        chars = arith.enumerate_characters(q)
+        assert len(chars) == len(rows)
+        for chi, turns in zip(chars, rows):
+            assert chi.phase_turns == turns
+            angles = np.array([np.nan if r is None else 2.0 * math.pi * float(r) for r in turns])
+            assert chi.angles_by_residue().tobytes() == angles.tobytes()
+            for n, r in enumerate(turns):
+                if r is None:
+                    assert chi.value(n) == 0.0
+                else:
+                    a = 2.0 * math.pi * float(r)
+                    assert chi.angle(n) == a
+                    assert chi.value(n) == complex(math.cos(a), math.sin(a))
+            assert arith.gauss_sum(chi) == _reference_gauss_sum(q, turns)
+            assert chi.conductor == _reference_conductor(q, turns)
+            assert chi.parity == (0 if turns[q - 1] == 0 else 1)
+            conj = tuple(None if r is None else -r % 1 for r in turns)
+            assert chi.conjugate().index == _row_index(q)[conj]
+            psi = arith.primitive_inducer(chi)
+            assert (psi.q, psi.index) == (chi.conductor, _reference_inducer(q, turns, chi.conductor))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=st.integers(1, 300), pick=st.floats(0.0, 1.0, exclude_max=True))
+def test_character_properties(q, pick):
+    chars = arith.enumerate_characters(q)
+    chi = chars[int(pick * len(chars))]
+    units = chi.k >= 0
+    conj = chi.conjugate()
+    assert conj.conjugate() == chi
+    assert np.array_equal(conj.k >= 0, units)
+    assert np.all((chi.k + conj.k)[units] % chi.m == 0)
+    assert q % chi.conductor == 0
+    psi = arith.primitive_inducer(chi)
+    assert psi.q == chi.conductor and psi.is_primitive
+    n = np.nonzero(units)[0]
+    assert np.array_equal(psi.k[n % psi.q] * chi.m, chi.k[n] * psi.m)
+
+
+# --------------------------------------------------------------------------
 # sieve
 # --------------------------------------------------------------------------
 
@@ -204,14 +331,14 @@ def test_sieve_class_partition_q4():
     table = arith.sieve_primes(100, 4)
     assert table.class_primes(1).tolist() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
     # union of coprime classes plus primes dividing q recovers everything
-    total = sum(len(table.classes[h]) for h in table.classes)
+    total = sum(len(table.class_primes(h)) for h in (1, 3))
     assert total + int(np.sum(table.residues == 0)) + int(np.sum(table.residues == 2)) \
         == table.count()
 
 
 def test_sieve_union_property_q6():
     table = arith.sieve_primes(500, 6)
-    coprime = sum(len(v) for v in table.classes.values())
+    coprime = sum(len(table.class_primes(h)) for h in (1, 5))
     dividing = int(np.sum((table.primes == 2) | (table.primes == 3)))
     assert coprime + dividing == table.count()
 

@@ -122,9 +122,11 @@ def test_xi_requires_primitive():
 # --------------------------------------------------------------------------
 
 def test_eta_real_on_line(chi3):
-    sample = lf.eta_eval(5.0, 0.0, chi3)
-    assert abs(sample.eta.imag) < 1e-8 * abs(sample.eta)
-    assert sample.normalizer == pytest.approx(0.0, abs=1e-15)  # tau = i sqrt(3)
+    vals, half = lf.eta_on_grid(chi3, 0.0, np.array([5.0]))
+    eta = complex(vals[0])
+    assert abs(eta.imag) < 1e-8 * abs(eta)
+    assert half == lf.normalizer_phase(chi3)
+    assert half == pytest.approx(0.0, abs=1e-15)  # tau = i sqrt(3)
 
 
 def test_eta_realness_all_primitive_up_to_13():
