@@ -311,9 +311,10 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
     lnps = math.log(window.p_star)
     phi_q = euler_phi(chi.q)
     entries = []
+    res = primes.primes % chi.q  # chi.q, not primes.q: the table may be sieved for another modulus
     for h in np.flatnonzero(chi.k >= 0).tolist():
         th = chi.angle(h)
-        pc = (primes.class_primes(h) if chi.q > 1 else primes.primes).astype(np.float64)
+        pc = primes.primes[res == h].astype(np.float64)
         lc = np.log(pc)
         # first k whose falling boundary exceeds 2 (intervals fully below 2 are empty)
         k = int(math.floor((t * math.log(2.0) - math.pi / 2.0 - th) / (2.0 * math.pi))) + 1

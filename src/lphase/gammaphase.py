@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -91,12 +91,11 @@ class StirlingConfig:
     """Number of Bernoulli terms kept in the asymptotic route (k = 1..K-1)."""
 
     K: int = 3
-    bernoulli: dict = field(default_factory=lambda: dict(BERNOULLI))
 
     def __post_init__(self):
         if self.K < 2:
             raise DomainError("StirlingConfig requires K >= 2")
-        if 2 * self.K not in self.bernoulli:
+        if 2 * self.K not in BERNOULLI:
             raise DomainError(f"no Bernoulli coefficient B_{2 * self.K} available")
 
 
@@ -388,9 +387,9 @@ def stirling_phase_bernoulli(t: float, eps: float, alpha: int,
     z = _stirling_z(t, eps, alpha)
     val = 0.0
     for k in range(1, cfg.K):
-        b = float(cfg.bernoulli[2 * k])
+        b = float(BERNOULLI[2 * k])
         val += (b / (2 * k * (2 * k - 1)) * z ** (1 - 2 * k)).imag
-    b_next = abs(float(cfg.bernoulli[2 * cfg.K]))
+    b_next = abs(float(BERNOULLI[2 * cfg.K]))
     bound = (b_next / (2 * cfg.K * (2 * cfg.K - 1) * abs(z) ** (2 * cfg.K - 1))
              / math.cos(math.atan2(z.imag, z.real) / 2.0) ** (2 * cfg.K))
     return val, bound
@@ -404,7 +403,7 @@ def stirling_phase_bernoulli_dt(t: float, eps: float, alpha: int,
     z = _stirling_z(t, eps, alpha)
     fprime = 0.0 + 0.0j
     for k in range(1, cfg.K):
-        b = float(cfg.bernoulli[2 * k])
+        b = float(BERNOULLI[2 * k])
         fprime += -b / (2 * k) * z ** (-2 * k)
     return 0.5 * fprime.real
 
@@ -438,8 +437,32 @@ def stirling_dphase_dt(t: float, eps: float, params: PrefactorParams,
 
 
 # --------------------------------------------------------------------------
-# mixed derivative and crossing points
+# difference and root drivers, mixed derivative and crossing points
 # --------------------------------------------------------------------------
+
+def _richardson(coarse, fine, r: float = 4.0):
+    # step-halving extrapolation: removes the error term that falls by a factor r per halving
+    return (r * fine - coarse) / (r - 1.0)
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """Midpoint of a sign-change bracket [lo, hi] of f, narrowed to width <= tol.
+
+    f_lo = f(lo) and f(hi) lie on opposite sides of zero (f_lo = 0 counts as negative).
+    Signs are compared, never multiplied, so values near underflow keep their sign.  A
+    midpoint where f is exactly zero is returned at once.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
 
 def mixed_second_derivative(t: float, alpha: int, route: str = "gw",
                             n_terms: int = GW_DEFAULT_TERMS) -> float:
@@ -468,14 +491,13 @@ def mixed_second_derivative(t: float, alpha: int, route: str = "gw",
         fp, fm = f(step), f(-step)
         scale = max(scale, abs(fp), abs(fm))
         d.append((fp - fm) / (2.0 * step))
-    r1 = (4.0 * d[1] - d[0]) / 3.0
-    r2 = (4.0 * d[2] - d[1]) / 3.0
+    r1, r2 = _richardson(d[0], d[1]), _richardson(d[1], d[2])
     tol = max(1e-6 * max(abs(r1), abs(r2)), 1e4 * _MACH * scale / h)
     if abs(r2 - r1) > tol:
         raise NumericalInstabilityError(
             f"Richardson ladder disagreement {abs(r2 - r1):.3e} at t={t}"
         )
-    return (16.0 * r2 - r1) / 15.0
+    return _richardson(r1, r2, 16.0)
 
 
 def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS,
@@ -487,21 +509,13 @@ def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS,
     """
     f = lambda tt: prefactor_dphase_dt(SPoint(0.0, tt), params, n_terms)
     t_lo = 1e-3
-    if f(t_lo) > 0.0:
+    f_lo = f(t_lo)
+    if f_lo > 0.0:
         return None
     grid = np.concatenate([np.geomspace(t_lo, 1.0, 12)[1:], np.linspace(1.25, t_max, 40)])
-    hi = None
     for g in grid:
-        if f(float(g)) > 0.0:
-            hi = float(g)
-            break
-        t_lo = float(g)
-    if hi is None:
-        raise NumericalInstabilityError(f"no sign change found on (0, {t_max}]")
-    while hi - t_lo > tol:
-        mid = 0.5 * (t_lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            t_lo = mid
-    return 0.5 * (t_lo + hi)
+        f_g = f(float(g))
+        if f_g > 0.0:
+            return _bisect(f, t_lo, float(g), f_lo, tol)
+        t_lo, f_lo = float(g), f_g
+    raise NumericalInstabilityError(f"no sign change found on (0, {t_max}]")

@@ -36,6 +36,8 @@ from .arith import (
 from .errors import DomainError, NumericalInstabilityError
 from .gammaphase import (
     PrefactorParams,
+    _bisect,
+    _richardson,
     gamma_log_abs,
     gamma_phase,
     mixed_second_derivative,
@@ -243,34 +245,32 @@ def _ang_mom_from_samples(center: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return center.real * d_im - center.imag * d_re
 
 
-def angular_momentum_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray,
-                             dt: float = 1e-3) -> np.ndarray:
-    """Re xi * d_t Im xi - Im xi * d_t Re xi over a grid (Richardson in dt)."""
-    t = np.asarray(t_grid, dtype=np.float64)
+def _ang_mom_ladder(chi: DirichletCharacter, eps: float, t: np.ndarray, dt: float):
+    """Angular momentum at steps dt and dt/2, and |xi(t)|^2 + |xi(t+dt)|^2 as its scale."""
     xc = xi_on_grid(chi, eps, t)
     xm, xp = xi_on_grid(chi, eps, t - dt), xi_on_grid(chi, eps, t + dt)
     xm2, xp2 = xi_on_grid(chi, eps, t - dt / 2), xi_on_grid(chi, eps, t + dt / 2)
-    l_h = _ang_mom_from_samples(xc, xm, xp, dt)
-    l_h2 = _ang_mom_from_samples(xc, xm2, xp2, dt / 2)
-    return (4.0 * l_h2 - l_h) / 3.0
+    return (_ang_mom_from_samples(xc, xm, xp, dt), _ang_mom_from_samples(xc, xm2, xp2, dt / 2),
+            np.abs(xc) ** 2 + np.abs(xp) ** 2)
+
+
+def angular_momentum_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray,
+                             dt: float = 1e-3) -> np.ndarray:
+    """Re xi * d_t Im xi - Im xi * d_t Re xi over a grid (Richardson in dt)."""
+    l_h, l_h2, _ = _ang_mom_ladder(chi, eps, np.asarray(t_grid, dtype=np.float64), dt)
+    return _richardson(l_h, l_h2)
 
 
 def angular_momentum(s: SPoint, chi: DirichletCharacter, dt: float = 1e-3) -> float:
     """Angular momentum of xi at s; vanishes identically on the critical line."""
     if dt <= 0:
         raise DomainError("dt must be positive")
-    t = np.array([s.t])
-    xc = xi_on_grid(chi, s.eps, t)
-    xm, xp = xi_on_grid(chi, s.eps, t - dt), xi_on_grid(chi, s.eps, t + dt)
-    xm2, xp2 = xi_on_grid(chi, s.eps, t - dt / 2), xi_on_grid(chi, s.eps, t + dt / 2)
-    l_h = float(_ang_mom_from_samples(xc, xm, xp, dt)[0])
-    l_h2 = float(_ang_mom_from_samples(xc, xm2, xp2, dt / 2)[0])
-    scale = float(np.abs(xc[0]) ** 2 + np.abs(xp[0]) ** 2)
+    l_h, l_h2, scale = (float(v[0]) for v in _ang_mom_ladder(chi, s.eps, np.array([s.t]), dt))
     if abs(l_h2 - l_h) > max(0.05 * max(abs(l_h), abs(l_h2)), 1e-7 * scale):
         raise NumericalInstabilityError(
             f"angular-momentum Richardson steps disagree at t={s.t}: {l_h} vs {l_h2}"
         )
-    return (4.0 * l_h2 - l_h) / 3.0
+    return _richardson(l_h, l_h2)
 
 
 def xi_phase_dt(chi: DirichletCharacter, eps: float, t: float, dt: float = 1e-3) -> float:
@@ -278,9 +278,7 @@ def xi_phase_dt(chi: DirichletCharacter, eps: float, t: float, dt: float = 1e-3)
     tc = np.array([t - dt, t - dt / 2, t + dt / 2, t + dt])
     x = xi_on_grid(chi, eps, tc)
     xc = xi_on_grid(chi, eps, np.array([t]))[0]
-    d_h = (x[3] - x[0]) / (2.0 * dt)
-    d_h2 = (x[2] - x[1]) / dt
-    deriv = (4.0 * d_h2 - d_h) / 3.0
+    deriv = _richardson((x[3] - x[0]) / (2.0 * dt), (x[2] - x[1]) / dt)
     return float((deriv / xc).imag)
 
 
@@ -294,16 +292,18 @@ class EpsSlopeResult:
     eta: float
 
 
+def _five_point(y, h: float):
+    """y(t), y' and y'' from samples y at t - h, t - h/2, t, t + h/2, t + h (Richardson in h)."""
+    dp = _richardson((y[4] - y[0]) / (2.0 * h), (y[3] - y[1]) / h)
+    dpp = _richardson((y[4] - 2.0 * y[2] + y[0]) / (h * h),
+                      (y[3] - 2.0 * y[2] + y[1]) / (h * h / 4.0))
+    return y[2], dp, dpp
+
+
 def _eta_derivatives(chi: DirichletCharacter, t: float, h: float) -> tuple[float, float, float]:
     grid = np.array([t - h, t - h / 2, t, t + h / 2, t + h])
-    y = eta_on_grid(chi, 0.0, grid)[0].real
-    d_h = (y[4] - y[0]) / (2.0 * h)
-    d_h2 = (y[3] - y[1]) / h
-    dp = (4.0 * d_h2 - d_h) / 3.0
-    c_h = (y[4] - 2.0 * y[2] + y[0]) / (h * h)
-    c_h2 = (y[3] - 2.0 * y[2] + y[1]) / (h * h / 4.0)
-    dpp = (4.0 * c_h2 - c_h) / 3.0
-    return float(y[2]), dp, dpp
+    y, dp, dpp = _five_point(eta_on_grid(chi, 0.0, grid)[0].real, h)
+    return float(y), dp, dpp
 
 
 def angular_momentum_eps_slope(t: float, chi: DirichletCharacter, dt: float = 1e-3,
@@ -325,14 +325,9 @@ def eps_slope_on_grid(chi: DirichletCharacter, t_grid: np.ndarray,
     """(eta')^2 - eta*eta'' on a grid (vectorized, fixed stencil)."""
     _require_primitive(chi)
     t = np.asarray(t_grid, dtype=np.float64)
-    y = [eta_on_grid(chi, 0.0, t + u * dt)[0].real for u in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-    d_h = (y[4] - y[0]) / (2.0 * dt)
-    d_h2 = (y[3] - y[1]) / dt
-    dp = (4.0 * d_h2 - d_h) / 3.0
-    c_h = (y[4] - 2.0 * y[2] + y[0]) / (dt * dt)
-    c_h2 = (y[3] - 2.0 * y[2] + y[1]) / (dt * dt / 4.0)
-    dpp = (4.0 * c_h2 - c_h) / 3.0
-    return dp * dp - y[2] * dpp
+    y, dp, dpp = _five_point(
+        [eta_on_grid(chi, 0.0, t + u * dt)[0].real for u in (-1.0, -0.5, 0.0, 0.5, 1.0)], dt)
+    return dp * dp - y * dpp
 
 
 # --------------------------------------------------------------------------
@@ -424,19 +419,9 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
         if fa == 0.0:  # exact grid hit
             records.append(ZeroRecord(a, (a, a), 0.0, 0, int(math.copysign(1, fb))))
             continue
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            records.append(ZeroRecord(0.5 * (lo + hi), (a, b), tol,
+        # signs are compared, not multiplied: |eta| ~ 1e-170 near t = 500 squares to 0
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            records.append(ZeroRecord(_bisect(f, a, b, fa, tol), (a, b), tol,
                                       int(math.copysign(1, fa)), int(math.copysign(1, fb))))
 
     absvals = np.abs(vals)
@@ -444,7 +429,8 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
         window = absvals[max(0, i - 10): i + 11]
         scale = float(np.max(window)) if window.size else 0.0
         if (absvals[i] < 1e-8 * scale and absvals[i] <= absvals[i - 1]
-                and absvals[i] <= absvals[i + 1] and vals[i - 1] * vals[i + 1] > 0):
+                and absvals[i] <= absvals[i + 1]
+                and np.sign(vals[i - 1]) == np.sign(vals[i + 1]) != 0.0):
             records.append(ZeroRecord(None, (float(grid[i - 1]), float(grid[i + 1])),
                                       grid_step, int(math.copysign(1, vals[i - 1])),
                                       int(math.copysign(1, vals[i + 1])),

@@ -114,16 +114,11 @@ def _c3_three_case_mixed(c: _Check) -> None:
 def _c4_mixed_curve_crossing(c: _Check) -> None:
     f = lambda t: gp.mixed_second_derivative(t, 0, route="gw", n_terms=10 ** 6)
     lo, hi = 0.5, 0.7
-    if not f(lo) > 0 > f(hi):
+    f_lo = f(lo)
+    if not f_lo > 0 > f(hi):
         c.expect("sign change bracketing on (0.5, 0.7)", False)
         return
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    t_cross = 0.5 * (lo + hi)
+    t_cross = gp._bisect(f, lo, hi, f_lo, 1e-5)
     c.expect(f"alpha=0 crossing t = {t_cross:.5f} inside (0.585, 0.588)",
              0.585 < t_cross < 0.588)
 

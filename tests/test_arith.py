@@ -57,12 +57,14 @@ def test_mod8_brute_force_all_sign_maps_arise():
 
 
 def test_multiplicativity_exact_random_pairs(rng):
+    # every pair of units on the integer log-index (exact), and random pairs on turn()
     for q in range(1, 51):
-        units = [n for n in range(1, q + 1) if gcd(n, q) == 1]
+        units = np.array([n for n in range(1, q + 1) if gcd(n, q) == 1]) % q
+        prod = np.multiply.outer(units, units) % q
         for chi in arith.enumerate_characters(q):
-            m = rng.choice(units, size=1000)
-            n = rng.choice(units, size=1000)
-            for a, b in zip(m.tolist(), n.tolist()):
+            k, ku = chi.k, chi.k[units]
+            assert np.array_equal(k[prod], (ku[:, None] + ku[None, :]) % chi.m)
+            for a, b in rng.choice(units, size=(20, 2)).tolist():
                 assert chi.turn(a * b % q) == (chi.turn(a) + chi.turn(b)) % 1
 
 

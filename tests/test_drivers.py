@@ -1,0 +1,248 @@
+"""The shared bisection and Richardson drivers against the hand-written loops and stencils
+they replaced: every result must be equal bit for bit."""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from lphase import arith, gammaphase as gp, lfunction as lf
+from lphase.arith import SPoint
+from lphase.errors import NumericalInstabilityError
+
+
+# --------------------------------------------------------------------------
+# reference loops and stencils, written out one per caller
+# --------------------------------------------------------------------------
+
+def _ref_mixed(t, alpha, route, n_terms):
+    if route == "gw":
+        f = lambda e: gp.gw_dphase_dt(SPoint(e, t), alpha, n_terms)
+    else:
+        params = gp.PrefactorParams.for_alpha(alpha)
+        f = lambda e: gp.stirling_dphase_dt(t, e, params)
+    h = max(1e-5, 1e-4 * t)
+    d = []
+    scale = 1.0
+    for step in (h, h / 2.0, h / 4.0):
+        fp, fm = f(step), f(-step)
+        scale = max(scale, abs(fp), abs(fm))
+        d.append((fp - fm) / (2.0 * step))
+    r1 = (4.0 * d[1] - d[0]) / 3.0
+    r2 = (4.0 * d[2] - d[1]) / 3.0
+    tol = max(1e-6 * max(abs(r1), abs(r2)), 1e4 * gp._MACH * scale / h)
+    if abs(r2 - r1) > tol:
+        raise NumericalInstabilityError("ladder")
+    return (16.0 * r2 - r1) / 15.0
+
+
+def _ref_t_cross(params, n_terms, t_max=100.0, tol=1e-4):
+    f = lambda tt: gp.prefactor_dphase_dt(SPoint(0.0, tt), params, n_terms)
+    t_lo = 1e-3
+    if f(t_lo) > 0.0:
+        return None
+    grid = np.concatenate([np.geomspace(t_lo, 1.0, 12)[1:], np.linspace(1.25, t_max, 40)])
+    hi = None
+    for g in grid:
+        if f(float(g)) > 0.0:
+            hi = float(g)
+            break
+        t_lo = float(g)
+    while hi - t_lo > tol:
+        mid = 0.5 * (t_lo + hi)
+        if f(mid) > 0.0:
+            hi = mid
+        else:
+            t_lo = mid
+    return 0.5 * (t_lo + hi)
+
+
+def _ref_c4_crossing(f, lo=0.5, hi=0.7):
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_ladder(chi, eps, t, dt):
+    xc = lf.xi_on_grid(chi, eps, t)
+    xm, xp = lf.xi_on_grid(chi, eps, t - dt), lf.xi_on_grid(chi, eps, t + dt)
+    xm2, xp2 = lf.xi_on_grid(chi, eps, t - dt / 2), lf.xi_on_grid(chi, eps, t + dt / 2)
+    l_h = lf._ang_mom_from_samples(xc, xm, xp, dt)
+    l_h2 = lf._ang_mom_from_samples(xc, xm2, xp2, dt / 2)
+    return xc, xp, l_h, l_h2
+
+
+def _ref_ang_mom_grid(chi, eps, t, dt=1e-3):
+    _, _, l_h, l_h2 = _ref_ladder(chi, eps, np.asarray(t, dtype=np.float64), dt)
+    return (4.0 * l_h2 - l_h) / 3.0
+
+
+def _ref_ang_mom(s, chi, dt=1e-3):
+    xc, xp, l_h, l_h2 = _ref_ladder(chi, s.eps, np.array([s.t]), dt)
+    l_h, l_h2 = float(l_h[0]), float(l_h2[0])
+    scale = float(np.abs(xc[0]) ** 2 + np.abs(xp[0]) ** 2)
+    if abs(l_h2 - l_h) > max(0.05 * max(abs(l_h), abs(l_h2)), 1e-7 * scale):
+        raise NumericalInstabilityError("ladder")
+    return (4.0 * l_h2 - l_h) / 3.0
+
+
+def _ref_xi_phase_dt(chi, eps, t, dt=1e-3):
+    x = lf.xi_on_grid(chi, eps, np.array([t - dt, t - dt / 2, t + dt / 2, t + dt]))
+    xc = lf.xi_on_grid(chi, eps, np.array([t]))[0]
+    d_h = (x[3] - x[0]) / (2.0 * dt)
+    d_h2 = (x[2] - x[1]) / dt
+    return float((((4.0 * d_h2 - d_h) / 3.0) / xc).imag)
+
+
+def _ref_stencil(y, h):
+    d_h = (y[4] - y[0]) / (2.0 * h)
+    d_h2 = (y[3] - y[1]) / h
+    dp = (4.0 * d_h2 - d_h) / 3.0
+    c_h = (y[4] - 2.0 * y[2] + y[0]) / (h * h)
+    c_h2 = (y[3] - 2.0 * y[2] + y[1]) / (h * h / 4.0)
+    dpp = (4.0 * c_h2 - c_h) / 3.0
+    return y[2], dp, dpp
+
+
+def _ref_eps_slope(t, chi, dt=1e-3, delta=1e-4):
+    def derivs(h):
+        grid = np.array([t - h, t - h / 2, t, t + h / 2, t + h])
+        y, dp, dpp = _ref_stencil(lf.eta_on_grid(chi, 0.0, grid)[0].real, h)
+        return float(y), dp, dpp
+
+    y, dp, dpp = derivs(dt)
+    if abs(y) < 0.05 * max(abs(dp) * dt, abs(y), 1e-300):
+        y, dp, dpp = derivs(1e-4)
+    lm_d, lm_0 = _ref_ang_mom(SPoint(delta, t), chi, dt), _ref_ang_mom(SPoint(0.0, t), chi, dt)
+    cross = (lm_d - lm_0) / delta
+    return lf.EpsSlopeResult(t=t, value=dp * dp - y * dpp, cross_check=cross, eta=y)
+
+
+def _ref_eps_slope_grid(chi, t, dt=1e-3):
+    t = np.asarray(t, dtype=np.float64)
+    y = [lf.eta_on_grid(chi, 0.0, t + u * dt)[0].real for u in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    y2, dp, dpp = _ref_stencil(y, dt)
+    return dp * dp - y2 * dpp
+
+
+def _ref_zeros(chi, t_lo, t_hi, grid_step, tol=1e-8):
+    grid = np.arange(t_lo, t_hi + grid_step / 2.0, grid_step)
+    vals = lf.eta_on_grid(chi, 0.0, grid)[0].real
+    f = lambda t: float(lf.eta_on_grid(chi, 0.0, np.array([t]))[0][0].real)
+    records = []
+    for i in range(len(grid) - 1):
+        a, b = float(grid[i]), float(grid[i + 1])
+        fa, fb = float(vals[i]), float(vals[i + 1])
+        if fa == 0.0:
+            records.append(lf.ZeroRecord(a, (a, a), 0.0, 0, int(math.copysign(1, fb))))
+            continue
+        if fa * fb < 0.0:
+            lo, hi, flo = a, b, fa
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            records.append(lf.ZeroRecord(0.5 * (lo + hi), (a, b), tol,
+                                         int(math.copysign(1, fa)), int(math.copysign(1, fb))))
+    absvals = np.abs(vals)
+    for i in range(1, len(grid) - 1):
+        window = absvals[max(0, i - 10): i + 11]
+        scale = float(np.max(window)) if window.size else 0.0
+        if (absvals[i] < 1e-8 * scale and absvals[i] <= absvals[i - 1]
+                and absvals[i] <= absvals[i + 1] and vals[i - 1] * vals[i + 1] > 0):
+            records.append(lf.ZeroRecord(None, (float(grid[i - 1]), float(grid[i + 1])),
+                                         grid_step, int(math.copysign(1, vals[i - 1])),
+                                         int(math.copysign(1, vals[i + 1])),
+                                         suspected_multiple=True))
+    records.sort(key=lambda r: r.bracket[0])
+    return records
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes() and type(a) is type(b)
+
+
+# --------------------------------------------------------------------------
+# prefactor side
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("route", ["gw", "stirling"])
+def test_mixed_second_derivative_bit_identical(route):
+    for alpha in (0, 1, 2):
+        for t in (0.55, 0.6, 1.0, 3.7, 10.0, 20.0, 50.0, 99.5):
+            if route == "stirling" and t < gp.T_STIRLING_MIN:
+                continue
+            try:
+                ref = _ref_mixed(t, alpha, route, 10 ** 5)
+            except NumericalInstabilityError:
+                with pytest.raises(NumericalInstabilityError):
+                    gp.mixed_second_derivative(t, alpha, route, 10 ** 5)
+                continue
+            assert _same(gp.mixed_second_derivative(t, alpha, route, 10 ** 5), ref)
+
+
+def test_find_t_cross_bit_identical():
+    cases = [(gp.PrefactorParams.for_alpha(1, q), 1e-4) for q in (3, 9, 11)]  # q = 11: None
+    cases += [(gp.PrefactorParams.for_alpha(0, 5), 1e-7), (gp.PrefactorParams.for_alpha(2), 1e-4)]
+    for params, tol in cases:
+        ref = _ref_t_cross(params, 10 ** 5, tol=tol)
+        got = gp.find_t_cross(params, n_terms=10 ** 5, tol=tol)
+        assert got == ref and type(got) is type(ref)
+
+
+def test_criterion_4_bisection_bit_identical():
+    # criterion 4's curve and bracket; the cache makes the second pass free
+    f = lru_cache(maxsize=None)(lambda t: gp.mixed_second_derivative(t, 0, "gw", 10 ** 6))
+    ref = _ref_c4_crossing(f)
+    assert _same(gp._bisect(f, 0.5, 0.7, f(0.5), 1e-5), ref)
+    assert 0.588 < ref < 0.589  # the documented criterion 4 reading, 0.58880
+
+
+# --------------------------------------------------------------------------
+# critical-line side
+# --------------------------------------------------------------------------
+
+CHARS = [arith.enumerate_characters(3)[1], arith.enumerate_characters(5)[1],
+         arith.enumerate_characters(5)[2]]
+
+
+@pytest.mark.parametrize("chi", CHARS, ids=["q3", "q5odd", "q5real"])
+def test_angular_momentum_and_phase_slope_bit_identical(chi):
+    grid = np.array([-3.3, 0.7, 8.04, 14.1, 37.3, 99.5])
+    for eps in (0.0, 0.15, -0.2):
+        assert _same(lf.angular_momentum_on_grid(chi, eps, grid),
+                     _ref_ang_mom_grid(chi, eps, grid))
+        for t in grid.tolist():
+            s = SPoint(eps, t)
+            assert _same(lf.angular_momentum(s, chi), _ref_ang_mom(s, chi))
+            assert _same(lf.xi_phase_dt(chi, eps, t), _ref_xi_phase_dt(chi, eps, t))
+
+
+@pytest.mark.parametrize("chi", CHARS[:2], ids=["q3", "q5odd"])
+def test_eps_slope_bit_identical(chi):
+    grid = np.arange(0.5, 30.0001, 0.25)
+    assert _same(lf.eps_slope_on_grid(chi, grid), _ref_eps_slope_grid(chi, grid))
+    # 8.0397 and 8.03974 sit on the first q = 3 zero, where the stencil shrinks to 1e-4
+    for t in (1.0, 8.0397, 8.03974, 17.2, 63.0, 99.5):
+        got, ref = lf.angular_momentum_eps_slope(t, chi), _ref_eps_slope(t, chi)
+        assert got == ref and all(_same(getattr(got, k), getattr(ref, k))
+                                  for k in ("value", "cross_check", "eta"))
+
+
+@pytest.mark.parametrize("chi", CHARS, ids=["q3", "q5odd", "q5real"])
+def test_zero_scan_bit_identical(chi):
+    for t_lo, t_hi, step, tol in ((0.0, 15.0, 0.05, 1e-8), (-9.0, -0.2, 0.2, 1e-8),
+                                  (97.0, 100.0, 0.2, 1e-11)):
+        got = lf.find_zeros_on_line(chi, t_lo, t_hi, step, tol)
+        assert got == _ref_zeros(chi, t_lo, t_hi, step, tol)

@@ -246,6 +246,15 @@ def test_ledger_reconstruction_identity(chi3, primes_1e6_q3):
     assert ep.ledger_signed_sum(led) == pytest.approx(direct, abs=1e-9)
 
 
+def test_ledger_ignores_table_modulus(chi5_odd):
+    # classes are taken mod chi.q, so a table sieved for q = 1 gives the same ledger
+    w = ep.WindowParams(p_star=1e4, p_max=10 ** 4)
+    led1 = ep.build_oscillation_ledger(20.0, 0.0, chi5_odd, sieve_primes(10 ** 4), w, 2)
+    led5 = ep.build_oscillation_ledger(20.0, 0.0, chi5_odd, sieve_primes(10 ** 4, 5), w, 2)
+    assert led1 == led5
+    assert ep.ledger_signed_sum(led1) == pytest.approx(-0.4557, abs=1e-4)
+
+
 def test_ledger_truncation_error(chi3, primes_1e6_q3):
     w = ep.WindowParams(p_star=1e6, p_max=10 ** 6)
     largest = ep.max_k_for_bound(10.0, chi3, 1e6)

@@ -253,6 +253,19 @@ def test_zero_refinement_tolerance(chi3):
     assert abs(val) < 2e-4 * abs(slope / 1e-4) * 1e-4  # |eta| < 2 tol * |eta'|
 
 
+def test_zero_scan_counts_every_sign_change_at_large_t(chi3):
+    # |eta| ~ 1e-170 on [500, 505], so the product of two eta values underflows to 0
+    grid = np.arange(500.0, 505.0 + 0.025, 0.05)
+    vals = lf.eta_on_grid(chi3, 0.0, grid)[0].real
+    assert 0.0 < np.max(np.abs(vals)) < 1e-160
+    changes = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+    zeros = [r.t_zero for r in lf.find_zeros_on_line(chi3, 500.0, 505.0, 0.05)
+             if not r.suspected_multiple]
+    assert changes == 4 and len(zeros) == changes
+    for t in zeros:
+        assert abs(mp.dirichlet(mp.mpc(0.5, t), [0, 1, -1])) < 1e-7
+
+
 # --------------------------------------------------------------------------
 # sufficient condition
 # --------------------------------------------------------------------------
