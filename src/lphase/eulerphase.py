@@ -139,13 +139,21 @@ def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float
     return float(-np.sum(_arctan_terms(p, lp, th, s.t, s.eps)))
 
 
-def _arctan_terms(p, lp, th, t, eps):
-    denom = p ** (0.5 + eps) - np.cos(lp * t - th)
-    bad = np.abs(denom) < 1e-14
+def _sin_cos_denom(p, lp, th, t, sigma):
+    # sin and cos of log(p) t - theta, and the checked p^sigma - cos; no other full-length
+    # temporary, as one more re-faulted ~1.7 MB per windowed_ratio_exact call at 78k primes
+    ang = lp * t - th
+    cos_a = np.cos(ang)
+    denom = p ** sigma - cos_a
+    bad = (denom < 1e-14) & (denom > -1e-14)
     if np.any(bad):
-        raise SingularityError("vanishing arctan denominator",
-                               where=int(p[np.argmax(bad)]))
-    return np.arctan(np.sin(lp * t - th) / denom)
+        raise SingularityError("vanishing arctan denominator", where=int(p[np.argmax(bad)]))
+    return np.sin(ang, out=ang), cos_a, denom
+
+
+def _arctan_terms(p, lp, th, t, eps):
+    sin_a, _, denom = _sin_cos_denom(p, lp, th, t, 0.5 + eps)
+    return np.arctan(np.divide(sin_a, denom, out=sin_a), out=sin_a)
 
 
 def windowed_ratio_exact(t: float, eps: float, chi: DirichletCharacter,
@@ -192,18 +200,10 @@ def estimator_residual(t: float, eps: float, chi: DirichletCharacter,
     sigma = 0.5 + eps
     pref = -math.log(window.p_star) / (2.0 * math.pi)
 
-    higher = np.zeros_like(p)
-    coupled = np.zeros_like(p)
+    higher, coupled = np.zeros_like(p), np.zeros_like(p)
     for tt, sign in ((t + w, 1.0), (t - w, -1.0)):
-        ang = lp * tt - th
-        sin_a, cos_a = np.sin(ang), np.cos(ang)
-        denom = p ** sigma - cos_a
-        bad = np.abs(denom) < 1e-14
-        if np.any(bad):
-            raise SingularityError("vanishing arctan denominator",
-                                   where=int(p[np.argmax(bad)]))
-        x = sin_a / denom
-        higher += sign * (-_x_minus_arctan(x))
+        sin_a, cos_a, denom = _sin_cos_denom(p, lp, th, tt, sigma)
+        higher += sign * (-_x_minus_arctan(sin_a / denom))
         coupled += sign * (sin_a * cos_a / (denom * p ** sigma))
     higher_val = float(pref * np.sum(higher))
     coupled_val = float(pref * np.sum(coupled))

@@ -10,12 +10,12 @@ close to the limit:
     phase(z) = -gamma*v - arctan(v/a) + sum_{n>=1} [ v/n - arctan(v/(n+a)) ]
 
 with a = Re z = (1/2+eps+alpha)/2 and v = Im z = t/2.  Terms fall off like
-1/n^2, so the N-term truncation error is O(1/N); `gamma_phase` additionally
-sums the tail in closed form (digamma plus Hurwitz-zeta series), giving the
-limit to near machine precision at small cost.  This route is valid for all
-t, including t = 0.  The N-term sums are reduced in numpy's pairwise order over
-cache-sized leaves of 8192 terms, with 2^20-term blocks added in ascending
-order, bit for bit equal to one np.sum per block.
+1/n^2, so the N-term truncation error is O(1/N); `_log_gamma_grid` sums the tail
+in closed form (digamma plus Hurwitz-zeta series), giving the limit, and log|Gamma|
+from the same head matrix, to near machine precision at small cost.  This route
+is valid for all t, including t = 0.  The N-term sums are reduced in numpy's
+pairwise order over cache-sized leaves of 8192 terms, with 2^20-term blocks
+added in ascending order, bit for bit equal to one np.sum per block.
 
 Asymptotic route ("stirling"): ln Gamma(z+1) with z = (2*eps+2*alpha-3)/4 +
 i*t/2, expanded through the Bernoulli series with an explicit remainder
@@ -246,36 +246,36 @@ def _hurwitz_tail(tail, pw, v, vmax: float, w: float, j0: int, coef):
     return tail
 
 
-def gamma_phase(t, eps: float, alpha: int) -> np.ndarray | float:
-    """Limit of the product-route phase, vectorized over t.
+def _log_gamma_grid(t, eps: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """log|Gamma(a+iv)| and the limit of the product-route phase over t, from one head matrix.
 
-    A short head sum is completed with the closed-form tail
-    v*(psi(N+1+a) - psi(N+1)) + sum_j (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, N+1+a),
-    giving near machine precision for every t.
-    """
-    a, v, vmax, n, w = _head_grid(t, eps, alpha)
-    x = v[None, :] / (n + a)
-    head = np.sum(v[None, :] * a / (n * (n + a)) + _x_minus_arctan(x), axis=0)
-    tail = _hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 1,
-                         lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
-    out = -EULER_GAMMA * v - np.arctan(v / a) + head + tail
-    return out if np.ndim(t) else float(out[0])
-
-
-def gamma_log_abs(t, eps: float, alpha: int) -> np.ndarray | float:
-    """log |Gamma((s+alpha)/2)| from the same product, vectorized over t.
-
-    Taking moduli in the product gives
-    log|Gamma(a+iv)| = lnGamma(1+a) - (1/2) log(a^2+v^2)
-                       - sum_{n>=1} (1/2) log(1 + (v/(n+a))^2),
-    and the tail of the sum is again a Hurwitz-zeta series.
+    Moduli in the product give log|Gamma| = lnGamma(1+a) - log(a^2+v^2)/2 - sum log(1+x^2)/2,
+    x = v/(n+a).  Both head sums over n = 1..N share x and are completed by the tails
+    sum_j (-1)^(j+1) v^(2j)/(2j) zeta(2j, N+1+a) and v*(psi(N+1+a) - psi(N+1)) + sum_j
+    (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, N+1+a), to near machine precision for every t.
+    The log-modulus temporaries are freed before the phase head is built.
     """
     a, v, vmax, n, w = _head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
     head = 0.5 * np.sum(np.log1p(x * x), axis=0)
     tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 1,
                          lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
-    out = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
+    log_abs = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
+    head = np.sum(v[None, :] * a / (n * (n + a)) + _x_minus_arctan(x), axis=0)
+    tail = _hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 1,
+                         lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
+    return log_abs, -EULER_GAMMA * v - np.arctan(v / a) + head + tail
+
+
+def gamma_phase(t, eps: float, alpha: int) -> np.ndarray | float:
+    """Limit of the product-route phase, vectorized over t (see `_log_gamma_grid`)."""
+    out = _log_gamma_grid(t, eps, alpha)[1]
+    return out if np.ndim(t) else float(out[0])
+
+
+def gamma_log_abs(t, eps: float, alpha: int) -> np.ndarray | float:
+    """log |Gamma((s+alpha)/2)| from the same product, vectorized over t (see `_log_gamma_grid`)."""
+    out = _log_gamma_grid(t, eps, alpha)[0]
     return out if np.ndim(t) else float(out[0])
 
 
@@ -346,30 +346,29 @@ def stirling_phase_main_dt(t: float, params: PrefactorParams) -> float:
     return 0.5 * math.log(t * params.q / (2.0 * math.pi))
 
 
-def stirling_phase_correction(t: float, eps: float, alpha: int) -> float:
-    """Phase part that vanishes as t -> oo (exact closed form)."""
+def _correction_u(t: float, eps: float, alpha: int) -> tuple[float, float]:
+    # y = eps + alpha and u = (2y - 3)/(2t), the variables of the vanishing part
     if t == 0.0:
         raise DomainError("correction term is undefined at t = 0")
     y = eps + alpha
-    u = (2.0 * y - 3.0) / (2.0 * t)
+    return y, (2.0 * y - 3.0) / (2.0 * t)
+
+
+def stirling_phase_correction(t: float, eps: float, alpha: int) -> float:
+    """Phase part that vanishes as t -> oo (exact closed form)."""
+    y, u = _correction_u(t, eps, alpha)
     return (t / 4.0) * math.log1p(u * u) - ((2.0 * y - 1.0) / 4.0) * math.atan(u)
 
 
 def stirling_phase_correction_quadratic(t: float, eps: float, alpha: int) -> float:
     """Large-t quadratic approximation of the vanishing part."""
-    if t == 0.0:
-        raise DomainError("correction term is undefined at t = 0")
-    y = eps + alpha
-    u = (2.0 * y - 3.0) / (2.0 * t)
+    y, u = _correction_u(t, eps, alpha)
     return (t / 4.0) * u * u - ((2.0 * y - 1.0) / 4.0) * u
 
 
 def stirling_phase_correction_dt(t: float, eps: float, alpha: int) -> float:
     """Analytic t-derivative of the vanishing part."""
-    if t == 0.0:
-        raise DomainError("correction term is undefined at t = 0")
-    y = eps + alpha
-    u = (2.0 * y - 3.0) / (2.0 * t)
+    y, u = _correction_u(t, eps, alpha)
     one = 1.0 + u * u
     return (0.25 * math.log1p(u * u) - u * u / (2.0 * one)
             + (2.0 * y - 1.0) * u / (4.0 * t * one))
@@ -408,14 +407,18 @@ def stirling_phase_bernoulli_dt(t: float, eps: float, alpha: int,
     return 0.5 * fprime.real
 
 
-def stirling_phase(t: float, eps: float, params: PrefactorParams,
-                   cfg: StirlingConfig = DEFAULT_STIRLING,
-                   with_bound: bool = False):
-    """Total prefactor phase by the asymptotic route (refuses t < 0.5)."""
+def _check_stirling_t(t: float) -> None:
     if t < T_STIRLING_MIN:
         raise DomainError(
             f"asymptotic route is unreliable below t = {T_STIRLING_MIN}; use the product route"
         )
+
+
+def stirling_phase(t: float, eps: float, params: PrefactorParams,
+                   cfg: StirlingConfig = DEFAULT_STIRLING,
+                   with_bound: bool = False):
+    """Total prefactor phase by the asymptotic route (refuses t < 0.5)."""
+    _check_stirling_t(t)
     bern, bound = stirling_phase_bernoulli(t, eps, params.alpha, cfg)
     total = (stirling_phase_main(t, eps, params)
              + stirling_phase_correction(t, eps, params.alpha) + bern)
@@ -427,10 +430,7 @@ def stirling_phase(t: float, eps: float, params: PrefactorParams,
 def stirling_dphase_dt(t: float, eps: float, params: PrefactorParams,
                        cfg: StirlingConfig = DEFAULT_STIRLING) -> float:
     """t-derivative of the total prefactor phase by the asymptotic route."""
-    if t < T_STIRLING_MIN:
-        raise DomainError(
-            f"asymptotic route is unreliable below t = {T_STIRLING_MIN}; use the product route"
-        )
+    _check_stirling_t(t)
     return (stirling_phase_main_dt(t, params)
             + stirling_phase_correction_dt(t, eps, params.alpha)
             + stirling_phase_bernoulli_dt(t, eps, params.alpha, cfg))

@@ -9,8 +9,8 @@ estimate).  This is accurate to ~1e-13 relative over the desk-scale window
 
 The completed function
     xi(s, chi) = (q/pi)^((s+alpha)/2) Gamma((s+alpha)/2) L(s, chi)
-takes its Gamma modulus and phase from the product route in `gammaphase`
-(single Gamma authority).  The rotation
+takes its Gamma modulus and phase from one call of the product-route kernel
+`gammaphase._log_gamma_grid` (one head matrix for both).  The rotation
     eta = exp(i/2 * angle(i^alpha sqrt(q) / tau(chi))) * xi
 is real on the critical line for primitive characters; its sign changes
 locate the zeros, and the quantity (eta')^2 - eta*eta'' equals the
@@ -37,9 +37,8 @@ from .errors import DomainError, NumericalInstabilityError
 from .gammaphase import (
     PrefactorParams,
     _bisect,
+    _log_gamma_grid,
     _richardson,
-    gamma_log_abs,
-    gamma_phase,
     mixed_second_derivative,
     prefactor_dphase_dt,
 )
@@ -76,9 +75,10 @@ _BERN = [
 ]
 # B_{2k} / (2k)! for k = 1, 2, ...
 _BERN_FACT = [float(b) / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN)]
+_N_BERN = 11  # Euler-Maclaurin Bernoulli corrections kept; the next one is the estimate
 
 
-def _hurwitz_zeta(svals: np.ndarray, a: float, n_head: int, n_bern: int,
+def _hurwitz_zeta(svals: np.ndarray, a: float, n_head: int,
                   subtract_pole: bool = False) -> tuple[np.ndarray, float]:
     """zeta(s, a) for an array of complex s (continuation via Euler-Maclaurin).
 
@@ -87,8 +87,8 @@ def _hurwitz_zeta(svals: np.ndarray, a: float, n_head: int, n_bern: int,
     the same L-value because the pole coefficients cancel exactly.
 
     Returns (values, remainder_estimate); the estimate is the magnitude of
-    the first dropped Bernoulli term inflated by the standard |s+2K+1| /
-    (sigma+2K+1) factor, maximized over the array.
+    the first dropped Bernoulli term (K = _N_BERN are kept) inflated by the
+    standard |s+2K+1| / (sigma+2K+1) factor, maximized over the array.
     """
     s = np.asarray(svals, dtype=np.complex128)
     n = np.arange(n_head, dtype=np.float64)[:, None] + a
@@ -111,30 +111,26 @@ def _hurwitz_zeta(svals: np.ndarray, a: float, n_head: int, n_bern: int,
     w_pow = np.exp((-s - 1.0) * lw)   # w^(-s-1)
     poch = s.copy()                   # (s)_{2k-1}, starting at k = 1
     w2 = w * w
-    term = np.zeros_like(s)
-    for k in range(1, n_bern + 1):
-        term = _BERN_FACT[k - 1] * poch * w_pow
-        out += term
+    for k in range(1, _N_BERN + 1):
+        out += _BERN_FACT[k - 1] * poch * w_pow
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
         w_pow = w_pow / w2
-    next_term = np.abs(_BERN_FACT[n_bern] * poch * w_pow)
+    next_term = np.abs(_BERN_FACT[_N_BERN] * poch * w_pow)
     sigma = float(np.min(s.real))
-    inflate = (np.max(np.abs(s)) + 2 * n_bern + 1) / max(sigma + 2 * n_bern + 1, 1.0)
+    inflate = (np.max(np.abs(s)) + 2 * _N_BERN + 1) / max(sigma + 2 * _N_BERN + 1, 1.0)
     est = float(np.max(next_term)) * inflate if s.size else 0.0
     return out, est
 
 
-def _em_sizes(t_max: float) -> tuple[int, int]:
-    return max(24, int(t_max) + 40), 11
+def _em_head(t_max: float) -> int:
+    return max(24, int(t_max) + 40)
 
 
 def _l_values(chi: DirichletCharacter, svals: np.ndarray,
               n_head: int | None = None) -> tuple[np.ndarray, float]:
     s = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
     t_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    nh, nb = _em_sizes(t_max)
-    if n_head is not None:
-        nh = n_head
+    nh = _em_head(t_max) if n_head is None else n_head
     q = chi.q
     total = np.zeros_like(s)
     err = 0.0
@@ -144,7 +140,7 @@ def _l_values(chi: DirichletCharacter, svals: np.ndarray,
     for r in range(1, q + 1):
         if chi.k[r % q] < 0:
             continue
-        z, e = _hurwitz_zeta(s, r / q, nh, nb,  # r = q occurs only for q = 1 (a = 1)
+        z, e = _hurwitz_zeta(s, r / q, nh,  # r = q occurs only for q = 1 (a = 1)
                              subtract_pole=drop_pole)
         total += chi.value(r) * z
         err += e
@@ -162,7 +158,7 @@ class LValue:
 
 
 def l_eval(s: SPoint, chi: DirichletCharacter, tol: float = 1e-10) -> LValue:
-    """L(s, chi) with an a-posteriori remainder estimate <= tol.
+    """L(s, chi) with an a-posteriori remainder estimate <= tol (else NumericalInstabilityError).
 
     Non-principal characters are accepted for eps > -1/2; the principal
     character only for eps > 1/2 (use the reduction identity inside the
@@ -176,12 +172,14 @@ def l_eval(s: SPoint, chi: DirichletCharacter, tol: float = 1e-10) -> LValue:
     elif s.eps <= -0.5:
         raise DomainError("L-series evaluation requires Re(s) > 0")
 
-    nh, _ = _em_sizes(abs(s.t))
+    nh = _em_head(abs(s.t))
     for _ in range(6):
         vals, err = _l_values(chi, np.array([s.s]), n_head=nh)
         if err <= tol or nh > 4000:
             break
         nh = int(nh * 1.7) + 8
+    if err > tol:
+        raise NumericalInstabilityError(f"L remainder estimate {err:.3e} exceeds tol = {tol:.3e}")
     return LValue(s=s, chi=chi, value=complex(vals[0]), abs_err_estimate=float(err))
 
 
@@ -210,9 +208,9 @@ def xi_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.nd
     alpha = chi.parity
     lvals = l_on_grid(chi, eps, t)
     lnqpi = math.log(chi.q / math.pi)
-    log_mod = gamma_log_abs(t, eps, alpha) + (0.5 + eps + alpha) / 2.0 * lnqpi
-    phase = gamma_phase(t, eps, alpha) + 0.5 * t * lnqpi
-    return np.exp(log_mod + 1j * phase) * lvals
+    log_abs, phase = _log_gamma_grid(t, eps, alpha)
+    log_mod = log_abs + (0.5 + eps + alpha) / 2.0 * lnqpi
+    return np.exp(log_mod + 1j * (phase + 0.5 * t * lnqpi)) * lvals
 
 
 def xi_eval(s: SPoint, chi: DirichletCharacter) -> complex:
@@ -359,7 +357,7 @@ def reduction_identities(s: SPoint, q: int) -> ReductionReport:
     """
     if s.eps <= 0.5:
         raise DomainError("reduction identities are checked in the absolute-convergence region")
-    zeta_s, _ = _hurwitz_zeta(np.array([s.s]), 1.0, *_em_sizes(abs(s.t)))
+    zeta_s, _ = _hurwitz_zeta(np.array([s.s]), 1.0, _em_head(abs(s.t)))
     zeta_s = complex(zeta_s[0])
     q_primes = [p for p, _ in _factorize(q)] if q > 1 else []
 

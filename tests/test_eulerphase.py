@@ -7,7 +7,7 @@ import pytest
 
 from lphase import arith, eulerphase as ep, lfunction as lf
 from lphase.arith import SPoint, enumerate_characters, sieve_primes
-from lphase.errors import DegenerateInputError, DomainError, TruncationError
+from lphase.errors import DegenerateInputError, DomainError, SingularityError, TruncationError
 
 
 # --------------------------------------------------------------------------
@@ -44,6 +44,17 @@ def test_eps_floor_guard(chi3, primes_1e5_q3):
 # --------------------------------------------------------------------------
 # windowed estimators
 # --------------------------------------------------------------------------
+
+def test_vanishing_arctan_denominator_raises():
+    # sigma = 0 at t = 0 makes every p^sigma - cos vanish; the first prime is reported
+    p = np.array([2.0, 3.0, 5.0])
+    with pytest.raises(SingularityError) as err:
+        ep._sin_cos_denom(p, np.log(p), np.zeros(3), 0.0, 0.0)
+    assert err.value.where == 2
+    sin_a, cos_a, denom = ep._sin_cos_denom(p, np.log(p), np.zeros(3), 1.0, 0.5)
+    assert np.array_equal(denom, p ** 0.5 - np.cos(np.log(p)))
+    assert np.array_equal(sin_a, np.sin(np.log(p)))
+
 
 def test_windowed_matches_derivative_for_narrow_window(chi3, primes_1e5_q3):
     # a window much narrower than the curvature scale reproduces the exact

@@ -6,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import digamma, gammaln
 
-from lphase import gammaphase as gp
+from lphase import arith, gammaphase as gp, lfunction as lf
 from lphase.arith import SPoint
 from lphase.errors import DomainError
 
@@ -140,6 +141,79 @@ def test_x_minus_arctan_bit_identical():
     assert np.array_equal(gp._x_minus_arctan(x), _ref_x_minus_arctan(x))
     grid = x[:4900].reshape(-1, 7)
     assert np.array_equal(gp._x_minus_arctan(grid), _ref_x_minus_arctan(grid))
+
+
+# the separate phase and log-modulus routines, and the two-call xi, that the one
+# log-Gamma head kernel replaced: the kernel must reproduce them bit for bit
+
+def _ref_gamma_phase(t, eps, alpha):
+    a, v, vmax, n, w = gp._head_grid(t, eps, alpha)
+    x = v[None, :] / (n + a)
+    head = np.sum(v[None, :] * a / (n * (n + a)) + gp._x_minus_arctan(x), axis=0)
+    tail = gp._hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 1,
+                            lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
+    out = -gp.EULER_GAMMA * v - np.arctan(v / a) + head + tail
+    return out if np.ndim(t) else float(out[0])
+
+
+def _ref_gamma_log_abs(t, eps, alpha):
+    a, v, vmax, n, w = gp._head_grid(t, eps, alpha)
+    x = v[None, :] / (n + a)
+    head = 0.5 * np.sum(np.log1p(x * x), axis=0)
+    tail = gp._hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 1,
+                            lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
+    out = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
+    return out if np.ndim(t) else float(out[0])
+
+
+def _ref_xi(chi, eps, t_grid):
+    t = np.asarray(t_grid, dtype=np.float64)
+    alpha = chi.parity
+    lvals = lf.l_on_grid(chi, eps, t)
+    lnqpi = math.log(chi.q / math.pi)
+    log_mod = _ref_gamma_log_abs(t, eps, alpha) + (0.5 + eps + alpha) / 2.0 * lnqpi
+    phase = _ref_gamma_phase(t, eps, alpha) + 0.5 * t * lnqpi
+    return np.exp(log_mod + 1j * phase) * lvals
+
+
+def _same_bytes(got, ref):
+    return type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+_KERNEL_T = {"scalar": 37.3, "zero": 0.0, "negative": -5.2, "one-point": np.array([12.5]),
+             "grid": np.linspace(-30.0, 120.0, 301)}
+
+
+@pytest.mark.parametrize("t", _KERNEL_T.values(), ids=_KERNEL_T.keys())
+def test_log_gamma_kernel_bit_identical_to_separate_routines(t):
+    for alpha in (0, 1, 2):
+        for eps in (-0.2, 0.0, 0.3):
+            phase, log_abs = _ref_gamma_phase(t, eps, alpha), _ref_gamma_log_abs(t, eps, alpha)
+            assert _same_bytes(gp.gamma_phase(t, eps, alpha), phase)
+            assert _same_bytes(gp.gamma_log_abs(t, eps, alpha), log_abs)
+            kernel = gp._log_gamma_grid(t, eps, alpha)
+            assert _same_bytes(kernel, (np.atleast_1d(log_abs), np.atleast_1d(phase)))
+
+
+@pytest.mark.parametrize("t", [np.asarray(t, dtype=np.float64) for t in _KERNEL_T.values()],
+                         ids=_KERNEL_T.keys())
+def test_xi_bit_identical_to_two_call_formula(t):
+    chars = [c for q in (3, 4, 5, 7) for c in arith.enumerate_characters(q)
+             if c.is_primitive and not c.is_principal]
+    assert {c.parity for c in chars} == {0, 1}
+    for chi in chars:
+        for eps in (-0.2, 0.0, 0.3):
+            assert _same_bytes(lf.xi_on_grid(chi, eps, t), _ref_xi(chi, eps, t))
+
+
+def test_xi_builds_one_head_grid(monkeypatch, chi3):
+    calls = []
+    head_grid = gp._head_grid
+    monkeypatch.setattr(gp, "_head_grid", lambda *args: calls.append(args) or head_grid(*args))
+    for t in (np.array([14.1]), np.linspace(0.5, 200.0, 400)):
+        calls.clear()
+        lf.xi_on_grid(chi3, 0.0, t)
+        assert len(calls) == 1
 
 
 def test_gw_domain_guard():

@@ -8,7 +8,7 @@ import pytest
 
 from lphase import arith, lfunction as lf
 from lphase.arith import SPoint, enumerate_characters
-from lphase.errors import DomainError
+from lphase.errors import DomainError, NumericalInstabilityError
 
 mp.mp.dps = 30
 
@@ -52,6 +52,13 @@ def test_principal_reduction_at_two():
         + 1.0 / 10 ** 6  # tail: 1/N - 1/(2N^2) + ...
     assert got.real == pytest.approx(zeta2 * (1 - 0.25), abs=1e-6)
     assert got.real == pytest.approx(math.pi ** 2 / 8, abs=1e-12)
+
+
+def test_l_eval_raises_when_tol_is_unmet(chi3):
+    # six head sizes (50 up to 859 terms) leave an estimate near 1e-61, far above tol
+    with pytest.raises(NumericalInstabilityError, match="exceeds tol"):
+        lf.l_eval(SPoint(0.0, 10.0), chi3, tol=1e-300)
+    assert lf.l_eval(SPoint(0.0, 10.0), chi3, tol=1e-10).abs_err_estimate <= 1e-10
 
 
 def test_principal_strip_rejected():
