@@ -20,7 +20,8 @@ structurally bounded pieces (higher arctan orders, and the 1/p-coupled
 term).  Oscillation masses collect |cosine summand| between consecutive
 cosine zero-transitions in prime space, once by the ordered prime sum and
 once by the Li integral of the same integrand; their ratios at two eps
-values drive the level-monotonicity checks.
+values drive the level-monotonicity checks.  Each call prepares its primes,
+p^(1/2+eps) and the window sines once; `scan` evaluates one kernel in t per grid.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    SingularityError,
-    TruncationError,
-)
+from .errors import DegenerateInputError, DomainError, TruncationError
 from .gammaphase import _x_minus_arctan
 
 __all__ = [
@@ -110,18 +106,15 @@ class PhaseScan:
 
 
 def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
-                p_max: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primes coprime to q (ascending), their logs, and character angles."""
-    angles = chi.angles_by_residue()
-    res = primes.primes % chi.q
-    theta = angles[res]
+                p_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primes p <= p_max coprime to q (ascending), their logs, and character angles."""
+    n = None if p_max is None else np.searchsorted(primes.primes, p_max, side="right")
+    res = primes.primes[:n] % chi.q
+    theta = chi.angles_by_residue()[res]
     keep = ~np.isnan(theta)
-    p = primes.primes[keep].astype(np.float64)
-    lp = primes.log_primes[keep]
+    p = primes.primes[:n][keep].astype(np.float64)
+    lp = primes.log_primes[:n][keep]
     th = theta[keep]
-    if p_max is not None:
-        cut = np.searchsorted(p, p_max, side="right")
-        p, lp, th = p[:cut], lp[:cut], th[:cut]
     if __debug__ and p.size > 1:
         assert np.all(np.diff(p) > 0), "prime order violated"
     return p, lp, th
@@ -136,44 +129,53 @@ def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float
     """Euler-product phase partial sum at s, accumulated over ascending primes."""
     _check_eps(s.eps)
     p, lp, th = _prime_data(chi, primes)
-    return float(-np.sum(_arctan_terms(p, lp, th, s.t, s.eps)))
+    return float(-np.sum(_arctan_terms(p ** (0.5 + s.eps), lp, th, s.t)))
 
 
-def _sin_cos_denom(p, lp, th, t, sigma):
-    # sin and cos of log(p) t - theta, and the checked p^sigma - cos; no other full-length
-    # temporary, as one more re-faulted ~1.7 MB per windowed_ratio_exact call at 78k primes
+def _sin_cos_denom(p_sigma, lp, th, t):
+    # sin and cos of log(p) t - theta, and p^sigma - cos >= 2^0.1 - 1 for eps >= MIN_EPS;
+    # one more full-length temporary re-faulted ~1.7 MB per call at 78k primes
     ang = lp * t - th
     cos_a = np.cos(ang)
-    denom = p ** sigma - cos_a
-    bad = (denom < 1e-14) & (denom > -1e-14)
-    if np.any(bad):
-        raise SingularityError("vanishing arctan denominator", where=int(p[np.argmax(bad)]))
-    return np.sin(ang, out=ang), cos_a, denom
+    return np.sin(ang, out=ang), cos_a, p_sigma - cos_a
 
 
-def _arctan_terms(p, lp, th, t, eps):
-    sin_a, _, denom = _sin_cos_denom(p, lp, th, t, 0.5 + eps)
+def _arctan_terms(p_sigma, lp, th, t):
+    sin_a, _, denom = _sin_cos_denom(p_sigma, lp, th, t)
     return np.arctan(np.divide(sin_a, denom, out=sin_a), out=sin_a)
+
+
+def _cos_summand(lp, th, t, sin_w, p_sigma):
+    # the leading cosine term of each windowed arctan increment; sin_w = sin(pi log p / log p*)
+    return np.cos(lp * t - th) * sin_w / p_sigma
+
+
+def _kernel(estimator: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
+            window: WindowParams):
+    """The windowed estimator as a function of t, with its primes prepared once."""
+    if estimator not in ("exact_arctan", "cosine_approx"):
+        raise DomainError(f"unknown estimator {estimator!r}")
+    _check_eps(eps)
+    p, lp, th = _prime_data(chi, primes, p_max=window.p_max)
+    p_sigma, lnps = p ** (0.5 + eps), math.log(window.p_star)
+    if estimator == "cosine_approx":
+        sin_w = np.sin(math.pi * lp / lnps)
+        return lambda t: float(-lnps / math.pi * np.sum(_cos_summand(lp, th, t, sin_w, p_sigma)))
+    w = window.half_width
+    return lambda t: float(-lnps / (2.0 * math.pi) * np.sum(
+        _arctan_terms(p_sigma, lp, th, t + w) - _arctan_terms(p_sigma, lp, th, t - w)))
 
 
 def windowed_ratio_exact(t: float, eps: float, chi: DirichletCharacter,
                          primes: PrimeTable, window: WindowParams) -> float:
     """Incremental phase ratio over [t - w, t + w], w = pi/log(p_star)."""
-    _check_eps(eps)
-    p, lp, th = _prime_data(chi, primes, p_max=window.p_max)
-    w = window.half_width
-    diff = _arctan_terms(p, lp, th, t + w, eps) - _arctan_terms(p, lp, th, t - w, eps)
-    return float(-math.log(window.p_star) / (2.0 * math.pi) * np.sum(diff))
+    return _kernel("exact_arctan", eps, chi, primes, window)(t)
 
 
 def windowed_ratio_approx(t: float, eps: float, chi: DirichletCharacter,
                           primes: PrimeTable, window: WindowParams) -> float:
     """Leading cosine approximation of the windowed ratio (no denominators)."""
-    _check_eps(eps)
-    p, lp, th = _prime_data(chi, primes, p_max=window.p_max)
-    lnps = math.log(window.p_star)
-    terms = np.cos(lp * t - th) * np.sin(math.pi * lp / lnps) / p ** (0.5 + eps)
-    return float(-lnps / math.pi * np.sum(terms))
+    return _kernel("cosine_approx", eps, chi, primes, window)(t)
 
 
 @dataclass(frozen=True)
@@ -196,15 +198,20 @@ def estimator_residual(t: float, eps: float, chi: DirichletCharacter,
     """
     _check_eps(eps)
     p, lp, th = _prime_data(chi, primes, p_max=window.p_max)
+    p_sigma = np.power(p, 0.5 + eps, out=p)
     w = window.half_width
-    sigma = 0.5 + eps
     pref = -math.log(window.p_star) / (2.0 * math.pi)
 
-    higher, coupled = np.zeros_like(p), np.zeros_like(p)
-    for tt, sign in ((t + w, 1.0), (t - w, -1.0)):
-        sin_a, cos_a, denom = _sin_cos_denom(p, lp, th, tt, sigma)
-        higher += sign * (-_x_minus_arctan(sin_a / denom))
-        coupled += sign * (sin_a * cos_a / (denom * p ** sigma))
+    # coupled +-= sin cos / (denom p^sigma) and higher -+= x - arctan(x), x = sin/denom, at t +- w
+    higher, coupled = np.zeros_like(p_sigma), np.zeros_like(p_sigma)
+    for tt, inc, dec in ((t + w, np.add, np.subtract), (t - w, np.subtract, np.add)):
+        sin_a, cos_a, denom = _sin_cos_denom(p_sigma, lp, th, tt)
+        cos_a *= sin_a
+        x = np.divide(sin_a, denom, out=sin_a)
+        cos_a /= np.multiply(denom, p_sigma, out=denom)
+        inc(coupled, cos_a, out=coupled)
+        del cos_a, denom  # freed before x - arctan(x) allocates its own temporaries
+        dec(higher, _x_minus_arctan(x), out=higher)
     higher_val = float(pref * np.sum(higher))
     coupled_val = float(pref * np.sum(coupled))
     return EstimatorResidual(total=higher_val + coupled_val,
@@ -269,14 +276,9 @@ class OscillationLedger:
         return [(e.k, e.h) for e in self.entries]
 
 
-def _mass_sum(p_class, lp_class, th, t, eps, lnps, lo, hi):
-    i0 = np.searchsorted(p_class, lo, side="right")
-    i1 = np.searchsorted(p_class, hi, side="left")
-    if i1 <= i0:
-        return 0.0
-    pp, ll = p_class[i0:i1], lp_class[i0:i1]
-    vals = np.cos(ll * t - th) * np.sin(math.pi * ll / lnps) / pp ** (0.5 + eps)
-    return abs(float(lnps / (2.0 * math.pi) * np.sum(vals)))
+def _mass_sum(p, vals, lnps, lo, hi):
+    i0, i1 = np.searchsorted(p, lo, side="right"), np.searchsorted(p, hi, side="left")
+    return abs(float(lnps / (2.0 * math.pi) * np.sum(vals[i0:i1])))
 
 
 def _mass_li(th, t, eps, lnps, phi_q, lo, hi):
@@ -310,12 +312,16 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
         )
     lnps = math.log(window.p_star)
     phi_q = euler_phi(chi.q)
+    classes = np.flatnonzero(chi.k >= 0).tolist()
+    # every interval ends at or below the last rising boundary
+    p, lp, angles = _prime_data(chi, primes, p_max=math.floor(max(
+        oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in classes)))
+    vals = _cos_summand(lp, angles, t, np.sin(math.pi * lp / lnps), p ** (0.5 + eps))
+    res = p.astype(np.int64) % chi.q  # chi.q, not primes.q: the table may be sieved mod another q
     entries = []
-    res = primes.primes % chi.q  # chi.q, not primes.q: the table may be sieved for another modulus
-    for h in np.flatnonzero(chi.k >= 0).tolist():
+    for h in classes:
         th = chi.angle(h)
-        pc = primes.primes[res == h].astype(np.float64)
-        lc = np.log(pc)
+        pc, vc = p[res == h], vals[res == h]
         # first k whose falling boundary exceeds 2 (intervals fully below 2 are empty)
         k = int(math.floor((t * math.log(2.0) - math.pi / 2.0 - th) / (2.0 * math.pi))) + 1
         for kk in range(k, k_max + 1):
@@ -323,8 +329,8 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
             x_next = oscillation_boundaries(kk + 1, h, t, chi)[0]
             entries.append(LedgerEntry(
                 k=kk, h=h, x_up=x_up, x_down=x_down, x_up_next=x_next,
-                o_plus_sum=_mass_sum(pc, lc, th, t, eps, lnps, x_up, x_down),
-                o_minus_sum=_mass_sum(pc, lc, th, t, eps, lnps, x_down, x_next),
+                o_plus_sum=_mass_sum(pc, vc, lnps, x_up, x_down),
+                o_minus_sum=_mass_sum(pc, vc, lnps, x_down, x_next),
                 o_minus_li=_mass_li(th, t, eps, lnps, phi_q, x_up, x_down),
                 o_plus_li=_mass_li(th, t, eps, lnps, phi_q, x_down, x_next),
             ))
@@ -387,6 +393,8 @@ def level_check(t: float, eps: float, chi: DirichletCharacter, primes: PrimeTabl
     """Compare log sqrt(tq/2pi) + windowed ratio against the xi phase derivative."""
     from .lfunction import xi_phase_dt  # local import to keep module layering acyclic
 
+    if t <= 0.0:
+        raise DomainError("level check requires t > 0")
     ratio = windowed_ratio_exact(t, eps, chi, primes, window)
     lhs = 0.5 * math.log(t * chi.q / (2.0 * math.pi)) + ratio
     dphi = xi_phase_dt(chi, eps, t)
@@ -396,15 +404,10 @@ def level_check(t: float, eps: float, chi: DirichletCharacter, primes: PrimeTabl
 
 def scan(chi: DirichletCharacter, eps: float, t_grid: np.ndarray, primes: PrimeTable,
          window: WindowParams, estimator: str = "exact_arctan") -> PhaseScan:
-    """Windowed estimator sampled over a t grid (one ordered sum per point)."""
+    """Windowed estimator sampled over a t grid: one kernel, one ordered sum per point."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    if estimator == "exact_arctan":
-        f = windowed_ratio_exact
-    elif estimator == "cosine_approx":
-        f = windowed_ratio_approx
-    else:
-        raise DomainError(f"unknown estimator {estimator!r}")
-    values = np.array([f(float(t), eps, chi, primes, window) for t in t_grid])
+    f = _kernel(estimator, eps, chi, primes, window)
+    values = np.array([f(float(t)) for t in t_grid])
     return PhaseScan(chi=chi, eps=eps, t_grid=t_grid, values=values,
                      estimator=estimator, window=window)
 

@@ -80,6 +80,12 @@ def test_level_check_row(capsys):
     assert float(vals["target_level"]) == pytest.approx(-1.176, abs=1e-3)
 
 
+def test_level_check_nonpositive_t_is_a_domain_error(capsys):
+    assert main(["level-check", "--q", "3", "--chi-index", "1", "--t", "-2",
+                 "--p-star", "1000", "--p-max", "1000"]) == 1
+    assert "lphase: error: level check requires t > 0" in capsys.readouterr().err
+
+
 def test_ledger_rows(capsys):
     assert main(["ledger", "--q", "3", "--chi-index", "1", "--t", "10",
                  "--p-star", "100000", "--p-max", "100000"]) == 0

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lphase import arith, eulerphase as ep, lfunction as lf
 from lphase.arith import SPoint, enumerate_characters, sieve_primes
-from lphase.errors import DegenerateInputError, DomainError, SingularityError, TruncationError
+from lphase.errors import DegenerateInputError, DomainError, TruncationError
 
 
 # --------------------------------------------------------------------------
@@ -37,23 +38,34 @@ def test_phase_tail_shrinks_when_doubling_pmax(chi3):
 
 
 def test_eps_floor_guard(chi3, primes_1e5_q3):
-    with pytest.raises(DomainError):
-        ep.euler_phase(SPoint(-0.45, 1.0), chi3, primes_1e5_q3)
+    # every estimator rejects eps just below MIN_EPS, scan even on an empty grid
+    eps = math.nextafter(ep.MIN_EPS, -math.inf)
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    calls = [lambda e=e: ep.euler_phase(SPoint(e, 1.0), chi3, primes_1e5_q3) for e in (-0.45, eps)]
+    calls += [lambda f=f: f(1.0, eps, chi3, primes_1e5_q3, w)
+              for f in (ep.windowed_ratio_exact, ep.windowed_ratio_approx, ep.estimator_residual)]
+    calls += [lambda g=g, e=e: ep.scan(chi3, eps, g, primes_1e5_q3, w, estimator=e)
+              for g in (np.array([1.0, 2.0]), np.array([]))
+              for e in ("exact_arctan", "cosine_approx")]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    ep.scan(chi3, ep.MIN_EPS, np.array([]), primes_1e5_q3, w)  # MIN_EPS itself is supported
 
 
 # --------------------------------------------------------------------------
 # windowed estimators
 # --------------------------------------------------------------------------
 
-def test_vanishing_arctan_denominator_raises():
-    # sigma = 0 at t = 0 makes every p^sigma - cos vanish; the first prime is reported
-    p = np.array([2.0, 3.0, 5.0])
-    with pytest.raises(SingularityError) as err:
-        ep._sin_cos_denom(p, np.log(p), np.zeros(3), 0.0, 0.0)
-    assert err.value.where == 2
-    sin_a, cos_a, denom = ep._sin_cos_denom(p, np.log(p), np.zeros(3), 1.0, 0.5)
-    assert np.array_equal(denom, p ** 0.5 - np.cos(np.log(p)))
-    assert np.array_equal(sin_a, np.sin(np.log(p)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(t=st.floats(-1e4, 1e4), q=st.sampled_from([1, 3, 4, 5, 8]), index=st.integers(0, 3))
+def test_arctan_denominator_bounded_below_at_min_eps(t, q, index):
+    # p^sigma - cos >= 2^0.1 - 1 for p >= 2 and eps >= MIN_EPS: no denominator can vanish
+    chars = enumerate_characters(q)
+    chi = chars[index % len(chars)]
+    p, lp, th = ep._prime_data(chi, sieve_primes(10 ** 4, q))
+    _, _, denom = ep._sin_cos_denom(p ** (0.5 + ep.MIN_EPS), lp, th, t)
+    assert np.all(denom >= 2.0 ** 0.1 - 1.0)
 
 
 def test_windowed_matches_derivative_for_narrow_window(chi3, primes_1e5_q3):
@@ -337,6 +349,15 @@ def test_level_check_defect_off_line(chi5_odd, primes_1e5_q5):
     for t in (5.0, 12.0, 27.0):
         res = ep.level_check(t, 0.5, chi5_odd, primes_1e5_q5, w)
         assert abs(res.defect) < 0.05
+
+
+def test_level_check_rejects_nonpositive_t(chi3, primes_1e5_q3, monkeypatch):
+    # log(t q / 2 pi) needs t > 0; the check comes before any prime is touched
+    monkeypatch.setattr(ep, "_prime_data", None)
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    for t in (-2.0, 0.0):
+        with pytest.raises(DomainError):
+            ep.level_check(t, 0.0, chi3, primes_1e5_q3, w)
 
 
 def test_class_li_combination_cancels(chi3, chi5_odd, primes_1e6_q3, primes_1e5_q5):
