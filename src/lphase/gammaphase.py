@@ -241,7 +241,7 @@ def _hurwitz_tail(tail, pw, v, vmax: float, w: float, j0: int, coef):
         c, order = coef(j)
         term = c * float(hurwitz_zeta_real(order, w)) * pw
         tail += term
-        if np.max(np.abs(term)) < 1e-18 * (1.0 + np.max(np.abs(tail))):
+        if np.max(np.abs(term), initial=0.0) < 1e-18 * (1.0 + np.max(np.abs(tail), initial=0.0)):
             break
     return tail
 

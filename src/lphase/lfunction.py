@@ -2,10 +2,10 @@
 
 L(s, chi) is evaluated through Hurwitz zeta values,
     L(s, chi) = q^(-s) * sum_{r mod q, gcd(r,q)=1} chi(r) zeta(s, r/q),
-with each zeta(s, a) computed by Euler-Maclaurin continuation (head sum,
-integral and half terms, Bernoulli corrections, explicit remainder
-estimate).  This is accurate to ~1e-13 relative over the desk-scale window
-|t| <= 100 and is valid throughout the strip for non-principal characters.
+by one Euler-Maclaurin pass over all unit classes (head sums, integral and
+half terms, Bernoulli corrections, explicit remainder estimate); zeta(s) is
+L(s, chi mod 1).  This is accurate to ~1e-13 relative over the desk-scale
+window |t| <= 100 and is valid throughout the strip for non-principal characters.
 
 The completed function
     xi(s, chi) = (q/pi)^((s+alpha)/2) Gamma((s+alpha)/2) L(s, chi)
@@ -64,7 +64,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Euler-Maclaurin Hurwitz zeta
+# Euler-Maclaurin L-values
 # --------------------------------------------------------------------------
 
 _BERN = [
@@ -78,34 +78,41 @@ _BERN_FACT = [float(b) / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN
 _N_BERN = 11  # Euler-Maclaurin Bernoulli corrections kept; the next one is the estimate
 
 
-def _hurwitz_zeta(svals: np.ndarray, a: float, n_head: int,
-                  subtract_pole: bool = False) -> tuple[np.ndarray, float]:
-    """zeta(s, a) for an array of complex s (continuation via Euler-Maclaurin).
+def _em_head(t_max: float) -> int:
+    return max(24, int(t_max) + 40)
 
-    With subtract_pole the simple pole 1/(s-1) is removed, which keeps the
-    evaluation finite at s = 1; character sums over a full period restore
-    the same L-value because the pole coefficients cancel exactly.
 
-    Returns (values, remainder_estimate); the estimate is the magnitude of
-    the first dropped Bernoulli term (K = _N_BERN are kept) inflated by the
-    standard |s+2K+1| / (sigma+2K+1) factor, maximized over the array.
+def _l_values(chi: DirichletCharacter, svals: np.ndarray,
+              n_head: int | None = None) -> tuple[np.ndarray, float]:
+    """L(s, chi) over complex s, and a remainder estimate, in one Euler-Maclaurin pass.
+
+    Each unit class r gets zeta(s, r/q): a head sum over n < n_head (one block per
+    class), then integral, half and Bernoulli terms at w = n_head + r/q as (classes,
+    points) arrays; the pole series and the Pochhammer ladder are built once.  A
+    non-principal character drops the pole 1/(s-1) from every class, keeping s = 1
+    finite; the dropped parts sum to zero.  A class's estimate is its first dropped
+    Bernoulli term times |s+2K+1| / (sigma+2K+1), maximized over s; the classes' estimates
+    are summed and scaled by q^(-sigma).
     """
-    s = np.asarray(svals, dtype=np.complex128)
-    n = np.arange(n_head, dtype=np.float64)[:, None] + a
-    head = np.sum(np.exp(-s[None, :] * np.log(n)), axis=0)
-
-    w = n_head + a
-    lw = math.log(w)
-    if subtract_pole:
+    s = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
+    if not s.size:
+        return s, 0.0
+    nh = _em_head(float(np.max(np.abs(s.imag)))) if n_head is None else n_head
+    q = chi.q
+    units = [r for r in range(1, q + 1) if chi.k[r % q] >= 0]  # r = q only for q = 1 (a = 1)
+    w = np.array([[nh + r / q] for r in units])
+    lw = np.array([[math.log(x)] for x in w[:, 0]])  # np.log can differ in the last bit
+    n, ms = np.arange(nh, dtype=np.float64)[:, None], -s[None, :]
+    head = np.array([np.sum(np.exp(ms * np.log(n + r / q)), axis=0) for r in units])
+    if chi.is_principal:
+        integral = np.exp((1.0 - s) * lw) / (s - 1.0)
+    else:
         # w^(1-s)/(s-1) - 1/(s-1) = -expm1((1-s) log w)/(1-s), stable at s = 1
         u = 1.0 - s
         tiny = np.abs(u) < 1e-6
-        us = np.where(tiny, 0.0, u)
-        direct = -np.expm1(np.where(tiny, 1.0, u) * lw) / np.where(tiny, 1.0, u)
+        us, ut = np.where(tiny, 0.0, u), np.where(tiny, 1.0, u)
         series = -lw * (1.0 + us * lw / 2.0 + us * us * lw * lw / 6.0)
-        integral = np.where(tiny, series, direct)
-    else:
-        integral = np.exp((1.0 - s) * lw) / (s - 1.0)
+        integral = np.where(tiny, series, -np.expm1(ut * lw) / ut)
     out = head + integral + 0.5 * np.exp(-s * lw)
 
     w_pow = np.exp((-s - 1.0) * lw)   # w^(-s-1)
@@ -118,35 +125,12 @@ def _hurwitz_zeta(svals: np.ndarray, a: float, n_head: int,
     next_term = np.abs(_BERN_FACT[_N_BERN] * poch * w_pow)
     sigma = float(np.min(s.real))
     inflate = (np.max(np.abs(s)) + 2 * _N_BERN + 1) / max(sigma + 2 * _N_BERN + 1, 1.0)
-    est = float(np.max(next_term)) * inflate if s.size else 0.0
-    return out, est
-
-
-def _em_head(t_max: float) -> int:
-    return max(24, int(t_max) + 40)
-
-
-def _l_values(chi: DirichletCharacter, svals: np.ndarray,
-              n_head: int | None = None) -> tuple[np.ndarray, float]:
-    s = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
-    t_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
-    nh = _em_head(t_max) if n_head is None else n_head
-    q = chi.q
     total = np.zeros_like(s)
-    err = 0.0
-    # removing the (a-independent) zeta pole per class keeps s = 1 finite;
-    # for a non-principal character the removed parts sum to zero exactly
-    drop_pole = not chi.is_principal
-    for r in range(1, q + 1):
-        if chi.k[r % q] < 0:
-            continue
-        z, e = _hurwitz_zeta(s, r / q, nh,  # r = q occurs only for q = 1 (a = 1)
-                             subtract_pole=drop_pole)
+    for r, z in zip(units, out):  # classes in ascending order
         total += chi.value(r) * z
-        err += e
+    err = sum(float(e) * inflate for e in np.max(next_term, axis=1))
     scale = np.exp(-s * math.log(q)) if q > 1 else np.ones_like(s)
-    qfac = float(q) ** (-float(np.min(s.real)))
-    return scale * total, err * qfac
+    return scale * total, err * float(q) ** -sigma
 
 
 @dataclass(frozen=True)
@@ -357,8 +341,7 @@ def reduction_identities(s: SPoint, q: int) -> ReductionReport:
     """
     if s.eps <= 0.5:
         raise DomainError("reduction identities are checked in the absolute-convergence region")
-    zeta_s, _ = _hurwitz_zeta(np.array([s.s]), 1.0, _em_head(abs(s.t)))
-    zeta_s = complex(zeta_s[0])
+    zeta_s = complex(_l_values(enumerate_characters(1)[0], np.array([s.s]))[0][0])  # chi mod 1
     q_primes = [p for p, _ in _factorize(q)] if q > 1 else []
 
     entries = []

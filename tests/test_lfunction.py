@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lphase import arith, lfunction as lf
+from lphase import arith, gammaphase, lfunction as lf
 from lphase.arith import SPoint, enumerate_characters
 from lphase.errors import DomainError, NumericalInstabilityError
 
@@ -67,16 +67,43 @@ def test_principal_strip_rejected():
         lf.l_eval(SPoint(0.3, 1.0), chi)
 
 
+def _mpmath_l(chi, eps, t):
+    s = complex(0.5 + eps, t)
+    q = chi.q
+    return complex(mp.fsum(
+        [mp.mpc(chi.value(r)) * mp.zeta(s, mp.mpf(r) / q) for r in range(1, q)],
+    ) * mp.power(q, -s))
+
+
 def test_l_values_against_mpmath(chi3, chi5_odd):
-    for chi in (chi3, chi5_odd):
-        q = chi.q
-        for eps, t in ((-0.3, 2.0), (0.0, 17.0), (0.4, 55.0)):
-            s = complex(0.5 + eps, t)
-            ref = mp.fsum(
-                [mp.mpc(chi.value(r)) * mp.zeta(s, mp.mpf(r) / q) for r in range(1, q)],
-            ) * mp.power(q, -s)
+    # chi mod 13 has 12 unit classes; numpy sums a one-point head block in a different
+    # order from a multi-point one, so both paths are checked
+    ts = (2.0, 17.0, 55.0)
+    chi13 = enumerate_characters(13)[1]
+    for chi in (chi3, chi5_odd, chi13):
+        for eps, t in zip((-0.3, 0.0, 0.4), ts):
+            ref = _mpmath_l(chi, eps, t)
             got = lf.l_on_grid(chi, eps, np.array([t]))[0]
-            assert abs(got - complex(ref)) < 1e-12 * (1 + abs(complex(ref)))
+            assert abs(got - ref) < 1e-12 * (1 + abs(ref))
+    for t, got in zip(ts, lf.l_on_grid(chi13, 0.0, np.array(ts)), strict=True):
+        ref = _mpmath_l(chi13, 0.0, t)
+        assert abs(got - ref) < 1e-12 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("run, dtype", [
+    (lambda chi, t: gammaphase.gamma_phase(t, 0.0, chi.parity), np.float64),
+    (lambda chi, t: gammaphase.gamma_log_abs(t, 0.0, chi.parity), np.float64),
+    (lambda chi, t: gammaphase.gamma_dphase_dt(t, 0.0, chi.parity), np.float64),
+    (lambda chi, t: lf.l_on_grid(chi, 0.0, t), np.complex128),
+    (lambda chi, t: lf.xi_on_grid(chi, 0.0, t), np.complex128),
+    (lambda chi, t: lf.eta_on_grid(chi, 0.0, t)[0], np.complex128),
+    (lambda chi, t: lf.eps_slope_on_grid(chi, t), np.float64),
+    (lambda chi, t: lf.angular_momentum_on_grid(chi, 0.0, t), np.float64),
+], ids=["gamma_phase", "gamma_log_abs", "gamma_dphase_dt", "l_on_grid", "xi_on_grid",
+        "eta_on_grid", "eps_slope_on_grid", "angular_momentum_on_grid"])
+def test_empty_grid_gives_empty_result(run, dtype, chi5_odd):
+    out = run(chi5_odd, np.array([]))
+    assert out.shape == (0,) and out.dtype == dtype
 
 
 # --------------------------------------------------------------------------
