@@ -27,7 +27,7 @@ from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import expi
 
 from .errors import DomainError, ResourceLimitError
 
@@ -360,14 +360,10 @@ def sieve_primes(p_max: int, q: int = 1, *, segment_size: int = _SEGMENT_SIZE,
 # --------------------------------------------------------------------------
 
 def li(x: float) -> float:
-    """Logarithmic integral from 2: integral of dy/log(y) over [2, x]."""
+    """Logarithmic integral from 2: integral of dy/log(y) over [2, x] = Ei(log x) - Ei(log 2)."""
     if x < 2.0:
         raise DomainError("li(x) requires x >= 2")
-    if x == 2.0:
-        return 0.0
-    val, _err = quad(lambda y: 1.0 / math.log(y), 2.0, x,
-                     epsabs=1e-11, epsrel=1e-12, limit=200)
-    return val
+    return float(expi(math.log(x)) - expi(math.log(2.0)))
 
 
 def pnt_class_ratio(x: float, q: int, table: PrimeTable | None = None) -> dict[int, float]:

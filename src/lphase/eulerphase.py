@@ -17,11 +17,11 @@ phase-derivative estimator (`windowed_ratio_exact`); replacing each arctan
 increment by its leading cosine term gives `windowed_ratio_approx`, and
 `estimator_residual` exposes their difference split into the two
 structurally bounded pieces (higher arctan orders, and the 1/p-coupled
-term).  Oscillation masses collect |cosine summand| between consecutive
-cosine zero-transitions in prime space, once by the ordered prime sum and
-once by the Li integral of the same integrand; their ratios at two eps
-values drive the level-monotonicity checks.  Each call prepares its primes,
-p^(1/2+eps) and the window sines once; `scan` evaluates one kernel in t per grid.
+term).  Oscillation masses collect |cosine summand| between consecutive cosine
+zero-transitions in prime space, once by the ordered prime sum and once by the
+closed-form Li integral (exponential integral) of the same integrand; their ratios
+at two eps values drive the level-monotonicity checks.  Each call prepares its
+primes, p^(1/2+eps) and the window sines once; `scan` evaluates one kernel in t per grid.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import exp1
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
 from .errors import DegenerateInputError, DomainError, TruncationError
@@ -281,15 +281,26 @@ def _mass_sum(p, vals, lnps, lo, hi):
     return abs(float(lnps / (2.0 * math.pi) * np.sum(vals[i0:i1])))
 
 
+def _li_integral(th, t, eps, lnps, lo, hi):
+    """Signed integral of cos(t log y - th) sin(pi log y / lnps) y^-(1/2+eps) / log y on [lo, hi].
+
+    By cos X sin Y = (sin(Y+X) + sin(Y-X))/2 it is (1/2) sum Im[e^(i phi) (E1(-z a) - E1(-z b))]
+    over (omega, phi) = (pi/lnps +- t, -+th), z = 1/2 - eps + i omega, [a, b] = [log lo, log hi].
+    At omega = 0 both ends lie on the same side of E1's cut; at z = 0 the bracket is log(b/a)."""
+    a, b = math.log(lo), math.log(hi)
+    total = 0.0
+    for omega, phi in ((math.pi / lnps + t, -th), (math.pi / lnps - t, th)):
+        z = complex(0.5 - eps, omega)
+        d = exp1(-z * a) - exp1(-z * b) if z else math.log(b / a)
+        total += float((complex(math.cos(phi), math.sin(phi)) * d).imag)
+    return 0.5 * total
+
+
 def _mass_li(th, t, eps, lnps, phi_q, lo, hi):
     lo = max(lo, 2.0)
     if hi <= lo:
         return 0.0
-    f = lambda y: (math.cos(math.log(y) * t - th)
-                   * math.sin(math.pi * math.log(y) / lnps)
-                   / (y ** (0.5 + eps) * math.log(y)))
-    val, _ = quad(f, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10)
-    return abs(lnps / (2.0 * math.pi * phi_q) * val)
+    return abs(lnps / (2.0 * math.pi * phi_q) * _li_integral(th, t, eps, lnps, lo, hi))
 
 
 def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
@@ -420,6 +431,8 @@ def spike_strips(scan_result: PhaseScan, n_mad: float = 6.0) -> list[tuple[float
     and overlapping strips are merged.
     """
     absvals = np.abs(scan_result.values)
+    if absvals.size == 0:  # np.median warns on an empty array
+        return []
     med = float(np.median(absvals))
     mad = float(np.median(np.abs(absvals - med)))
     flagged = scan_result.t_grid[absvals > med + n_mad * mad]
@@ -439,20 +452,13 @@ def class_li_combination(t: float, eps: float, chi: DirichletCharacter,
     """Sum over reduced classes of the Li-weighted cosine integral on [2, p_max].
 
     The class phases sum to zero for non-principal characters, so the exact
-    value is 0; the returned number measures how well the per-class
-    quadratures cancel.
+    value is 0; each class integral is in closed form, and the returned number
+    is the rounding left around that 0.
     """
     _check_eps(eps)
     if chi.is_principal:
         raise DomainError("class combination requires a non-principal character")
     lnps = math.log(window.p_star)
-    phi_q = euler_phi(chi.q)
-    total = 0.0
-    for h in np.flatnonzero(chi.k >= 0).tolist():
-        th = chi.angle(h)
-        f = lambda u: (math.cos(u * t - th) * math.sin(math.pi * u / lnps)
-                       * math.exp(u * (0.5 - eps)) / u)
-        val, _ = quad(f, math.log(2.0), math.log(window.p_max),
-                      limit=400, epsabs=1e-10, epsrel=1e-10)
-        total += val
-    return lnps / (math.pi * phi_q) * total
+    total = sum(_li_integral(chi.angle(h), t, eps, lnps, 2.0, window.p_max)
+                for h in np.flatnonzero(chi.k >= 0).tolist())
+    return lnps / (math.pi * euler_phi(chi.q)) * total

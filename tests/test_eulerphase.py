@@ -1,6 +1,7 @@
 """Windowed estimators, oscillation ledger and level checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ def test_spike_present_near_first_zero(chi3, primes_1e5_q3):
     sc = ep.scan(chi3, 0.0, grid, primes_1e5_q3, w)
     peak_t = float(grid[np.argmax(np.abs(sc.values))])
     assert 7.9 <= peak_t <= 8.2
+
+
+def test_spike_strips_of_empty_scan(chi3, primes_1e5_q3):
+    # an empty scan has no strips; np.median of an empty array would warn
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    empty = ep.scan(chi3, 0.0, np.array([]), primes_1e5_q3, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ep.spike_strips(empty) == []
 
 
 def test_scan_symmetry_real_character(chi5_real, primes_1e5_q5):

@@ -1,0 +1,91 @@
+"""The closed-form Li integrals against mpmath quadrature: `arith.li`, the ledger's
+per-interval Li masses and the class combination, each to 1e-10 relative."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from lphase import arith, eulerphase as ep
+
+REL = 1e-10
+# real characters mod 3 and 12 (angles 0 and pi), and one mod 7 with angles k pi/3, whose
+# masses change when an angle changes sign
+_CHARS = {q: arith.enumerate_characters(q)[i] for q, i in ((3, 1), (12, 3), (7, 1))}
+
+
+def _oracle(th, t, eps, lnps, lo, hi, pieces=2):
+    """Integral of cos(t log y - th) sin(pi log y / lnps) / (y^(1/2+eps) log y) over [lo, hi]
+    by mpmath in u = log y, split into `pieces` equal parts."""
+    c = mp.mpf(0.5) - eps
+    f = lambda u: mp.cos(t * u - th) * mp.sin(mp.pi * u / lnps) * mp.exp(c * u) / u
+    with mp.workdps(16):
+        return mp.quad(f, mp.linspace(mp.log(lo), mp.log(hi), pieces + 1),
+                       method="gauss-legendre")
+
+
+def _classes(chi):
+    return np.flatnonzero(chi.k >= 0).tolist()
+
+
+def _assert_mass(th, t, eps, lnps, phi_q, lo, hi):
+    got = ep._mass_li(th, t, eps, lnps, phi_q, lo, hi)
+    want = abs(lnps / (2 * mp.pi * phi_q) * _oracle(th, t, eps, lnps, max(lo, 2.0), hi))
+    assert type(got) is float and want > 0
+    assert abs(got - want) <= REL * want, (th, t, eps, lnps, lo, hi, got, want)
+
+
+_LEDGERS = [(q, t, p_star) for q in (3, 12) for t in (10.0, 25.0) for p_star in (1e5, 1e7)]
+
+
+@pytest.mark.parametrize("q, t, p_star", _LEDGERS + [(7, 14.0, 1e6)])
+def test_mass_li_on_ledger_intervals(q, t, p_star):
+    # per class: the first ledger interval pair, clamped at 2, the last one, and the
+    # stretch from its end to p_star, where sin(pi log y / log p_star) -> 0
+    chi, lnps, phi_q = _CHARS[q], math.log(p_star), arith.euler_phi(q)
+    k_max = ep.max_k_for_bound(t, chi, p_star)
+    for eps in (0.0, 0.2, -0.3, 0.45):
+        for h in _classes(chi):
+            th = chi.angle(h)
+            k_first = math.floor((t * math.log(2.0) - math.pi / 2.0 - th) / (2.0 * math.pi)) + 1
+            for k in (k_first, k_max):
+                x_up, x_down = ep.oscillation_boundaries(k, h, t, chi)
+                x_next = ep.oscillation_boundaries(k + 1, h, t, chi)[0]
+                _assert_mass(th, t, eps, lnps, phi_q, x_up, x_down)
+                _assert_mass(th, t, eps, lnps, phi_q, x_down, x_next)
+            _assert_mass(th, t, eps, lnps, phi_q, x_next, p_star)
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.5), ids=("omega=0", "z=0"))
+def test_mass_li_at_degenerate_frequencies(eps):
+    # t = pi/log p_star makes omega = pi/log p_star - t exactly 0: -z log y lies on E1's
+    # branch cut for eps < 1/2, and at eps = 1/2 also z = 0, where E1 is infinite
+    lnps = math.log(1e5)
+    t = math.pi / lnps
+    assert math.pi / lnps - t == 0.0
+    for th in (0.0, 0.7, -2.1):
+        for lo, hi in ((2.0, 1e5), (30.0, 4e3)):
+            _assert_mass(th, t, eps, lnps, 2, lo, hi)
+
+
+@pytest.mark.parametrize("q, t, p_max", ((3, 10.0, 10 ** 5), (12, 5.0, 10 ** 6)))
+def test_class_li_combination_against_oracle(q, t, p_max):
+    # the exact value is 0, so the error is measured against the size of the class terms
+    chi = _CHARS[q]
+    window = ep.WindowParams(p_star=float(p_max), p_max=p_max)
+    lnps = math.log(window.p_star)
+    pref = lnps / (mp.pi * arith.euler_phi(q))
+    pieces = math.ceil(t * math.log(p_max / 2.0) / math.pi)  # one per half-turn
+    terms = [_oracle(chi.angle(h), t, 0.0, lnps, 2.0, p_max, pieces) for h in _classes(chi)]
+    got = ep.class_li_combination(t, 0.0, chi, window)
+    assert abs(got - pref * sum(terms)) <= REL * pref * sum(abs(v) for v in terms)
+
+
+@pytest.mark.parametrize("x", (10.0, 1e5, 1e7))
+def test_li_against_oracle(x):
+    with mp.workdps(16):
+        want = mp.quad(lambda u: mp.exp(u) / u, mp.linspace(mp.log(2), mp.log(x), 5))
+    got = arith.li(x)
+    assert type(got) is float
+    assert abs(got - want) <= REL * want
