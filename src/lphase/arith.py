@@ -293,12 +293,11 @@ _DEFAULT_P_BUDGET = 10 ** 8
 
 @dataclass
 class PrimeTable:
-    """Sorted primes <= p_max with their residues mod a bound modulus q."""
+    """Sorted primes <= p_max and a bound modulus q, whose classes `class_primes` selects."""
 
     p_max: int
     q: int
     primes: np.ndarray            # int64, strictly increasing
-    residues: np.ndarray          # primes % q
     _log_primes: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -311,7 +310,7 @@ class PrimeTable:
         """Ordered primes = h (mod q) for a reduced residue h."""
         if gcd(h % self.q, self.q) != 1:
             raise DomainError(f"h={h} is not a reduced residue mod {self.q}")
-        return self.primes[self.residues == h % self.q]
+        return self.primes[self.primes % self.q == h % self.q]
 
     def count(self) -> int:
         return int(self.primes.size)
@@ -326,9 +325,8 @@ def _simple_sieve(n: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def sieve_primes(p_max: int, q: int = 1, *, segment_size: int = _SEGMENT_SIZE,
-                 p_budget: int = _DEFAULT_P_BUDGET) -> PrimeTable:
-    """Segmented Eratosthenes sieve up to p_max, with residues mod q."""
+def sieve_primes(p_max: int, q: int = 1, *, p_budget: int = _DEFAULT_P_BUDGET) -> PrimeTable:
+    """Segmented Eratosthenes sieve up to p_max (segments of _SEGMENT_SIZE), bound to modulus q."""
     if p_max < 2:
         raise DomainError("p_max must be at least 2")
     if q < 1:
@@ -342,7 +340,7 @@ def sieve_primes(p_max: int, q: int = 1, *, segment_size: int = _SEGMENT_SIZE,
     chunks = [base[base <= p_max]]
     lo = isqrt(p_max) + 1
     while lo <= p_max:
-        hi = min(lo + segment_size, p_max + 1)
+        hi = min(lo + _SEGMENT_SIZE, p_max + 1)
         seg = np.ones(hi - lo, dtype=bool)
         for p in base:
             start = max(p * p, ((lo + p - 1) // p) * p)
@@ -352,7 +350,7 @@ def sieve_primes(p_max: int, q: int = 1, *, segment_size: int = _SEGMENT_SIZE,
         lo = hi
     primes = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
 
-    return PrimeTable(p_max=p_max, q=q, primes=primes, residues=primes % q)
+    return PrimeTable(p_max=p_max, q=q, primes=primes)
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .arith import SPoint
 from .errors import DomainError, ResourceLimitError, SingularityError, TruncationError
 
 _P_MAX_DEFAULT = 10 ** 6
-_P_MAX_CAP = 10 ** 8
 
 
 class _UsageError(Exception):
@@ -80,18 +79,24 @@ def _resolve_character(args) -> arith.DirichletCharacter:
     return chars[args.chi_index]
 
 
+def _primitive_character(args) -> arith.DirichletCharacter:
+    chi = _resolve_character(args)
+    if not chi.is_primitive or chi.is_principal:
+        raise _UsageError("--chi-index must select a primitive non-principal character")
+    return chi
+
+
 def _check_p_max(args) -> None:
-    if args.p_max > _P_MAX_CAP and not args.allow_large:
-        raise _UsageError(
-            f"--p-max {args.p_max} exceeds the cap {_P_MAX_CAP}; pass --allow-large"
-        )
+    cap = arith._DEFAULT_P_BUDGET
+    if args.p_max > cap and not args.allow_large:
+        raise _UsageError(f"--p-max {args.p_max} exceeds the cap {cap}; pass --allow-large")
     if args.p_max < 2:
         raise _UsageError("--p-max must be at least 2")
 
 
 def _table(args) -> arith.PrimeTable:
     _check_p_max(args)
-    return arith.sieve_primes(args.p_max, args.q, p_budget=max(args.p_max, 10 ** 8))
+    return arith.sieve_primes(args.p_max, args.q, p_budget=args.p_max)
 
 
 def _t_grid(args) -> np.ndarray:
@@ -206,9 +211,7 @@ def _cmd_table_odd(args) -> int:
 
 
 def _cmd_scan_zeros(args) -> int:
-    chi = _resolve_character(args)
-    if not chi.is_primitive or chi.is_principal:
-        raise _UsageError("--chi-index must select a primitive non-principal character")
+    chi = _primitive_character(args)
     records = lf.find_zeros_on_line(chi, args.t_min, args.t_max, args.t_step)
     rows = [[("" if r.t_zero is None else r.t_zero), r.bracket[0], r.bracket[1],
              r.tol, r.sign_before, r.sign_after, int(r.suspected_multiple)]
@@ -222,9 +225,7 @@ def _cmd_scan_zeros(args) -> int:
 
 
 def _cmd_level_check(args) -> int:
-    chi = _resolve_character(args)
-    if not chi.is_primitive or chi.is_principal:
-        raise _UsageError("--chi-index must select a primitive non-principal character")
+    chi = _primitive_character(args)
     table = _table(args)
     window = ep.WindowParams(p_star=args.p_star, p_max=args.p_max)
     res = ep.level_check(args.t, args.eps, chi, table, window)

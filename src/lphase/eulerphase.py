@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
+_SPIKE_MADS = 6.0  # spike threshold in median absolute deviations above the median
 
 
 @dataclass(frozen=True)
@@ -423,10 +424,10 @@ def scan(chi: DirichletCharacter, eps: float, t_grid: np.ndarray, primes: PrimeT
                      estimator=estimator, window=window)
 
 
-def spike_strips(scan_result: PhaseScan, n_mad: float = 6.0) -> list[tuple[float, float]]:
+def spike_strips(scan_result: PhaseScan) -> list[tuple[float, float]]:
     """Excluded t strips around estimator excursions.
 
-    A grid point is flagged when |value| exceeds median + n_mad * MAD of
+    A grid point is flagged when |value| exceeds median + 6 * MAD of
     |values|; each flag contributes a strip of half-width 2*pi/log(p_star),
     and overlapping strips are merged.
     """
@@ -435,7 +436,7 @@ def spike_strips(scan_result: PhaseScan, n_mad: float = 6.0) -> list[tuple[float
         return []
     med = float(np.median(absvals))
     mad = float(np.median(np.abs(absvals - med)))
-    flagged = scan_result.t_grid[absvals > med + n_mad * mad]
+    flagged = scan_result.t_grid[absvals > med + _SPIKE_MADS * mad]
     w = scan_result.window.delta_t
     strips: list[tuple[float, float]] = []
     for t in np.sort(flagged):

@@ -18,10 +18,10 @@ pairwise order over cache-sized leaves of 8192 terms, with 2^20-term blocks
 added in ascending order, bit for bit equal to one np.sum per block.
 
 Asymptotic route ("stirling"): ln Gamma(z+1) with z = (2*eps+2*alpha-3)/4 +
-i*t/2, expanded through the Bernoulli series with an explicit remainder
-bound.  The imaginary part splits into a growing part (`stirling_phase_main`,
-whose t-derivative is log sqrt(t*q/(2*pi))), a part vanishing as t -> oo
-(`stirling_phase_correction`), and the Bernoulli tail
+i*t/2, expanded through a fixed Bernoulli series (the B_2 and B_4 terms; the
+B_6 term bounds the remainder).  The imaginary part splits into a growing part
+(`stirling_phase_main`, whose t-derivative is log sqrt(t*q/(2*pi))), a part
+vanishing as t -> oo (`stirling_phase_correction`), and the Bernoulli tail
 (`stirling_phase_bernoulli`).  Since Re z < 0 on the strip, the remainder
 bound blows up as t -> 0; the route refuses t < 0.5 and the product route
 covers the small-t neighborhood.
@@ -46,7 +46,6 @@ from .arith import SPoint
 from .errors import DomainError, NumericalInstabilityError, SingularityError
 
 __all__ = [
-    "StirlingConfig",
     "PrefactorParams",
     "gw_log_gamma_phase",
     "gw_phase_tail_estimate",
@@ -76,35 +75,19 @@ _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB float64 leaf buffers 
 _RAMP = np.arange(_LEAF, dtype=np.float64)
 _MACH = float(np.finfo(float).eps)
 
-BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-}
-
-
-@dataclass(frozen=True)
-class StirlingConfig:
-    """Number of Bernoulli terms kept in the asymptotic route (k = 1..K-1)."""
-
-    K: int = 3
-
-    def __post_init__(self):
-        if self.K < 2:
-            raise DomainError("StirlingConfig requires K >= 2")
-        if 2 * self.K not in BERNOULLI:
-            raise DomainError(f"no Bernoulli coefficient B_{2 * self.K} available")
-
-
-DEFAULT_STIRLING = StirlingConfig()
+# B_2, B_4, ..., B_26
+BERNOULLI = [
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
+    Fraction(-236364091, 2730), Fraction(8553103, 6),
+]
+_STIRLING_K = 3  # the asymptotic route keeps Bernoulli terms k = 1..K-1; term K bounds the rest
 
 
 @dataclass(frozen=True)
 class PrefactorParams:
-    """Modulus and Gamma-shift of the prefactor (pi/q)^(-(s+alpha1)/2) Gamma((s+alpha)/2).
+    """Modulus and Gamma-shift of the prefactor (q/pi)^((s+alpha)/2) Gamma((s+alpha)/2).
 
     alpha = 0 (even character), 1 (odd character) or 2 (the zeta case, where
     the factor (s-1) is absorbed and q is forced to 1).
@@ -112,11 +95,10 @@ class PrefactorParams:
 
     q: int
     alpha: int
-    alpha1: int
 
     def __post_init__(self):
-        if (self.alpha, self.alpha1) not in {(0, 0), (1, 1), (2, 0)}:
-            raise DomainError(f"unsupported (alpha, alpha1) = {(self.alpha, self.alpha1)}")
+        if self.alpha not in (0, 1, 2):
+            raise DomainError(f"unsupported alpha = {self.alpha}")
         if self.alpha == 2 and self.q != 1:
             raise DomainError("alpha = 2 encodes the zeta case and requires q = 1")
         if self.q < 1:
@@ -124,14 +106,11 @@ class PrefactorParams:
 
     @classmethod
     def for_character(cls, chi) -> "PrefactorParams":
-        a = chi.parity
-        return cls(q=chi.q, alpha=a, alpha1=a)
+        return cls(q=chi.q, alpha=chi.parity)
 
     @classmethod
     def for_alpha(cls, alpha: int, q: int | None = None) -> "PrefactorParams":
-        if alpha == 2:
-            return cls(q=1, alpha=2, alpha1=0)
-        return cls(q=(q if q is not None else 1), alpha=alpha, alpha1=alpha)
+        return cls(q=1 if alpha == 2 or q is None else q, alpha=alpha)
 
 
 # --------------------------------------------------------------------------
@@ -279,13 +258,8 @@ def gamma_log_abs(t, eps: float, alpha: int) -> np.ndarray | float:
     return out if np.ndim(t) else float(out[0])
 
 
-def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS,
-                 return_last_term: bool = False):
-    """t-derivative of the product-route phase at fixed N (termwise derivative).
-
-    With `return_last_term` the magnitude of the final summand is returned
-    alongside as a convergence diagnostic.
-    """
+def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> float:
+    """t-derivative of the product-route phase at fixed N (termwise derivative)."""
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
     a, v = _ab(s, alpha)
@@ -298,10 +272,7 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS,
         np.multiply(0.5, np.add(np.multiply(a, na, na), v * v, na), na)
         return np.divide(na, w, na)
 
-    total = _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, leaf)
-    if return_last_term:
-        return total, abs(float(leaf(n_terms, 1)[0]))
-    return total
+    return _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, leaf)
 
 
 def gamma_dphase_dt(t, eps: float, alpha: int) -> np.ndarray | float:
@@ -330,10 +301,14 @@ def _stirling_z(t: float, eps: float, alpha: int) -> complex:
     return complex((2.0 * eps + 2.0 * alpha - 3.0) / 4.0, t / 2.0)
 
 
-def stirling_phase_main(t: float, eps: float, params: PrefactorParams) -> float:
-    """Growing part of the prefactor phase: -t/2 + (t/2) log(tq/2pi) - pi/8 + (pi/4)(eps+alpha)."""
+def _require_positive_t(t: float) -> None:
     if t <= 0.0:
         raise DomainError("the asymptotic branch requires t > 0")
+
+
+def stirling_phase_main(t: float, eps: float, params: PrefactorParams) -> float:
+    """Growing part of the prefactor phase: -t/2 + (t/2) log(tq/2pi) - pi/8 + (pi/4)(eps+alpha)."""
+    _require_positive_t(t)
     y = eps + params.alpha
     return (-t / 2.0 + (t / 2.0) * math.log(t * params.q / (2.0 * math.pi))
             - math.pi / 8.0 + (math.pi / 4.0) * y)
@@ -341,8 +316,7 @@ def stirling_phase_main(t: float, eps: float, params: PrefactorParams) -> float:
 
 def stirling_phase_main_dt(t: float, params: PrefactorParams) -> float:
     """d/dt of the growing part: log sqrt(t*q/(2*pi))."""
-    if t <= 0.0:
-        raise DomainError("the asymptotic branch requires t > 0")
+    _require_positive_t(t)
     return 0.5 * math.log(t * params.q / (2.0 * math.pi))
 
 
@@ -374,35 +348,31 @@ def stirling_phase_correction_dt(t: float, eps: float, alpha: int) -> float:
             + (2.0 * y - 1.0) * u / (4.0 * t * one))
 
 
-def stirling_phase_bernoulli(t: float, eps: float, alpha: int,
-                             cfg: StirlingConfig = DEFAULT_STIRLING) -> tuple[float, float]:
-    """Bernoulli-series phase terms k = 1..K-1 and the rigorous remainder bound.
+def stirling_phase_bernoulli(t: float, eps: float, alpha: int) -> tuple[float, float]:
+    """Bernoulli-series phase terms k = 1..K-1 (K = 3) and the rigorous remainder bound.
 
     Returns (value, error_bound).  A bound exceeding |value| flags the result
     as unusable at this t; the caller decides.
     """
-    if t <= 0.0:
-        raise DomainError("the asymptotic branch requires t > 0")
+    _require_positive_t(t)
     z = _stirling_z(t, eps, alpha)
     val = 0.0
-    for k in range(1, cfg.K):
-        b = float(BERNOULLI[2 * k])
+    for k in range(1, _STIRLING_K):
+        b = float(BERNOULLI[k - 1])
         val += (b / (2 * k * (2 * k - 1)) * z ** (1 - 2 * k)).imag
-    b_next = abs(float(BERNOULLI[2 * cfg.K]))
-    bound = (b_next / (2 * cfg.K * (2 * cfg.K - 1) * abs(z) ** (2 * cfg.K - 1))
-             / math.cos(math.atan2(z.imag, z.real) / 2.0) ** (2 * cfg.K))
+    K = _STIRLING_K
+    bound = (abs(float(BERNOULLI[K - 1])) / (2 * K * (2 * K - 1) * abs(z) ** (2 * K - 1))
+             / math.cos(math.atan2(z.imag, z.real) / 2.0) ** (2 * K))
     return val, bound
 
 
-def stirling_phase_bernoulli_dt(t: float, eps: float, alpha: int,
-                                cfg: StirlingConfig = DEFAULT_STIRLING) -> float:
+def stirling_phase_bernoulli_dt(t: float, eps: float, alpha: int) -> float:
     """Analytic t-derivative of the Bernoulli phase terms."""
-    if t <= 0.0:
-        raise DomainError("the asymptotic branch requires t > 0")
+    _require_positive_t(t)
     z = _stirling_z(t, eps, alpha)
     fprime = 0.0 + 0.0j
-    for k in range(1, cfg.K):
-        b = float(BERNOULLI[2 * k])
+    for k in range(1, _STIRLING_K):
+        b = float(BERNOULLI[k - 1])
         fprime += -b / (2 * k) * z ** (-2 * k)
     return 0.5 * fprime.real
 
@@ -414,12 +384,10 @@ def _check_stirling_t(t: float) -> None:
         )
 
 
-def stirling_phase(t: float, eps: float, params: PrefactorParams,
-                   cfg: StirlingConfig = DEFAULT_STIRLING,
-                   with_bound: bool = False):
+def stirling_phase(t: float, eps: float, params: PrefactorParams, with_bound: bool = False):
     """Total prefactor phase by the asymptotic route (refuses t < 0.5)."""
     _check_stirling_t(t)
-    bern, bound = stirling_phase_bernoulli(t, eps, params.alpha, cfg)
+    bern, bound = stirling_phase_bernoulli(t, eps, params.alpha)
     total = (stirling_phase_main(t, eps, params)
              + stirling_phase_correction(t, eps, params.alpha) + bern)
     if with_bound:
@@ -427,13 +395,12 @@ def stirling_phase(t: float, eps: float, params: PrefactorParams,
     return total
 
 
-def stirling_dphase_dt(t: float, eps: float, params: PrefactorParams,
-                       cfg: StirlingConfig = DEFAULT_STIRLING) -> float:
+def stirling_dphase_dt(t: float, eps: float, params: PrefactorParams) -> float:
     """t-derivative of the total prefactor phase by the asymptotic route."""
     _check_stirling_t(t)
     return (stirling_phase_main_dt(t, params)
             + stirling_phase_correction_dt(t, eps, params.alpha)
-            + stirling_phase_bernoulli_dt(t, eps, params.alpha, cfg))
+            + stirling_phase_bernoulli_dt(t, eps, params.alpha))
 
 
 # --------------------------------------------------------------------------
@@ -501,8 +468,8 @@ def mixed_second_derivative(t: float, alpha: int, route: str = "gw",
 
 
 def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS,
-                 t_max: float = 100.0, tol: float = 1e-4) -> float | None:
-    """Zero crossing of the prefactor-phase t-derivative on (0, t_max].
+                 tol: float = 1e-4) -> float | None:
+    """Zero crossing of the prefactor-phase t-derivative on (0, 100].
 
     Returns None when the curve is positive for all t (no crossing).  The
     curve is strictly increasing in t, so a single bisection suffices.
@@ -512,10 +479,10 @@ def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS,
     f_lo = f(t_lo)
     if f_lo > 0.0:
         return None
-    grid = np.concatenate([np.geomspace(t_lo, 1.0, 12)[1:], np.linspace(1.25, t_max, 40)])
+    grid = np.concatenate([np.geomspace(t_lo, 1.0, 12)[1:], np.linspace(1.25, 100.0, 40)])
     for g in grid:
         f_g = f(float(g))
         if f_g > 0.0:
             return _bisect(f, t_lo, float(g), f_lo, tol)
         t_lo, f_lo = float(g), f_g
-    raise NumericalInstabilityError(f"no sign change found on (0, {t_max}]")
+    raise NumericalInstabilityError("no sign change found on (0, 100]")

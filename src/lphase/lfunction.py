@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .arith import (
 )
 from .errors import DomainError, NumericalInstabilityError
 from .gammaphase import (
+    BERNOULLI,
     PrefactorParams,
     _bisect,
     _log_gamma_grid,
@@ -67,14 +67,8 @@ __all__ = [
 # Euler-Maclaurin L-values
 # --------------------------------------------------------------------------
 
-_BERN = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730), Fraction(8553103, 6),
-]
 # B_{2k} / (2k)! for k = 1, 2, ...
-_BERN_FACT = [float(b) / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN)]
+_BERN_FACT = [float(b) / math.factorial(2 * (k + 1)) for k, b in enumerate(BERNOULLI)]
 _N_BERN = 11  # Euler-Maclaurin Bernoulli corrections kept; the next one is the estimate
 
 
@@ -220,34 +214,32 @@ def eta_on_grid(chi: DirichletCharacter, eps: float,
 # angular momentum and its eps-derivative
 # --------------------------------------------------------------------------
 
-def _ang_mom_from_samples(center: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                          step: float) -> np.ndarray:
-    d_re = (hi.real - lo.real) / (2.0 * step)
-    d_im = (hi.imag - lo.imag) / (2.0 * step)
-    return center.real * d_im - center.imag * d_re
+_DT = 1e-3            # t step of every difference stencil (halved once for Richardson)
+_DT_NEAR_ZERO = 1e-4  # the eta stencil's t step next to a zero of eta
+_EPS_STEP = 1e-4      # eps step of the finite-difference cross-check
 
 
-def _ang_mom_ladder(chi: DirichletCharacter, eps: float, t: np.ndarray, dt: float):
-    """Angular momentum at steps dt and dt/2, and |xi(t)|^2 + |xi(t+dt)|^2 as its scale."""
+def _ang_mom_ladder(chi: DirichletCharacter, eps: float, t: np.ndarray):
+    """Re xi * d_t Im xi - Im xi * d_t Re xi at steps _DT and _DT/2, and
+    |xi(t)|^2 + |xi(t+_DT)|^2 as its scale."""
     xc = xi_on_grid(chi, eps, t)
-    xm, xp = xi_on_grid(chi, eps, t - dt), xi_on_grid(chi, eps, t + dt)
-    xm2, xp2 = xi_on_grid(chi, eps, t - dt / 2), xi_on_grid(chi, eps, t + dt / 2)
-    return (_ang_mom_from_samples(xc, xm, xp, dt), _ang_mom_from_samples(xc, xm2, xp2, dt / 2),
-            np.abs(xc) ** 2 + np.abs(xp) ** 2)
+    xm, xp = xi_on_grid(chi, eps, t - _DT), xi_on_grid(chi, eps, t + _DT)
+    xm2, xp2 = xi_on_grid(chi, eps, t - _DT / 2), xi_on_grid(chi, eps, t + _DT / 2)
+    det = lambda lo, hi, h: (xc.real * ((hi.imag - lo.imag) / (2.0 * h))
+                             - xc.imag * ((hi.real - lo.real) / (2.0 * h)))
+    return det(xm, xp, _DT), det(xm2, xp2, _DT / 2), np.abs(xc) ** 2 + np.abs(xp) ** 2
 
 
-def angular_momentum_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray,
-                             dt: float = 1e-3) -> np.ndarray:
-    """Re xi * d_t Im xi - Im xi * d_t Re xi over a grid (Richardson in dt)."""
-    l_h, l_h2, _ = _ang_mom_ladder(chi, eps, np.asarray(t_grid, dtype=np.float64), dt)
+def angular_momentum_on_grid(chi: DirichletCharacter, eps: float,
+                             t_grid: np.ndarray) -> np.ndarray:
+    """Re xi * d_t Im xi - Im xi * d_t Re xi over a grid (Richardson in the t step)."""
+    l_h, l_h2, _ = _ang_mom_ladder(chi, eps, np.asarray(t_grid, dtype=np.float64))
     return _richardson(l_h, l_h2)
 
 
-def angular_momentum(s: SPoint, chi: DirichletCharacter, dt: float = 1e-3) -> float:
+def angular_momentum(s: SPoint, chi: DirichletCharacter) -> float:
     """Angular momentum of xi at s; vanishes identically on the critical line."""
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    l_h, l_h2, scale = (float(v[0]) for v in _ang_mom_ladder(chi, s.eps, np.array([s.t]), dt))
+    l_h, l_h2, scale = (float(v[0]) for v in _ang_mom_ladder(chi, s.eps, np.array([s.t])))
     if abs(l_h2 - l_h) > max(0.05 * max(abs(l_h), abs(l_h2)), 1e-7 * scale):
         raise NumericalInstabilityError(
             f"angular-momentum Richardson steps disagree at t={s.t}: {l_h} vs {l_h2}"
@@ -255,12 +247,12 @@ def angular_momentum(s: SPoint, chi: DirichletCharacter, dt: float = 1e-3) -> fl
     return _richardson(l_h, l_h2)
 
 
-def xi_phase_dt(chi: DirichletCharacter, eps: float, t: float, dt: float = 1e-3) -> float:
+def xi_phase_dt(chi: DirichletCharacter, eps: float, t: float) -> float:
     """Numerical d/dt of the phase of xi, via Im(xi'/xi) with Richardson."""
-    tc = np.array([t - dt, t - dt / 2, t + dt / 2, t + dt])
+    tc = np.array([t - _DT, t - _DT / 2, t + _DT / 2, t + _DT])
     x = xi_on_grid(chi, eps, tc)
     xc = xi_on_grid(chi, eps, np.array([t]))[0]
-    deriv = _richardson((x[3] - x[0]) / (2.0 * dt), (x[2] - x[1]) / dt)
+    deriv = _richardson((x[3] - x[0]) / (2.0 * _DT), (x[2] - x[1]) / _DT)
     return float((deriv / xc).imag)
 
 
@@ -270,7 +262,7 @@ class EpsSlopeResult:
 
     t: float
     value: float        # (eta')^2 - eta * eta'' by t-differences on the line
-    cross_check: float  # (L(eps=delta) - L(eps=0)) / delta
+    cross_check: float  # (L(eps=_EPS_STEP) - L(eps=0)) / _EPS_STEP
     eta: float
 
 
@@ -288,27 +280,25 @@ def _eta_derivatives(chi: DirichletCharacter, t: float, h: float) -> tuple[float
     return float(y), dp, dpp
 
 
-def angular_momentum_eps_slope(t: float, chi: DirichletCharacter, dt: float = 1e-3,
-                               delta: float = 1e-4) -> EpsSlopeResult:
+def angular_momentum_eps_slope(t: float, chi: DirichletCharacter) -> EpsSlopeResult:
     """(eta')^2 - eta*eta'' at eps=0, with the finite-difference eps route alongside."""
     _require_primitive(chi)
-    y, dp, dpp = _eta_derivatives(chi, t, dt)
-    if abs(y) < 0.05 * max(abs(dp) * dt, abs(y), 1e-300):
+    y, dp, dpp = _eta_derivatives(chi, t, _DT)
+    if abs(y) < 0.05 * max(abs(dp) * _DT, abs(y), 1e-300):
         # close to a zero of eta: shrink the stencil
-        y, dp, dpp = _eta_derivatives(chi, t, 1e-4)
+        y, dp, dpp = _eta_derivatives(chi, t, _DT_NEAR_ZERO)
     value = dp * dp - y * dpp
-    lm_d = angular_momentum(SPoint(delta, t), chi, dt)
-    lm_0 = angular_momentum(SPoint(0.0, t), chi, dt)
-    return EpsSlopeResult(t=t, value=value, cross_check=(lm_d - lm_0) / delta, eta=y)
+    lm_d = angular_momentum(SPoint(_EPS_STEP, t), chi)
+    lm_0 = angular_momentum(SPoint(0.0, t), chi)
+    return EpsSlopeResult(t=t, value=value, cross_check=(lm_d - lm_0) / _EPS_STEP, eta=y)
 
 
-def eps_slope_on_grid(chi: DirichletCharacter, t_grid: np.ndarray,
-                      dt: float = 1e-3) -> np.ndarray:
+def eps_slope_on_grid(chi: DirichletCharacter, t_grid: np.ndarray) -> np.ndarray:
     """(eta')^2 - eta*eta'' on a grid (vectorized, fixed stencil)."""
     _require_primitive(chi)
     t = np.asarray(t_grid, dtype=np.float64)
     y, dp, dpp = _five_point(
-        [eta_on_grid(chi, 0.0, t + u * dt)[0].real for u in (-1.0, -0.5, 0.0, 0.5, 1.0)], dt)
+        [eta_on_grid(chi, 0.0, t + u * _DT)[0].real for u in (-1.0, -0.5, 0.0, 0.5, 1.0)], _DT)
     return dp * dp - y * dpp
 
 
@@ -417,7 +407,8 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
                                       int(math.copysign(1, vals[i + 1])),
                                       suspected_multiple=True))
     records.sort(key=lambda r: r.bracket[0])
-    return records
+    # the grid can end past t_hi; a zero bisected out there is not reported
+    return [r for r in records if r.t_zero is None or t_lo <= r.t_zero <= t_hi]
 
 
 def sufficient_condition_check(chi: DirichletCharacter, t: float,

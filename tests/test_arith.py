@@ -321,8 +321,9 @@ def test_sieve_small():
     assert table.primes.tolist() == [2, 3, 5, 7]
 
 
-def test_sieve_count_1e6_against_second_implementation():
-    table = arith.sieve_primes(10 ** 6, 3, segment_size=1 << 16)
+def test_sieve_count_1e6_against_second_implementation(monkeypatch):
+    monkeypatch.setattr(arith, "_SEGMENT_SIZE", 1 << 16)  # 15 segment edges below 1e6
+    table = arith.sieve_primes(10 ** 6, 3)
     oracle = _oracle_sieve(10 ** 6)
     assert table.count() == 78498 == len(oracle)
     assert np.array_equal(table.primes, oracle)
@@ -334,8 +335,8 @@ def test_sieve_class_partition_q4():
     assert table.class_primes(1).tolist() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
     # union of coprime classes plus primes dividing q recovers everything
     total = sum(len(table.class_primes(h)) for h in (1, 3))
-    assert total + int(np.sum(table.residues == 0)) + int(np.sum(table.residues == 2)) \
-        == table.count()
+    residues = table.primes % 4
+    assert total + int(np.sum(residues == 0)) + int(np.sum(residues == 2)) == table.count()
 
 
 def test_sieve_union_property_q6():

@@ -72,9 +72,12 @@ def _ref_ladder(chi, eps, t, dt):
     xc = lf.xi_on_grid(chi, eps, t)
     xm, xp = lf.xi_on_grid(chi, eps, t - dt), lf.xi_on_grid(chi, eps, t + dt)
     xm2, xp2 = lf.xi_on_grid(chi, eps, t - dt / 2), lf.xi_on_grid(chi, eps, t + dt / 2)
-    l_h = lf._ang_mom_from_samples(xc, xm, xp, dt)
-    l_h2 = lf._ang_mom_from_samples(xc, xm2, xp2, dt / 2)
-    return xc, xp, l_h, l_h2
+    def sample(lo, hi, step):
+        d_re = (hi.real - lo.real) / (2.0 * step)
+        d_im = (hi.imag - lo.imag) / (2.0 * step)
+        return xc.real * d_im - xc.imag * d_re
+
+    return xc, xp, sample(xm, xp, dt), sample(xm2, xp2, dt / 2)
 
 
 def _ref_ang_mom_grid(chi, eps, t, dt=1e-3):

@@ -370,17 +370,6 @@ def test_level_check_rejects_nonpositive_t(chi3, primes_1e5_q3, monkeypatch):
             ep.level_check(t, 0.0, chi3, primes_1e5_q3, w)
 
 
-def test_class_li_combination_cancels(chi3, chi5_odd, primes_1e6_q3, primes_1e5_q5):
-    for chi in (chi3, chi5_odd):
-        for t in (5.0, 10.0):
-            small = abs(ep.class_li_combination(t, 0.0, chi,
-                                                ep.WindowParams(1e5, 10 ** 5)))
-            large = abs(ep.class_li_combination(t, 0.0, chi,
-                                                ep.WindowParams(1e6, 10 ** 6)))
-            assert small < 0.05
-            assert large <= small + 1e-6
-
-
 def test_window_params_validation():
     with pytest.raises(DomainError):
         ep.WindowParams(p_star=1.0, p_max=100)

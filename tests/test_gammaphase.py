@@ -89,9 +89,8 @@ def test_gw_dphase_large_t_asymptote():
 def test_gw_dphase_matches_digamma():
     for t, eps, alpha in ((3.0, 0.0, 1), (11.0, -0.2, 0), (27.0, 0.2, 2)):
         ref = float(0.5 * mp.re(mp.digamma((0.5 + eps + alpha + 1j * t) / 2)))
-        got, last = gp.gw_dphase_dt(SPoint(eps, t), alpha, 10 ** 6, return_last_term=True)
+        got = gp.gw_dphase_dt(SPoint(eps, t), alpha, 10 ** 6)
         assert got == pytest.approx(ref, abs=3e-6)
-        assert 0 < last < 1e-11
         lim = gp.gamma_dphase_dt(t, eps, alpha)
         assert lim == pytest.approx(ref, abs=1e-12)
 
@@ -117,7 +116,7 @@ def _ref_gw(s, alpha, n_terms):
         na = n + a
         terms = 0.5 * (a * na + v * v) / (n * (na * na + v * v))
         dphase += float(np.sum(terms))
-    return phase, dphase, abs(float(terms[-1]))
+    return phase, dphase
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -129,10 +128,9 @@ def _ref_gw(s, alpha, n_terms):
 @example(n_terms=2 * 10 ** 5, t=-1800.3, eps=-0.2, alpha=2)
 def test_gw_sums_bit_identical_to_one_block_sum(n_terms, t, eps, alpha):
     s = SPoint(eps, t)
-    phase, dphase, last = _ref_gw(s, alpha, n_terms)
+    phase, dphase = _ref_gw(s, alpha, n_terms)
     assert gp.gw_log_gamma_phase(s, alpha, n_terms) == phase
     assert gp.gw_dphase_dt(s, alpha, n_terms) == dphase
-    assert gp.gw_dphase_dt(s, alpha, n_terms, return_last_term=True) == (dphase, last)
 
 
 def test_x_minus_arctan_bit_identical():
@@ -413,24 +411,10 @@ def test_mixed_derivative_guards():
 # configuration types
 # --------------------------------------------------------------------------
 
-def test_stirling_config_validation():
-    with pytest.raises(DomainError):
-        gp.StirlingConfig(K=1)
-    with pytest.raises(DomainError):
-        gp.StirlingConfig(K=7)  # no B_14 in the table
-    cfg = gp.StirlingConfig(K=4)
-    val3, bound3 = gp.stirling_phase_bernoulli(6.0, 0.0, 1)
-    val4, bound4 = gp.stirling_phase_bernoulli(6.0, 0.0, 1, cfg)
-    assert bound4 != bound3
-    assert val4 == pytest.approx(val3, abs=2 * bound3)
-
-
 def test_prefactor_params_validation():
     with pytest.raises(DomainError):
-        gp.PrefactorParams(q=3, alpha=2, alpha1=0)  # zeta case needs q = 1
+        gp.PrefactorParams(q=3, alpha=2)  # zeta case needs q = 1
     with pytest.raises(DomainError):
-        gp.PrefactorParams(q=3, alpha=1, alpha1=0)
-    with pytest.raises(DomainError):
-        gp.PrefactorParams(q=0, alpha=0, alpha1=0)
+        gp.PrefactorParams(q=0, alpha=0)
     p = gp.PrefactorParams.for_alpha(2)
-    assert (p.q, p.alpha, p.alpha1) == (1, 2, 0)
+    assert (p.q, p.alpha) == (1, 2)

@@ -190,20 +190,6 @@ def test_angular_momentum_vanishes_on_line(chi3):
         assert abs(lm) < 1e-6 * xi ** 2 * math.log(t)
 
 
-def test_angular_momentum_scaling_under_constant_factor():
-    # pure sample algebra: scaling all xi samples by F multiplies the
-    # determinant by |F|^2 exactly
-    rng = np.random.default_rng(7)
-    center = rng.normal(size=2) @ np.array([1, 1j])
-    lo = rng.normal(size=2) @ np.array([1, 1j])
-    hi = rng.normal(size=2) @ np.array([1, 1j])
-    f = 2 + 1j
-    base = lf._ang_mom_from_samples(np.array([center]), np.array([lo]), np.array([hi]), 0.1)[0]
-    scaled = lf._ang_mom_from_samples(np.array([f * center]), np.array([f * lo]),
-                                      np.array([f * hi]), 0.1)[0]
-    assert scaled == pytest.approx(abs(f) ** 2 * base, rel=1e-14)
-
-
 def test_angular_momentum_equals_modulus_times_phase_derivative(chi5_odd):
     s = SPoint(0.3, 7.0)
     lm = lf.angular_momentum(s, chi5_odd)
@@ -263,6 +249,13 @@ def test_zero_scan_q4(chi4):
     records = lf.find_zeros_on_line(chi4, 0.0, 10.0, 0.05)
     assert len(records) == 1
     assert records[0].t_zero == pytest.approx(6.020949, abs=1e-5)
+
+
+def test_zero_scan_reports_no_zero_past_t_hi(chi3):
+    # step 0.3 from 0 ends the grid at 8.1, past t_hi = 8; the first zero 8.0397 lies between
+    assert lf.find_zeros_on_line(chi3, 0.0, 8.0, 0.3) == []
+    zeros = [r.t_zero for r in lf.find_zeros_on_line(chi3, 0.0, 8.1, 0.3)]
+    assert zeros == pytest.approx([8.039737], abs=1e-5)
 
 
 def test_no_low_zeros_q5():

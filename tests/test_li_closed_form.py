@@ -10,9 +10,9 @@ import pytest
 from lphase import arith, eulerphase as ep
 
 REL = 1e-10
-# real characters mod 3 and 12 (angles 0 and pi), and one mod 7 with angles k pi/3, whose
-# masses change when an angle changes sign
-_CHARS = {q: arith.enumerate_characters(q)[i] for q, i in ((3, 1), (12, 3), (7, 1))}
+# real characters mod 3 and 12 (angles 0 and pi), one mod 7 with angles k pi/3, whose
+# masses change when an angle changes sign, and the odd one mod 5 (angles k pi/2)
+_CHARS = {q: arith.enumerate_characters(q)[i] for q, i in ((3, 1), (12, 3), (7, 1), (5, 1))}
 
 
 def _oracle(th, t, eps, lnps, lo, hi, pieces=2):
@@ -69,7 +69,8 @@ def test_mass_li_at_degenerate_frequencies(eps):
             _assert_mass(th, t, eps, lnps, 2, lo, hi)
 
 
-@pytest.mark.parametrize("q, t, p_max", ((3, 10.0, 10 ** 5), (12, 5.0, 10 ** 6)))
+@pytest.mark.parametrize("q, t, p_max", [(12, 5.0, 10 ** 6)] + [
+    (q, t, p_max) for q in (3, 5) for t in (5.0, 10.0) for p_max in (10 ** 5, 10 ** 6)])
 def test_class_li_combination_against_oracle(q, t, p_max):
     # the exact value is 0, so the error is measured against the size of the class terms
     chi = _CHARS[q]
