@@ -12,10 +12,6 @@ class DomainError(ValueError):
 class SingularityError(ArithmeticError):
     """Evaluation requested too close to a pole or vanishing denominator."""
 
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
-
 
 class ResourceLimitError(RuntimeError):
     """Request exceeds the configured memory/size budget."""

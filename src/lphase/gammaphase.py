@@ -12,7 +12,8 @@ close to the limit:
 with a = Re z = (1/2+eps+alpha)/2 and v = Im z = t/2.  Terms fall off like
 1/n^2, so the N-term truncation error is O(1/N); `_log_gamma_grid` sums the tail
 in closed form (digamma plus Hurwitz-zeta series), giving the limit, and log|Gamma|
-from the same head matrix, to near machine precision at small cost.  This route
+from the same head matrix, to near machine precision at small cost.  The limit of
+the t-derivative is Re psi(z)/2, taken from scipy's complex digamma.  This route
 is valid for all t, including t = 0.  The N-term sums are reduced in numpy's
 pairwise order over cache-sized leaves of 8192 terms, with 2^20-term blocks
 added in ascending order, bit for bit equal to one np.sum per block.
@@ -123,7 +124,7 @@ def _ab(s: SPoint, alpha: int) -> tuple[float, float]:
     if a <= 0.0:
         raise DomainError(f"Re (s+alpha)/2 = {a} <= 0 is outside the product-route domain")
     if a < 1e-12 and abs(v) < 1e-12:
-        raise SingularityError("(s+alpha)/2 is too close to the Gamma pole at 0", where=0)
+        raise SingularityError("(s+alpha)/2 is too close to the Gamma pole at 0")
     return a, v
 
 
@@ -137,11 +138,13 @@ def _x_minus_arctan_series(x: np.ndarray, x2: np.ndarray, out: np.ndarray) -> np
 
 
 def _x_minus_arctan(x: np.ndarray) -> np.ndarray:
-    # x - arctan(x), stable for small x where direct subtraction cancels
-    small = np.abs(x) < 0.1
-    xs = np.where(small, x, 0.1)  # clip unused branch to avoid overflow
-    series = _x_minus_arctan_series(xs, np.empty_like(xs), np.empty_like(xs))
-    return np.where(small, series, x - np.arctan(x))
+    # x - arctan(x) in one pass; the |x| < 0.1 entries, where the subtraction cancels, by the series
+    out = np.abs(x)
+    small = out < 0.1
+    np.subtract(x, np.arctan(x, out=out), out=out)
+    xs = x[small]
+    out[small] = _x_minus_arctan_series(xs, np.empty_like(xs), np.empty_like(xs))
+    return out
 
 
 def _gw_sum(total: float, n_terms: int, leaf) -> float:
@@ -202,20 +205,11 @@ def _tail_order(vmax: float, w: float) -> int:
     return max(2, min(j, 40))
 
 
-def _head_grid(t, eps: float, alpha: int):
-    """a, v = t/2 as an array, max |v|, the head indices n = 1..n0 as a column, w = n0+1+a."""
-    a, _ = _ab(SPoint(eps, 0.0), alpha)
-    v = np.atleast_1d(np.asarray(t, dtype=np.float64)) / 2.0
-    vmax = float(np.max(np.abs(v))) if v.size else 0.0
-    n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
-    return a, v, vmax, np.arange(1, n0 + 1, dtype=np.float64)[:, None], n0 + 1.0 + a
-
-
-def _hurwitz_tail(tail, pw, v, vmax: float, w: float, j0: int, coef):
-    # add c * zeta(s, w) * pw for j = j0, j0+1, ... with (c, s) = coef(j), multiplying
+def _hurwitz_tail(tail, pw, v, vmax: float, w: float, coef):
+    # add c * zeta(s, w) * pw for j = 1, 2, ... with (c, s) = coef(j), multiplying
     # pw by v^2 before each term; stop after _tail_order terms or once a term is negligible
     v2 = v * v
-    for j in range(j0, _tail_order(vmax, w) + 1):
+    for j in range(1, _tail_order(vmax, w) + 1):
         pw = pw * v2
         c, order = coef(j)
         term = c * float(hurwitz_zeta_real(order, w)) * pw
@@ -232,16 +226,21 @@ def _log_gamma_grid(t, eps: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     x = v/(n+a).  Both head sums over n = 1..N share x and are completed by the tails
     sum_j (-1)^(j+1) v^(2j)/(2j) zeta(2j, N+1+a) and v*(psi(N+1+a) - psi(N+1)) + sum_j
     (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, N+1+a), to near machine precision for every t.
-    The log-modulus temporaries are freed before the phase head is built.
+    The head has n0 = max(64, ceil(4 max|v|) + 32) rows, so the tails converge
+    geometrically; the log-modulus temporaries are freed before the phase head is built.
     """
-    a, v, vmax, n, w = _head_grid(t, eps, alpha)
+    a, _ = _ab(SPoint(eps, 0.0), alpha)
+    v = np.atleast_1d(np.asarray(t, dtype=np.float64)) / 2.0
+    vmax = float(np.max(np.abs(v))) if v.size else 0.0
+    n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
+    n, w = np.arange(1, n0 + 1, dtype=np.float64)[:, None], n0 + 1.0 + a
     x = v[None, :] / (n + a)
     head = 0.5 * np.sum(np.log1p(x * x), axis=0)
-    tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 1,
+    tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w,
                          lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
     log_abs = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
     head = np.sum(v[None, :] * a / (n * (n + a)) + _x_minus_arctan(x), axis=0)
-    tail = _hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 1,
+    tail = _hurwitz_tail(v * float(digamma(w) - digamma(n0 + 1.0)), v, v, vmax, w,
                          lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
     return log_abs, -EULER_GAMMA * v - np.arctan(v / a) + head + tail
 
@@ -276,15 +275,10 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> floa
 
 
 def gamma_dphase_dt(t, eps: float, alpha: int) -> np.ndarray | float:
-    """Limit of `gw_dphase_dt`, vectorized over t (head sum plus closed tail)."""
-    a, v, vmax, n, w = _head_grid(t, eps, alpha)
-    na = n + a
-    v2 = v * v
-    head = 0.5 * np.sum((a * na + v2[None, :]) / (n * (na * na + v2[None, :])), axis=0)
-    tail = _hurwitz_tail(0.5 * float(digamma(w) - digamma(len(n) + 1.0)) * np.ones_like(v),
-                         np.ones_like(v), v, vmax, w, 0, lambda j: (0.5 * ((-1) ** j), 2 * j + 3))
-    out = -EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v2)) + head + tail
-    return out if np.ndim(t) else float(out[0])
+    """Limit of `gw_dphase_dt`, vectorized over t: Re psi((s+alpha)/2) / 2."""
+    a, _ = _ab(SPoint(eps, 0.0), alpha)
+    out = 0.5 * digamma(a + 0.5j * np.asarray(t, dtype=np.float64)).real
+    return out if np.ndim(t) else float(out)
 
 
 def prefactor_dphase_dt(s: SPoint, params: PrefactorParams,

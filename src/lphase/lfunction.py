@@ -411,8 +411,10 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     return [r for r in records if r.t_zero is None or t_lo <= r.t_zero <= t_hi]
 
 
-def sufficient_condition_check(chi: DirichletCharacter, t: float,
-                               n_terms: int = 2 * 10 ** 5) -> bool:
+_SUFFICIENT_TERMS = 2 * 10 ** 5  # product-route terms of both sufficient-condition derivatives
+
+
+def sufficient_condition_check(chi: DirichletCharacter, t: float) -> bool:
     """Both odd-character positivity conditions at (t, eps=0).
 
     True when the prefactor-phase t-derivative and its eps-derivative are
@@ -422,6 +424,6 @@ def sufficient_condition_check(chi: DirichletCharacter, t: float,
     if chi.parity != 1:
         raise DomainError("the sufficient condition applies to odd characters")
     params = PrefactorParams.for_character(chi)
-    if prefactor_dphase_dt(SPoint(0.0, t), params, n_terms) <= 0.0:
+    if prefactor_dphase_dt(SPoint(0.0, t), params, _SUFFICIENT_TERMS) <= 0.0:
         return False
-    return mixed_second_derivative(t, 1, route="gw", n_terms=max(n_terms, 10 ** 5)) > 0.0
+    return mixed_second_derivative(t, 1, route="gw", n_terms=_SUFFICIENT_TERMS) > 0.0

@@ -317,17 +317,14 @@ def run_criterion(cid: int) -> CriterionResult:
     raise KeyError(f"no criterion number {cid}")
 
 
-def run_acceptance(ids: list[int] | None = None, stream=None) -> list[CriterionResult]:
-    import sys
-
-    out = stream if stream is not None else sys.stdout
+def run_acceptance(ids: list[int] | None = None) -> list[CriterionResult]:
     results = []
     for num, _, _, _ in CRITERIA:
         if ids is not None and num not in ids:
             continue
         res = run_criterion(num)
-        print(res.line(), file=out, flush=True)
+        print(res.line(), flush=True)
         results.append(res)
     n_fail = sum(not r.passed for r in results)
-    print(f"{len(results) - n_fail}/{len(results)} criteria passed", file=out, flush=True)
+    print(f"{len(results) - n_fail}/{len(results)} criteria passed", flush=True)
     return results

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, zeta as hurwitz_zeta
 
 from lphase import arith, gammaphase as gp, lfunction as lf
 from lphase.arith import SPoint
@@ -95,6 +95,20 @@ def test_gw_dphase_matches_digamma():
         assert lim == pytest.approx(ref, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("eps", [-0.3, 0.0, 0.4])
+def test_gamma_dphase_dt_matches_digamma_oracle(alpha, eps):
+    t = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(-50.0, 2000.0, 83)])
+    got = gp.gamma_dphase_dt(t, eps, alpha)
+    assert got.dtype == np.float64 and got.shape == t.shape
+    with mp.workdps(40):
+        ref = [float(mp.re(mp.digamma(mp.mpc(0.5 + eps + alpha, tt) / 2)) / 2) for tt in t]
+    for tt, g, r in zip(t, got, ref, strict=True):
+        assert abs(g - r) <= 5e-15 * max(1.0, abs(r)), tt
+    assert type(gp.gamma_dphase_dt(float(t[5]), eps, alpha)) is float
+    assert gp.gamma_dphase_dt(float(t[5]), eps, alpha) == got[5]
+
+
 # one-block np.sum formulas of the product route: the reference the blocked
 # Gauss-Weierstrass kernel must reproduce bit for bit
 
@@ -137,6 +151,9 @@ def test_x_minus_arctan_bit_identical():
     rng = np.random.default_rng(20241)
     x = np.concatenate([rng.normal(0.0, 0.2, 4000), rng.normal(0.0, 50.0, 1000), [0.0, -0.1, 0.1]])
     assert np.array_equal(gp._x_minus_arctan(x), _ref_x_minus_arctan(x))
+    small, large = x[np.abs(x) < 0.1], x[np.abs(x) >= 0.1]
+    for part in (np.array([]), small, large):
+        assert np.array_equal(gp._x_minus_arctan(part), _ref_x_minus_arctan(part))
     grid = x[:4900].reshape(-1, 7)
     assert np.array_equal(gp._x_minus_arctan(grid), _ref_x_minus_arctan(grid))
 
@@ -144,22 +161,48 @@ def test_x_minus_arctan_bit_identical():
 # the separate phase and log-modulus routines, and the two-call xi, that the one
 # log-Gamma head kernel replaced: the kernel must reproduce them bit for bit
 
+def _ref_head_grid(t, eps, alpha):
+    # a, v = t/2, max |v|, the head indices n = 1..n0 as a column, w = n0+1+a
+    a = (0.5 + eps + alpha) / 2.0
+    v = np.atleast_1d(np.asarray(t, dtype=np.float64)) / 2.0
+    vmax = float(np.max(np.abs(v))) if v.size else 0.0
+    n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
+    return a, v, vmax, np.arange(1, n0 + 1, dtype=np.float64)[:, None], n0 + 1.0 + a
+
+
+def _ref_hurwitz_tail(tail, pw, v, vmax, w, coef):
+    # c * zeta(s, w) * v^(2j) * pw for j = 1..order, (c, s) = coef(j), until a term is negligible;
+    # order targets a ~1e-18 term at ratio vmax/w
+    r, order = vmax / w, 1
+    if r > 0:
+        order = int(math.ceil(-18.0 * math.log(10) / (2.0 * math.log(min(r, 0.5))))) + 1
+        order = max(2, min(order, 40))
+    for j in range(1, order + 1):
+        pw = pw * (v * v)
+        c, s = coef(j)
+        term = c * float(hurwitz_zeta(s, w)) * pw
+        tail += term
+        if np.max(np.abs(term), initial=0.0) < 1e-18 * (1.0 + np.max(np.abs(tail), initial=0.0)):
+            break
+    return tail
+
+
 def _ref_gamma_phase(t, eps, alpha):
-    a, v, vmax, n, w = gp._head_grid(t, eps, alpha)
+    a, v, vmax, n, w = _ref_head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
-    head = np.sum(v[None, :] * a / (n * (n + a)) + gp._x_minus_arctan(x), axis=0)
-    tail = gp._hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 1,
-                            lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
+    head = np.sum(v[None, :] * a / (n * (n + a)) + _ref_x_minus_arctan(x), axis=0)
+    tail = _ref_hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w,
+                             lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
     out = -gp.EULER_GAMMA * v - np.arctan(v / a) + head + tail
     return out if np.ndim(t) else float(out[0])
 
 
 def _ref_gamma_log_abs(t, eps, alpha):
-    a, v, vmax, n, w = gp._head_grid(t, eps, alpha)
+    a, v, vmax, n, w = _ref_head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
     head = 0.5 * np.sum(np.log1p(x * x), axis=0)
-    tail = gp._hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 1,
-                            lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
+    tail = _ref_hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w,
+                             lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
     out = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
     return out if np.ndim(t) else float(out[0])
 
@@ -206,8 +249,8 @@ def test_xi_bit_identical_to_two_call_formula(t):
 
 def test_xi_builds_one_head_grid(monkeypatch, chi3):
     calls = []
-    head_grid = gp._head_grid
-    monkeypatch.setattr(gp, "_head_grid", lambda *args: calls.append(args) or head_grid(*args))
+    kernel = lf._log_gamma_grid
+    monkeypatch.setattr(lf, "_log_gamma_grid", lambda *args: calls.append(args) or kernel(*args))
     for t in (np.array([14.1]), np.linspace(0.5, 200.0, 400)):
         calls.clear()
         lf.xi_on_grid(chi3, 0.0, t)
