@@ -22,19 +22,23 @@ zero-transitions in prime space, once by the ordered prime sum and once by the
 closed-form Li integral (exponential integral) of the same integrand; their ratios
 at two eps values drive the level-monotonicity checks.  Each call prepares its
 primes, p^(1/2+eps) and the window sines once; `scan` evaluates one kernel in t per grid.
+Each value is one sum in numpy's pairwise order over leaves of 8192 primes
+(`gammaphase._ordered_sum`), so it depends only on its own t; the exact estimator reaches
+both window endpoints from one sin/cos pair per prime by angle addition (see `_kernel`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import exp1
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
 from .errors import DegenerateInputError, DomainError, TruncationError
-from .gammaphase import _x_minus_arctan
+from .gammaphase import _LEAF, _ordered_sum, _x_minus_arctan
 
 __all__ = [
     "WindowParams",
@@ -146,25 +150,65 @@ def _arctan_terms(p_sigma, lp, th, t):
     return np.arctan(np.divide(sin_a, denom, out=sin_a), out=sin_a)
 
 
-def _cos_summand(lp, th, t, sin_w, p_sigma):
+def _cos_summand(lp, th, t, sin_w, p_sigma, out=None):
     # the leading cosine term of each windowed arctan increment; sin_w = sin(pi log p / log p*)
-    return np.cos(lp * t - th) * sin_w / p_sigma
+    x = np.multiply(lp, t, out)
+    np.cos(np.subtract(x, th, x), x)
+    return np.divide(np.multiply(x, sin_w, x), p_sigma, x)
+
+
+def _sin_cos(x, s, c, d):
+    # sin x into s and cos x into c from u = tan(x/2), d scratch, s may alias x: one
+    # vectorised tan costs about a tenth of np.sin plus np.cos, and both come out within
+    # a few ulps; u*u cannot overflow, since no double lies within 1e-19 of a pole of tan
+    np.tan(np.multiply(x, 0.5, s), s)
+    np.add(1.0, np.multiply(s, s, c), d)
+    np.divide(np.subtract(1.0, c, c), d, c)
+    return np.divide(np.add(s, s, s), d, s), c
 
 
 def _kernel(estimator: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
             window: WindowParams):
-    """The windowed estimator as a function of t, with its primes prepared once."""
+    """The windowed estimator as a function of t, with its primes prepared once.
+
+    A value is one ordered sum over ascending primes, computed in leaves of at most _LEAF
+    primes in preallocated buffers, and depends only on its own t.  The exact estimator
+    takes sin and cos of A = log(p) t - theta once per point and reaches the window
+    endpoints A +- B, B = pi log p / log p*, by angle addition with fixed tables of cos B
+    and sin B.
+    """
     if estimator not in ("exact_arctan", "cosine_approx"):
         raise DomainError(f"unknown estimator {estimator!r}")
     _check_eps(eps)
     p, lp, th = _prime_data(chi, primes, p_max=window.p_max)
-    p_sigma, lnps = p ** (0.5 + eps), math.log(window.p_star)
+    p_sigma, lnps = np.power(p, 0.5 + eps, out=p), math.log(window.p_star)
+    ang_w, buf = math.pi * lp / lnps, np.empty((5, _LEAF))
     if estimator == "cosine_approx":
-        sin_w = np.sin(math.pi * lp / lnps)
-        return lambda t: float(-lnps / math.pi * np.sum(_cos_summand(lp, th, t, sin_w, p_sigma)))
-    w = window.half_width
-    return lambda t: float(-lnps / (2.0 * math.pi) * np.sum(
-        _arctan_terms(p_sigma, lp, th, t + w) - _arctan_terms(p_sigma, lp, th, t - w)))
+        scale, sin_w = -lnps / math.pi, np.sin(ang_w, out=ang_w)
+
+        def leaf(t: float, lo: int, m: int) -> np.ndarray:
+            i = slice(lo, lo + m)
+            return _cos_summand(lp[i], th[i], t, sin_w[i], p_sigma[i], buf[0, :m])
+    else:
+        scale = -lnps / (2.0 * math.pi)
+        sin_w, cos_w = _sin_cos(ang_w, ang_w, np.empty_like(ang_w), np.empty_like(ang_w))
+
+        def leaf(t: float, lo: int, m: int) -> np.ndarray:
+            s, c, u, v, d = buf[:, :m]
+            i = slice(lo, lo + m)
+            _sin_cos(np.subtract(np.multiply(lp[i], t, s), th[i], s), s, c, d)
+            # sin(A +- B) = s cos B +- c sin B, p^sigma - cos(A +- B) = p^sigma - c cos B +- s sin B
+            np.multiply(s, sin_w[i], v)
+            np.multiply(s, cos_w[i], s)
+            np.multiply(c, sin_w[i], u)
+            np.subtract(p_sigma[i], np.multiply(c, cos_w[i], c), c)
+            np.add(c, v, d)
+            np.subtract(c, v, c)
+            np.divide(np.add(s, u, v), d, v)
+            np.divide(np.subtract(s, u, s), c, s)
+            return np.subtract(np.arctan(v, v), np.arctan(s, s), v)
+
+    return lambda t: float(scale * _ordered_sum(partial(leaf, t), 0, lp.size))
 
 
 def windowed_ratio_exact(t: float, eps: float, chi: DirichletCharacter,

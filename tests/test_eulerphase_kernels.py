@@ -1,13 +1,18 @@
 """The prepared-prime estimator kernels against the per-call code they replaced: every
-scan value, scalar estimate, residual, Euler phase and ledger entry must be equal bit
-for bit."""
+approximate-estimator scan value and scalar, residual, Euler phase and ledger entry must be
+equal bit for bit.  The exact estimator reaches its window endpoints by angle addition, so
+it must match the per-call arctan sum within 2e-12 relative, equal its own per-point value
+bit for bit inside any grid, and match a 30-digit mpmath evaluation."""
 
+import gc
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lphase import eulerphase as ep
+from lphase import eulerphase as ep, gammaphase as gp
 from lphase.arith import SPoint, enumerate_characters, euler_phi, sieve_primes
 from lphase.gammaphase import _x_minus_arctan
 
@@ -130,16 +135,30 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
+_EXACT_RTOL = 2e-12  # exact estimator against an arctan sum over the same primes, times max(1, |ref|)
+
+
+def _assert_exact_close(got, want):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert np.all(np.abs(got - want) <= _EXACT_RTOL * np.maximum(1.0, np.abs(want)))
+
+
 @pytest.mark.parametrize("window", _WINDOWS.values(), ids=_WINDOWS.keys())
 @pytest.mark.parametrize("eps", _EPS)
 @pytest.mark.parametrize("case", _CASES.keys())
 def test_scan_matches_per_point_estimators(case, eps, window):
     chi, table = _CASES[case]
-    for estimator, ref in (("exact_arctan", _ref_exact), ("cosine_approx", _ref_approx)):
+    for estimator, f, ref in (("exact_arctan", ep.windowed_ratio_exact, _ref_exact),
+                              ("cosine_approx", ep.windowed_ratio_approx, _ref_approx)):
         values = ep.scan(chi, eps, _GRID, table, window, estimator=estimator).values
         expected = np.array([ref(float(t), eps, chi, table, window) for t in _GRID])
+        points = np.array([f(float(t), eps, chi, table, window) for t in _GRID])
         assert values.dtype == np.float64
-        assert values.tobytes() == expected.tobytes()
+        assert values.tobytes() == points.tobytes()
+        if estimator == "exact_arctan":
+            _assert_exact_close(values, expected)
+        else:
+            assert values.tobytes() == expected.tobytes()
         empty = ep.scan(chi, eps, np.array([]), table, window, estimator=estimator).values
         assert empty.dtype == np.float64 and empty.size == 0
 
@@ -150,10 +169,11 @@ def test_scan_matches_per_point_estimators(case, eps, window):
 def test_point_estimators_match_reference(case, eps, window):
     chi, table = _CASES[case]
     for t in (-4.1, 7.3, 22.0):
-        for f, ref in ((ep.windowed_ratio_exact, _ref_exact),
-                       (ep.windowed_ratio_approx, _ref_approx)):
-            got, want = f(t, eps, chi, table, window), ref(t, eps, chi, table, window)
-            assert type(got) is float and _bits(got) == _bits(want)
+        got = ep.windowed_ratio_exact(t, eps, chi, table, window)
+        assert type(got) is float
+        _assert_exact_close(got, _ref_exact(t, eps, chi, table, window))
+        got = ep.windowed_ratio_approx(t, eps, chi, table, window)
+        assert type(got) is float and _bits(got) == _bits(_ref_approx(t, eps, chi, table, window))
         res, want = ep.estimator_residual(t, eps, chi, table, window), _ref_residual(
             t, eps, chi, table, window)
         for name in ("total", "higher_order", "coupled"):
@@ -162,6 +182,92 @@ def test_point_estimators_match_reference(case, eps, window):
         s = SPoint(eps, t)
         got = ep.euler_phase(s, chi, table)
         assert type(got) is float and _bits(got) == _bits(_ref_euler_phase(s, chi, table))
+
+
+@pytest.mark.parametrize("estimator", ("exact_arctan", "cosine_approx"))
+def test_point_value_independent_of_grid(estimator):
+    # a value depends only on its own t: alone, and inside grids of 2, 21 and 65 points
+    chi, table = _CASES["q12"]
+    window = _WINDOWS["pstar<pmax"]
+    t = 7.3
+    alone = ep.scan(chi, 0.2, np.array([t]), table, window, estimator=estimator).values
+    for grid in ([9.0], np.round(np.arange(-2.7, 17.4, 1.0), 10), np.linspace(-30.0, 30.0, 64)):
+        grid = np.union1d(grid, [t])
+        values = ep.scan(chi, 0.2, grid, table, window, estimator=estimator).values
+        assert values[np.searchsorted(grid, t)].tobytes() == alone.tobytes()
+
+
+def _mp_windowed_ratio_exact(ts, epss, chi, table, window):
+    """windowed_ratio_exact at 30 digits for every (t, eps), on the same primes and angles."""
+    p, _, th = ep._prime_data(chi, table, p_max=window.p_max)
+    with mp.workdps(30):
+        lnps = mp.log(window.p_star)
+        w = mp.pi / lnps
+        lp = [mp.log(int(x)) for x in p]
+        cw, sw = [mp.cos(x * w) for x in lp], [mp.sin(x * w) for x in lp]
+        ps = {eps: [mp.mpf(int(x)) ** (mp.mpf(0.5) + eps) for x in p] for eps in epss}
+        out = {}
+        for t in ts:
+            terms = {eps: [] for eps in epss}
+            for i, (x, theta) in enumerate(zip(lp, th.tolist())):
+                a = x * t - mp.mpf(theta)
+                s, c = mp.sin(a), mp.cos(a)
+                sp, cp = s * cw[i] + c * sw[i], c * cw[i] - s * sw[i]
+                sm, cm = s * cw[i] - c * sw[i], c * cw[i] + s * sw[i]
+                for eps in epss:
+                    terms[eps].append(mp.atan(sp / (ps[eps][i] - cp))
+                                      - mp.atan(sm / (ps[eps][i] - cm)))
+            for eps in epss:
+                out[t, eps] = float(-lnps / (2 * mp.pi) * mp.fsum(terms[eps]))
+    return out
+
+
+@pytest.mark.parametrize("p_star", ("1e3", "p_max"))
+@pytest.mark.parametrize("q, index, p_max", [(3, 1, 10_000), (5, 1, 15_000), (12, 3, 20_000)])
+def test_windowed_ratio_exact_matches_mpmath_oracle(q, index, p_max, p_star):
+    chi, table = enumerate_characters(q)[index], sieve_primes(p_max, q)
+    window = ep.WindowParams(p_star=1e3 if p_star == "1e3" else float(p_max), p_max=p_max)
+    epss = (-0.3, 0.0, 0.4)
+    ref = _mp_windowed_ratio_exact((-7.3, 180.0), epss, chi, table, window)
+    for (t, eps), want in ref.items():
+        got = ep.windowed_ratio_exact(t, eps, chi, table, window)
+        assert abs(got - want) <= _EXACT_RTOL * max(1.0, abs(want)), (t, eps)
+
+
+_SYM_TABLE = sieve_primes(30_000, 1)
+_REAL_CHARS = [chi for q in range(3, 25) for chi in enumerate_characters(q)
+               if not chi.is_principal and np.all((chi.k <= 0) | (2 * chi.k == chi.m))]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(chi=st.sampled_from(_REAL_CHARS), eps=st.floats(-0.3, 0.5),
+       p_star=st.floats(50.0, 1e5), p_max=st.integers(1_000, 30_000),
+       half=st.floats(0.0, 60.0), n=st.integers(1, 12),
+       estimator=st.sampled_from(("exact_arctan", "cosine_approx")))
+def test_scan_symmetric_under_t_reflection_for_real_characters(chi, eps, p_star, p_max, half, n,
+                                                               estimator):
+    # real chi: every angle is 0 or pi, so each summand is odd or even in t and v(-t) = v(t)
+    grid = np.unique(np.concatenate([np.linspace(-half, 0.0, n), np.linspace(0.0, half, n)]))
+    grid = np.unique(np.concatenate([grid, -grid]))
+    window = ep.WindowParams(p_star=p_star, p_max=p_max)
+    values = ep.scan(chi, eps, grid, _SYM_TABLE, window, estimator=estimator).values
+    assert np.max(np.abs(values - values[::-1])) <= 1e-10
+
+
+def test_ordered_sums_leave_no_reference_cycles():
+    chi, table = _CASES["q5"]
+    window = _WINDOWS["pstar=pmax"]
+    gc.collect()
+    gc.disable()
+    try:
+        gp.gw_log_gamma_phase(SPoint(0.0, 14.0), 1, 20_000)
+        gp.gw_dphase_dt(SPoint(0.0, 14.0), 1, 20_000)
+        for estimator in ("exact_arctan", "cosine_approx"):
+            ep.scan(chi, 0.0, _GRID, table, window, estimator=estimator)
+        ep.windowed_ratio_exact(7.3, 0.0, chi, table, window)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("window", _WINDOWS.values(), ids=_WINDOWS.keys())
