@@ -22,9 +22,11 @@ zero-transitions in prime space, once by the ordered prime sum and once by the
 closed-form Li integral (exponential integral) of the same integrand; their ratios
 at two eps values drive the level-monotonicity checks.  Each call prepares its
 primes, p^(1/2+eps) and the window sines once; `scan` evaluates one kernel in t per grid.
-Each value is one sum in numpy's pairwise order over leaves of 8192 primes
-(`gammaphase._ordered_sum`), so it depends only on its own t; the exact estimator reaches
-both window endpoints from one sin/cos pair per prime by angle addition (see `_kernel`).
+The two estimators, the residual and the Euler phase are modes of that one kernel: each
+value is one sum in numpy's pairwise order over leaves of 8192 primes
+(`gammaphase._ordered_sum`), so it depends only on its own t, and every arctan increment
+comes from one sin/cos pair per prime, reaching the window endpoints by angle addition
+(see `_kernel`).
 """
 
 from __future__ import annotations
@@ -113,6 +115,8 @@ class PhaseScan:
 def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
                 p_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primes p <= p_max coprime to q (ascending), their logs, and character angles."""
+    if p_max is not None and p_max > primes.p_max:
+        raise DomainError(f"cutoff {p_max} lies past the prime table's p_max {primes.p_max}")
     n = None if p_max is None else np.searchsorted(primes.primes, p_max, side="right")
     res = primes.primes[:n] % chi.q
     theta = chi.angles_by_residue()[res]
@@ -132,22 +136,7 @@ def _check_eps(eps: float) -> None:
 
 def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float:
     """Euler-product phase partial sum at s, accumulated over ascending primes."""
-    _check_eps(s.eps)
-    p, lp, th = _prime_data(chi, primes)
-    return float(-np.sum(_arctan_terms(p ** (0.5 + s.eps), lp, th, s.t)))
-
-
-def _sin_cos_denom(p_sigma, lp, th, t):
-    # sin and cos of log(p) t - theta, and p^sigma - cos >= 2^0.1 - 1 for eps >= MIN_EPS;
-    # one more full-length temporary re-faulted ~1.7 MB per call at 78k primes
-    ang = lp * t - th
-    cos_a = np.cos(ang)
-    return np.sin(ang, out=ang), cos_a, p_sigma - cos_a
-
-
-def _arctan_terms(p_sigma, lp, th, t):
-    sin_a, _, denom = _sin_cos_denom(p_sigma, lp, th, t)
-    return np.arctan(np.divide(sin_a, denom, out=sin_a), out=sin_a)
+    return float(_kernel("euler_phase", s.eps, chi, primes, None)(s.t))
 
 
 def _cos_summand(lp, th, t, sin_w, p_sigma, out=None):
@@ -167,60 +156,74 @@ def _sin_cos(x, s, c, d):
     return np.divide(np.add(s, s, s), d, s), c
 
 
-def _kernel(estimator: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
-            window: WindowParams):
-    """The windowed estimator as a function of t, with its primes prepared once.
+def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
+            window: WindowParams | None):
+    """One of the Euler-product sums as a function of t, with its primes prepared once.
 
     A value is one ordered sum over ascending primes, computed in leaves of at most _LEAF
-    primes in preallocated buffers, and depends only on its own t.  The exact estimator
-    takes sin and cos of A = log(p) t - theta once per point and reaches the window
-    endpoints A +- B, B = pi log p / log p*, by angle addition with fixed tables of cos B
-    and sin B.
+    primes in preallocated buffers, and depends only on its own t.  Every arctan increment
+    x = sin/(p^sigma - cos) takes sin and cos of A = log(p) t - theta once per point; the
+    windowed modes reach the endpoints A +- B, B = pi log p / log p*, by angle addition
+    with fixed tables of cos B and sin B.  Modes: "exact_arctan" and "cosine_approx", the
+    two windowed estimators; "residual", their difference as two rows (higher arctan
+    orders, coupled term); "euler_phase", the phase at A over the whole table (no window).
     """
-    if estimator not in ("exact_arctan", "cosine_approx"):
-        raise DomainError(f"unknown estimator {estimator!r}")
     _check_eps(eps)
-    p, lp, th = _prime_data(chi, primes, p_max=window.p_max)
-    p_sigma, lnps = np.power(p, 0.5 + eps, out=p), math.log(window.p_star)
-    ang_w, buf = math.pi * lp / lnps, np.empty((5, _LEAF))
-    if estimator == "cosine_approx":
-        scale, sin_w = -lnps / math.pi, np.sin(ang_w, out=ang_w)
+    p, lp, th = _prime_data(chi, primes, p_max=None if window is None else window.p_max)
+    p_sigma, buf = np.power(p, 0.5 + eps, out=p), np.empty((7, _LEAF))
+    lnps = None if window is None else math.log(window.p_star)
+    if mode == "cosine_approx":
+        scale, sin_w = -lnps / math.pi, np.sin(math.pi * lp / lnps)
 
         def leaf(t: float, lo: int, m: int) -> np.ndarray:
             i = slice(lo, lo + m)
             return _cos_summand(lp[i], th[i], t, sin_w[i], p_sigma[i], buf[0, :m])
     else:
-        scale = -lnps / (2.0 * math.pi)
-        sin_w, cos_w = _sin_cos(ang_w, ang_w, np.empty_like(ang_w), np.empty_like(ang_w))
+        scale = -1.0
+        if mode != "euler_phase":
+            scale, ang_w = -lnps / (2.0 * math.pi), math.pi * lp / lnps
+            sin_w, cos_w = _sin_cos(ang_w, ang_w, np.empty_like(ang_w), np.empty_like(ang_w))
 
         def leaf(t: float, lo: int, m: int) -> np.ndarray:
-            s, c, u, v, d = buf[:, :m]
+            s, c, u, v, d, e, f = buf[:, :m]
             i = slice(lo, lo + m)
             _sin_cos(np.subtract(np.multiply(lp[i], t, s), th[i], s), s, c, d)
-            # sin(A +- B) = s cos B +- c sin B, p^sigma - cos(A +- B) = p^sigma - c cos B +- s sin B
+            if mode == "euler_phase":
+                return np.arctan(np.divide(s, np.subtract(p_sigma[i], c, c), s), s)
+            # sin(A +- B) = s cos B +- c sin B, cos(A +- B) = c cos B -+ s sin B
             np.multiply(s, sin_w[i], v)
             np.multiply(s, cos_w[i], s)
             np.multiply(c, sin_w[i], u)
-            np.subtract(p_sigma[i], np.multiply(c, cos_w[i], c), c)
+            np.multiply(c, cos_w[i], c)
+            if mode == "residual":  # cos(A +- B) itself: p^sigma minus the denominator cancels
+                np.subtract(c, v, e)
+                np.add(c, v, f)
+            np.subtract(p_sigma[i], c, c)
             np.add(c, v, d)
             np.subtract(c, v, c)
-            np.divide(np.add(s, u, v), d, v)
-            np.divide(np.subtract(s, u, s), c, s)
-            return np.subtract(np.arctan(v, v), np.arctan(s, s), v)
+            np.divide(np.add(s, u, v), d, v)  # x at A + B
+            np.divide(np.subtract(s, u, s), c, s)  # x at A - B
+            if mode == "exact_arctan":
+                return np.subtract(np.arctan(v, v), np.arctan(s, s), v)
+            # rows: the last two pieces of arctan(x) = sin/p^sigma + x cos/p^sigma + (arctan(x) - x),
+            # at A + B minus at A - B
+            np.divide(np.subtract(np.multiply(v, e, e), np.multiply(s, f, f), f), p_sigma[i], f)
+            np.subtract(_x_minus_arctan(s), _x_minus_arctan(v), e)
+            return buf[5:, :m]
 
-    return lambda t: float(scale * _ordered_sum(partial(leaf, t), 0, lp.size))
+    return lambda t: scale * _ordered_sum(partial(leaf, t), 0, lp.size)
 
 
 def windowed_ratio_exact(t: float, eps: float, chi: DirichletCharacter,
                          primes: PrimeTable, window: WindowParams) -> float:
     """Incremental phase ratio over [t - w, t + w], w = pi/log(p_star)."""
-    return _kernel("exact_arctan", eps, chi, primes, window)(t)
+    return float(_kernel("exact_arctan", eps, chi, primes, window)(t))
 
 
 def windowed_ratio_approx(t: float, eps: float, chi: DirichletCharacter,
                           primes: PrimeTable, window: WindowParams) -> float:
     """Leading cosine approximation of the windowed ratio (no denominators)."""
-    return _kernel("cosine_approx", eps, chi, primes, window)(t)
+    return float(_kernel("cosine_approx", eps, chi, primes, window)(t))
 
 
 @dataclass(frozen=True)
@@ -241,26 +244,8 @@ def estimator_residual(t: float, eps: float, chi: DirichletCharacter,
     so the residual is the ordered sum of the last two pieces evaluated at
     the window endpoints; both remain bounded as p_max grows for eps > 0.
     """
-    _check_eps(eps)
-    p, lp, th = _prime_data(chi, primes, p_max=window.p_max)
-    p_sigma = np.power(p, 0.5 + eps, out=p)
-    w = window.half_width
-    pref = -math.log(window.p_star) / (2.0 * math.pi)
-
-    # coupled +-= sin cos / (denom p^sigma) and higher -+= x - arctan(x), x = sin/denom, at t +- w
-    higher, coupled = np.zeros_like(p_sigma), np.zeros_like(p_sigma)
-    for tt, inc, dec in ((t + w, np.add, np.subtract), (t - w, np.subtract, np.add)):
-        sin_a, cos_a, denom = _sin_cos_denom(p_sigma, lp, th, tt)
-        cos_a *= sin_a
-        x = np.divide(sin_a, denom, out=sin_a)
-        cos_a /= np.multiply(denom, p_sigma, out=denom)
-        inc(coupled, cos_a, out=coupled)
-        del cos_a, denom  # freed before x - arctan(x) allocates its own temporaries
-        dec(higher, _x_minus_arctan(x), out=higher)
-    higher_val = float(pref * np.sum(higher))
-    coupled_val = float(pref * np.sum(coupled))
-    return EstimatorResidual(total=higher_val + coupled_val,
-                             higher_order=higher_val, coupled=coupled_val)
+    higher, coupled = _kernel("residual", eps, chi, primes, window)(t).tolist()
+    return EstimatorResidual(total=higher + coupled, higher_order=higher, coupled=coupled)
 
 
 # --------------------------------------------------------------------------
@@ -461,6 +446,8 @@ def level_check(t: float, eps: float, chi: DirichletCharacter, primes: PrimeTabl
 def scan(chi: DirichletCharacter, eps: float, t_grid: np.ndarray, primes: PrimeTable,
          window: WindowParams, estimator: str = "exact_arctan") -> PhaseScan:
     """Windowed estimator sampled over a t grid: one kernel, one ordered sum per point."""
+    if estimator not in ("exact_arctan", "cosine_approx"):
+        raise DomainError(f"unknown estimator {estimator!r}")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     f = _kernel(estimator, eps, chi, primes, window)
     values = np.array([f(float(t)) for t in t_grid])

@@ -147,16 +147,16 @@ def _x_minus_arctan(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordered_sum(leaf, lo: int, m: int) -> float:
+def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
     """The m summands from index lo, added in np.sum's pairwise order.
 
-    `leaf(lo, m)` returns the m summands from index lo; it is called only at leaves of at
-    most _LEAF terms of numpy's pairwise split (m//2 rounded down to a multiple of 8),
-    which np.add.reduce finishes in the same order.  Module-level, so a call leaves no
-    reference cycle behind.
+    `leaf(lo, m)` returns the m summands from index lo along its last axis, one row per
+    sum; it is called only at leaves of at most _LEAF terms of numpy's pairwise split
+    (m//2 rounded down to a multiple of 8), which np.add.reduce finishes in the same order.
+    Module-level, so a call leaves no reference cycle behind.
     """
     if m <= _LEAF:
-        return float(np.add.reduce(leaf(lo, m)))
+        return np.add.reduce(leaf(lo, m), axis=-1)
     m2 = m // 2 - (m // 2) % 8
     return _ordered_sum(leaf, lo, m2) + _ordered_sum(leaf, lo + m2, m - m2)
 
@@ -165,7 +165,7 @@ def _gw_sum(total: float, n_terms: int, leaf) -> float:
     # add the summands for n = 1..n_terms to `total`, one ordered sum per 2^20 block
     for lo in range(1, n_terms + 1, _BLOCK):
         total += _ordered_sum(leaf, lo, min(_BLOCK, n_terms + 1 - lo))
-    return total
+    return float(total)
 
 
 def gw_log_gamma_phase(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> float:

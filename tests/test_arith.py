@@ -8,7 +8,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lphase import arith
 from lphase.errors import DomainError, ResourceLimitError
@@ -328,6 +328,23 @@ def test_sieve_count_1e6_against_second_implementation(monkeypatch):
     assert table.count() == 78498 == len(oracle)
     assert np.array_equal(table.primes, oracle)
     assert np.all(np.diff(table.primes) > 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(segment=st.sampled_from([1, 2, 3, 7, 8, 64, 1000]),
+       p_max=st.integers(2, 399) | st.sampled_from([1000, 4096, 10007, 65536]))
+def test_sieve_matches_simple_sieve_across_segment_sizes(segment, p_max):
+    # small segments put p_max on or next to a segment edge; at most 2000 segments per example
+    # keep the Python loop short.  The constant is patched here, not by the function-scoped
+    # monkeypatch fixture, which hypothesis rejects
+    assume(p_max <= 2000 * segment)
+    saved, arith._SEGMENT_SIZE = arith._SEGMENT_SIZE, segment
+    try:
+        got = arith.sieve_primes(p_max).primes
+    finally:
+        arith._SEGMENT_SIZE = saved
+    assert got.dtype == np.int64
+    assert np.array_equal(got, arith._simple_sieve(p_max))
 
 
 def test_sieve_class_partition_q4():

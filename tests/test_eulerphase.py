@@ -65,7 +65,7 @@ def test_arctan_denominator_bounded_below_at_min_eps(t, q, index):
     chars = enumerate_characters(q)
     chi = chars[index % len(chars)]
     p, lp, th = ep._prime_data(chi, sieve_primes(10 ** 4, q))
-    _, _, denom = ep._sin_cos_denom(p ** (0.5 + ep.MIN_EPS), lp, th, t)
+    denom = p ** (0.5 + ep.MIN_EPS) - np.cos(lp * t - th)
     assert np.all(denom >= 2.0 ** 0.1 - 1.0)
 
 
@@ -106,6 +106,22 @@ def test_pmax_cut_keeps_prime_pmax(chi3, primes_1e5_q3):
     ratio = lambda p_max: ep.windowed_ratio_approx(
         5.0, 0.0, chi3, primes_1e5_q3, ep.WindowParams(p_star=1e3, p_max=p_max))
     assert ratio(101) == ratio(102) != ratio(100)
+
+
+def test_window_cutoff_past_table_raises(chi3):
+    # summing a 1e4 table under a 1e6 cutoff gave the 1e4 value (-0.94912 against -1.14483)
+    table, w = sieve_primes(10 ** 4, 3), ep.WindowParams(p_star=1e6, p_max=10 ** 6)
+    k_max = ep.max_k_for_bound(10.0, chi3, 1e6)
+    calls = [lambda f=f: f(22.0, 0.0, chi3, table, w)
+             for f in (ep.windowed_ratio_exact, ep.windowed_ratio_approx,
+                       ep.estimator_residual, ep.level_check)]
+    calls += [lambda: ep.scan(chi3, 0.0, np.array([22.0]), table, w),
+              lambda: ep.build_oscillation_ledger(10.0, 0.0, chi3, table, w, k_max)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+    # the table's own p_max is a valid cutoff
+    ep.windowed_ratio_exact(22.0, 0.0, chi3, table, ep.WindowParams(p_star=1e6, p_max=10 ** 4))
 
 
 def test_spike_present_near_first_zero(chi3, primes_1e5_q3):

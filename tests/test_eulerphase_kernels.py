@@ -1,8 +1,9 @@
 """The prepared-prime estimator kernels against the per-call code they replaced: every
-approximate-estimator scan value and scalar, residual, Euler phase and ledger entry must be
-equal bit for bit.  The exact estimator reaches its window endpoints by angle addition, so
-it must match the per-call arctan sum within 2e-12 relative, equal its own per-point value
-bit for bit inside any grid, and match a 30-digit mpmath evaluation."""
+approximate-estimator scan value and scalar and every ledger entry must be equal bit for
+bit.  The arctan increments reach their window endpoints by angle addition, so the exact
+estimator, both residual pieces and the Euler phase must match the per-call sums within
+2e-12 relative and a 30-digit mpmath evaluation, and a scan value must equal its own
+per-point value bit for bit inside any grid."""
 
 import gc
 import math
@@ -135,7 +136,7 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-_EXACT_RTOL = 2e-12  # exact estimator against an arctan sum over the same primes, times max(1, |ref|)
+_EXACT_RTOL = 2e-12  # an arctan-increment sum against one over the same primes, times max(1, |ref|)
 
 
 def _assert_exact_close(got, want):
@@ -178,10 +179,11 @@ def test_point_estimators_match_reference(case, eps, window):
             t, eps, chi, table, window)
         for name in ("total", "higher_order", "coupled"):
             assert type(getattr(res, name)) is float
-            assert _bits(getattr(res, name)) == _bits(getattr(want, name))
+            _assert_exact_close(getattr(res, name), getattr(want, name))
         s = SPoint(eps, t)
         got = ep.euler_phase(s, chi, table)
-        assert type(got) is float and _bits(got) == _bits(_ref_euler_phase(s, chi, table))
+        assert type(got) is float
+        _assert_exact_close(got, _ref_euler_phase(s, chi, table))
 
 
 @pytest.mark.parametrize("estimator", ("exact_arctan", "cosine_approx"))
@@ -197,28 +199,37 @@ def test_point_value_independent_of_grid(estimator):
         assert values[np.searchsorted(grid, t)].tobytes() == alone.tobytes()
 
 
-def _mp_windowed_ratio_exact(ts, epss, chi, table, window):
-    """windowed_ratio_exact at 30 digits for every (t, eps), on the same primes and angles."""
+def _mp_arctan_sums(ts, epss, chi, table, window):
+    """At 30 digits for every (t, eps), on the same primes and angles: windowed_ratio_exact,
+    the residual's higher-order, coupled and total values, and euler_phase over the table."""
     p, _, th = ep._prime_data(chi, table, p_max=window.p_max)
+    assert p.size == ep._prime_data(chi, table)[0].size
     with mp.workdps(30):
         lnps = mp.log(window.p_star)
-        w = mp.pi / lnps
+        w, pref = mp.pi / lnps, -lnps / (2 * mp.pi)
         lp = [mp.log(int(x)) for x in p]
         cw, sw = [mp.cos(x * w) for x in lp], [mp.sin(x * w) for x in lp]
         ps = {eps: [mp.mpf(int(x)) ** (mp.mpf(0.5) + eps) for x in p] for eps in epss}
         out = {}
         for t in ts:
-            terms = {eps: [] for eps in epss}
+            terms = {eps: ([], [], [], []) for eps in epss}
             for i, (x, theta) in enumerate(zip(lp, th.tolist())):
                 a = x * t - mp.mpf(theta)
                 s, c = mp.sin(a), mp.cos(a)
                 sp, cp = s * cw[i] + c * sw[i], c * cw[i] - s * sw[i]
                 sm, cm = s * cw[i] - c * sw[i], c * cw[i] + s * sw[i]
                 for eps in epss:
-                    terms[eps].append(mp.atan(sp / (ps[eps][i] - cp))
-                                      - mp.atan(sm / (ps[eps][i] - cm)))
+                    pse = ps[eps][i]
+                    xp, xm = sp / (pse - cp), sm / (pse - cm)
+                    exact, higher, coupled, phase = terms[eps]
+                    exact.append(mp.atan(xp) - mp.atan(xm))
+                    higher.append((mp.atan(xp) - xp) - (mp.atan(xm) - xm))
+                    coupled.append((xp * cp - xm * cm) / pse)
+                    phase.append(-mp.atan(s / (pse - c)))
             for eps in epss:
-                out[t, eps] = float(-lnps / (2 * mp.pi) * mp.fsum(terms[eps]))
+                exact, higher, coupled, phase = (mp.fsum(x) for x in terms[eps])
+                out[t, eps] = (float(pref * exact), float(pref * higher), float(pref * coupled),
+                               float(pref * (higher + coupled)), float(phase))
     return out
 
 
@@ -228,10 +239,13 @@ def test_windowed_ratio_exact_matches_mpmath_oracle(q, index, p_max, p_star):
     chi, table = enumerate_characters(q)[index], sieve_primes(p_max, q)
     window = ep.WindowParams(p_star=1e3 if p_star == "1e3" else float(p_max), p_max=p_max)
     epss = (-0.3, 0.0, 0.4)
-    ref = _mp_windowed_ratio_exact((-7.3, 180.0), epss, chi, table, window)
+    ref = _mp_arctan_sums((-7.3, 180.0), epss, chi, table, window)
     for (t, eps), want in ref.items():
-        got = ep.windowed_ratio_exact(t, eps, chi, table, window)
-        assert abs(got - want) <= _EXACT_RTOL * max(1.0, abs(want)), (t, eps)
+        res = ep.estimator_residual(t, eps, chi, table, window)
+        got = (ep.windowed_ratio_exact(t, eps, chi, table, window), res.higher_order,
+               res.coupled, res.total, ep.euler_phase(SPoint(eps, t), chi, table))
+        for g, r in zip(got, want):
+            assert abs(g - r) <= _EXACT_RTOL * max(1.0, abs(r)), (t, eps)
 
 
 _SYM_TABLE = sieve_primes(30_000, 1)
@@ -265,6 +279,8 @@ def test_ordered_sums_leave_no_reference_cycles():
         for estimator in ("exact_arctan", "cosine_approx"):
             ep.scan(chi, 0.0, _GRID, table, window, estimator=estimator)
         ep.windowed_ratio_exact(7.3, 0.0, chi, table, window)
+        ep.estimator_residual(7.3, 0.0, chi, table, window)
+        ep.euler_phase(SPoint(0.0, 7.3), chi, table)
         assert gc.collect() == 0
     finally:
         gc.enable()
