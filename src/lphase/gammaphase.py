@@ -410,23 +410,34 @@ def _richardson(coarse, fine, r: float = 4.0):
     return (r * fine - coarse) / (r - 1.0)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    """Midpoint of a sign-change bracket [lo, hi] of f, narrowed to width <= tol.
+def _bisect(f, lo, hi, f_lo, tol: float) -> np.ndarray:
+    """Midpoints of sign-change brackets [lo, hi] of f, each narrowed to width <= tol.
 
-    f_lo = f(lo) and f(hi) lie on opposite sides of zero (f_lo = 0 counts as negative).
-    Signs are compared, never multiplied, so values near underflow keep their sign.  A
-    midpoint where f is exactly zero is returned at once.
+    lo, hi and f_lo = f(lo) hold one entry per bracket, and f(lo), f(hi) lie on opposite
+    sides of zero (f_lo = 0 counts as negative).  f maps an array of points to an array
+    of values; each level evaluates the midpoints of all still-open brackets in one f
+    call, so brackets of one width take as many calls as a single bracket.  A bracket
+    stops on its own once its width is <= tol, or at a midpoint where f is exactly zero,
+    which is then its result.  Signs are compared, never multiplied, so values near
+    underflow keep their sign.
     """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+    lo, hi, f_lo = (np.array(a, dtype=np.float64) for a in (lo, hi, f_lo))
+    open_ = np.flatnonzero(hi - lo > tol)
+    while open_.size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        f_mid = np.asarray(f(mid), dtype=np.float64)
+        hit = f_mid == 0.0  # the bracket closes on mid: 0.5 * (mid + mid) == mid
+        up = ((f_mid > 0.0) == (f_lo[open_] > 0.0)) & ~hit
+        lo[open_[up | hit]] = mid[up | hit]
+        f_lo[open_[up]] = f_mid[up]
+        hi[open_[~up]] = mid[~up]
+        open_ = open_[hi[open_] - lo[open_] > tol]
     return 0.5 * (lo + hi)
+
+
+def _bisect_one(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+    """`_bisect` on the one bracket [lo, hi] of a scalar f."""
+    return float(_bisect(lambda ts: [f(float(ts[0]))], [lo], [hi], [f_lo], tol)[0])
 
 
 def mixed_second_derivative(t: float, alpha: int, route: str = "gw",
@@ -481,6 +492,6 @@ def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS,
     for g in grid:
         f_g = f(float(g))
         if f_g > 0.0:
-            return _bisect(f, t_lo, float(g), f_lo, tol)
+            return _bisect_one(f, t_lo, float(g), f_lo, tol)
         t_lo, f_lo = float(g), f_g
     raise NumericalInstabilityError("no sign change found on (0, 100]")

@@ -14,7 +14,9 @@ takes its Gamma modulus and phase from one call of the product-route kernel
     eta = exp(i/2 * angle(i^alpha sqrt(q) / tau(chi))) * xi
 is real on the critical line for primitive characters; its sign changes
 locate the zeros, and the quantity (eta')^2 - eta*eta'' equals the
-eps-derivative of the angular momentum of xi at eps = 0.
+eps-derivative of the angular momentum of xi at eps = 0.  A zero scan samples
+eta on a grid that ends at t_hi, then bisects every sign-change bracket in
+lockstep, one eta call per level for all of them.
 """
 
 from __future__ import annotations
@@ -369,6 +371,17 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
                        grid_step: float, tol: float = 1e-8) -> list[ZeroRecord]:
     """Sign-change zeros of eta on [t_lo, t_hi], bisected to width <= tol.
 
+    eta is sampled on the grid t_lo, t_lo + grid_step, ... in one call; when the grid
+    stops short of t_hi, eta(t_hi) is taken in a call of its own (so the grid keeps its
+    batch) and closes the scan.  Every sign-change bracket is then refined in lockstep by
+    `_bisect`: one eta call per level evaluates the midpoints of all still-open brackets,
+    so a scan makes about 2 + log2(grid_step / tol) eta calls, however many zeros it
+    finds.  A batch never holds more points than the grid call.  A reported t_zero
+    depends only on the sequence of sign decisions, not on the eta values: a midpoint's
+    eta inside a batch differs from its single-point value by rounding, which can flip a
+    decision only where |eta| is at rounding level, within about 1e-13 of the zero, and
+    the result then still lies within tol of it.
+
     Grid dips of |eta| below 1e-8 of the local scale without a sign change
     are recorded as suspected multiple zeros and left unrefined.  Negative t
     is allowed (used to confirm the +/-t pairing of real-character zeros).
@@ -379,21 +392,22 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
         raise DomainError("grid_step must be positive")
     grid = np.arange(t_lo, t_hi + grid_step / 2.0, grid_step)
     vals = eta_on_grid(chi, 0.0, grid)[0].real
+    if grid[-1] < t_hi:
+        grid = np.append(grid, t_hi)
+        vals = np.append(vals, eta_on_grid(chi, 0.0, np.array([float(t_hi)]))[0].real)
 
-    def f(t: float) -> float:
-        return float(eta_on_grid(chi, 0.0, np.array([t]))[0][0].real)
-
-    records: list[ZeroRecord] = []
-    for i in range(len(grid) - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0:  # exact grid hit
-            records.append(ZeroRecord(a, (a, a), 0.0, 0, int(math.copysign(1, fb))))
-            continue
-        # signs are compared, not multiplied: |eta| ~ 1e-170 near t = 500 squares to 0
-        if fa < 0.0 < fb or fb < 0.0 < fa:
-            records.append(ZeroRecord(_bisect(f, a, b, fa, tol), (a, b), tol,
-                                      int(math.copysign(1, fa)), int(math.copysign(1, fb))))
+    ts, fs = grid.tolist(), vals.tolist()
+    sign = lambda v: int(math.copysign(1, v))
+    # exact grid hits; the scan's last point has no sign after it
+    records = [ZeroRecord(a, (a, a), 0.0, 0, sign(fs[i + 1]) if i + 1 < len(fs) else 0)
+               for i, (a, fa) in enumerate(zip(ts, fs)) if fa == 0.0]
+    # signs are compared, not multiplied: |eta| ~ 1e-170 near t = 500 squares to 0
+    starts = [i for i in range(len(fs) - 1) if fs[i] < 0.0 < fs[i + 1] or fs[i + 1] < 0.0 < fs[i]]
+    i0 = np.array(starts, dtype=np.intp)
+    t_zeros = _bisect(lambda t: eta_on_grid(chi, 0.0, t)[0].real,
+                      grid[i0], grid[i0 + 1], vals[i0], tol)
+    records += [ZeroRecord(t_zero, (ts[i], ts[i + 1]), tol, sign(fs[i]), sign(fs[i + 1]))
+                for i, t_zero in zip(starts, t_zeros.tolist())]
 
     absvals = np.abs(vals)
     for i in range(1, len(grid) - 1):
@@ -403,8 +417,7 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
                 and absvals[i] <= absvals[i + 1]
                 and np.sign(vals[i - 1]) == np.sign(vals[i + 1]) != 0.0):
             records.append(ZeroRecord(None, (float(grid[i - 1]), float(grid[i + 1])),
-                                      grid_step, int(math.copysign(1, vals[i - 1])),
-                                      int(math.copysign(1, vals[i + 1])),
+                                      grid_step, sign(fs[i - 1]), sign(fs[i + 1]),
                                       suspected_multiple=True))
     records.sort(key=lambda r: r.bracket[0])
     # the grid can end past t_hi; a zero bisected out there is not reported

@@ -118,7 +118,7 @@ def _c4_mixed_curve_crossing(c: _Check) -> None:
     if not f_lo > 0 > f(hi):
         c.expect("sign change bracketing on (0.5, 0.7)", False)
         return
-    t_cross = gp._bisect(f, lo, hi, f_lo, 1e-5)
+    t_cross = gp._bisect_one(f, lo, hi, f_lo, 1e-5)
     c.expect(f"alpha=0 crossing t = {t_cross:.5f} inside (0.585, 0.588)",
              0.585 < t_cross < 0.588)
 

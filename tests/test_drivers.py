@@ -208,8 +208,66 @@ def test_criterion_4_bisection_bit_identical():
     # criterion 4's curve and bracket; the cache makes the second pass free
     f = lru_cache(maxsize=None)(lambda t: gp.mixed_second_derivative(t, 0, "gw", 10 ** 6))
     ref = _ref_c4_crossing(f)
-    assert _same(gp._bisect(f, 0.5, 0.7, f(0.5), 1e-5), ref)
+    got = gp._bisect(lambda ts: np.array([f(float(t)) for t in ts]),
+                     np.array([0.5]), np.array([0.7]), np.array([f(0.5)]), 1e-5)
+    assert got.shape == (1,) and _same(float(got[0]), ref)
     assert 0.588 < ref < 0.589  # the documented criterion 4 reading, 0.58880
+
+
+def _ref_bisect(f, lo, hi, f_lo, tol):
+    # the scalar loop, one bracket at a time
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _counted(f):
+    sizes = []
+    def g(ts):
+        sizes.append(len(ts))
+        return np.array([f(float(t)) for t in ts])
+    return g, sizes
+
+
+def test_bisect_brackets_of_different_widths_stop_on_their_own():
+    lo, hi, tol = [3.0, 6.0, 9.0, 12.5], [3.5, 7.0, 10.0, 12.6], 1e-9  # around pi, 2pi, 3pi, 4pi
+    g, sizes = _counted(math.sin)
+    got = gp._bisect(g, lo, hi, [math.sin(x) for x in lo], tol)
+    for i in range(4):
+        assert _same(float(got[i]), _ref_bisect(math.sin, lo[i], hi[i], math.sin(lo[i]), tol))
+    levels = [math.ceil(math.log2((b - a) / tol)) for a, b in zip(lo, hi)]  # 29, 30, 30, 27
+    assert sizes == [sum(n > k for n in levels) for k in range(max(levels))]
+
+
+def test_bisect_exact_zero_ends_only_its_own_bracket():
+    f = lambda t: (t - 1.0) * (t - 3.1)
+    g, sizes = _counted(f)
+    got = gp._bisect(g, [0.5, 2.5], [1.5, 3.5], [f(0.5), f(2.5)], 1e-6)
+    assert got[0] == 1.0  # the first midpoint is the zero
+    assert _same(float(got[1]), _ref_bisect(f, 2.5, 3.5, f(2.5), 1e-6))
+    assert sizes[0] == 2 and set(sizes[1:]) == {1} and len(sizes) == 20
+
+
+def test_bisect_keeps_signs_near_underflow():
+    # values near 1e-170: the product of two of them underflows to 0, their signs still differ
+    f = lambda t: 1e-170 * (t - 0.3) * (t - 1.7)
+    g, _ = _counted(f)
+    got = gp._bisect(g, [0.0, 1.0], [1.0, 2.0], [f(0.0), f(1.0)], 1e-12)
+    assert f(0.0) * f(1.0) == 0.0
+    assert abs(got[0] - 0.3) <= 1e-12 and abs(got[1] - 1.7) <= 1e-12
+
+
+def test_bisect_without_brackets_makes_no_call():
+    g, sizes = _counted(math.sin)
+    got = gp._bisect(g, np.array([]), np.array([]), np.array([]), 1e-8)
+    assert got.shape == (0,) and sizes == []
 
 
 # --------------------------------------------------------------------------

@@ -258,6 +258,45 @@ def test_zero_scan_reports_no_zero_past_t_hi(chi3):
     assert zeros == pytest.approx([8.039737], abs=1e-5)
 
 
+def test_zero_scan_reaches_t_hi(chi3):
+    # step 0.5 from 0 ends the grid at 8.0, short of t_hi = 8.2; the first zero 8.0397 lies between
+    records = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5)
+    assert [r.bracket for r in records] == [(8.0, 8.2)]
+    assert records[0].t_zero == pytest.approx(8.039737, abs=1e-5)
+
+
+def test_zero_scan_exact_zero_at_t_hi(monkeypatch, chi3):
+    # a stand-in eta with exact zeros at t = 1 (a grid point), 3.3 and t_hi = 8.2 (the tail point)
+    fake = lambda chi, eps, t: ((np.asarray(t) - 1.0) * (np.asarray(t) - 3.3)
+                                * (np.asarray(t) - 8.2) + 0j, 0.0)
+    monkeypatch.setattr(lf, "eta_on_grid", fake)
+    records = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5, tol=1e-10)
+    assert [(r.t_zero, r.bracket, r.tol, r.sign_before, r.sign_after) for r in records[::2]] == [
+        (1.0, (1.0, 1.0), 0.0, 0, 1), (8.2, (8.2, 8.2), 0.0, 0, 0)]
+    assert records[1].bracket == (3.0, 3.5) and abs(records[1].t_zero - 3.3) <= 1e-10
+    assert len(records) == 3
+
+
+def test_zero_scan_eta_calls_do_not_grow_with_zeros(monkeypatch):
+    # the grid call, the tail call and one call per bisection level, however many zeros
+    chi = enumerate_characters(13)[1]
+    calls = []
+    eta = lf.eta_on_grid
+    monkeypatch.setattr(lf, "eta_on_grid", lambda *a: calls.append(a) or eta(*a))
+    step, tol = 0.05, 1e-8
+    zeros = lf.find_zeros_on_line(chi, 0.0, 30.0, step, tol)
+    assert len(zeros) >= 10
+    assert len(calls) <= 2 + math.ceil(math.log2(step / tol))
+
+
+def test_first_q3_zero_independent_of_scan_range(chi3):
+    # the midpoints share an eta batch with every other bracket of the scan; the bits do not move
+    firsts = [lf.find_zeros_on_line(chi3, lo, hi, 0.05)[0] for lo, hi in
+              ((7.9, 8.2), (0.0, 40.0), (0.0, 100.0))]
+    assert {r.bracket for r in firsts} == {(8.0, 8.05)}
+    assert len({r.t_zero.hex() for r in firsts}) == 1
+
+
 def test_no_low_zeros_q5():
     for chi in enumerate_characters(5):
         if chi.parity == 1:
