@@ -270,11 +270,10 @@ def test_zero_scan_exact_zero_at_t_hi(monkeypatch, chi3):
     fake = lambda chi, eps, t: ((np.asarray(t) - 1.0) * (np.asarray(t) - 3.3)
                                 * (np.asarray(t) - 8.2) + 0j, 0.0)
     monkeypatch.setattr(lf, "eta_on_grid", fake)
-    records = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5, tol=1e-10)
-    assert [(r.t_zero, r.bracket, r.tol, r.sign_before, r.sign_after) for r in records[::2]] == [
-        (1.0, (1.0, 1.0), 0.0, 0, 1), (8.2, (8.2, 8.2), 0.0, 0, 0)]
-    assert records[1].bracket == (3.0, 3.5) and abs(records[1].t_zero - 3.3) <= 1e-10
-    assert len(records) == 3
+    grid_hit, bisected, tail_hit = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5, tol=1e-10)
+    assert grid_hit == lf.ZeroRecord(1.0, (1.0, 1.0), 0.0, 0, 1)
+    assert bisected.bracket == (3.0, 3.5) and abs(bisected.t_zero - 3.3) <= 1e-10
+    assert tail_hit == lf.ZeroRecord(8.2, (8.2, 8.2), 0.0, 0, 0)  # no sample after t_hi
 
 
 def test_zero_scan_eta_calls_do_not_grow_with_zeros(monkeypatch):
