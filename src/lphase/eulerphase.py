@@ -21,12 +21,12 @@ term).  Oscillation masses collect |cosine summand| between consecutive cosine
 zero-transitions in prime space, once by the ordered prime sum and once by the
 closed-form Li integral (exponential integral) of the same integrand; their ratios
 at two eps values drive the level-monotonicity checks.  Each call prepares its
-primes, p^(1/2+eps) and the window sines once; `scan` evaluates one kernel in t per grid.
-The two estimators, the residual and the Euler phase are modes of that one kernel: each
-value is one sum in numpy's pairwise order over leaves of 8192 primes
-(`gammaphase._ordered_sum`), so it depends only on its own t, and every arctan increment
-comes from one sin/cos pair per prime, reaching the window endpoints by angle addition
-(see `_kernel`).
+primes, p^(1/2+eps) and the window tables once; `scan` evaluates one kernel in t per grid.
+The two estimators, the residual and the Euler phase are modes of that kernel's one leaf:
+each value is one sum in numpy's pairwise order over leaves of 8192 primes
+(`gammaphase._ordered_sum`), so it depends only on its own t.  Every sine and cosine of a
+per-prime angle, in the kernel and the ledger, comes from one tan of the half angle
+(`_sin_cos`); see `_kernel`.
 """
 
 from __future__ import annotations
@@ -139,13 +139,6 @@ def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float
     return float(_kernel("euler_phase", s.eps, chi, primes, None)(s.t))
 
 
-def _cos_summand(lp, th, t, sin_w, p_sigma, out=None):
-    # the leading cosine term of each windowed arctan increment; sin_w = sin(pi log p / log p*)
-    x = np.multiply(lp, t, out)
-    np.cos(np.subtract(x, th, x), x)
-    return np.divide(np.multiply(x, sin_w, x), p_sigma, x)
-
-
 def _sin_cos(x, s, c, d):
     # sin x into s and cos x into c from u = tan(x/2), d scratch, s may alias x: one
     # vectorised tan costs about a tenth of np.sin plus np.cos, and both come out within
@@ -156,60 +149,63 @@ def _sin_cos(x, s, c, d):
     return np.divide(np.add(s, s, s), d, s), c
 
 
+def _window_table(lp, lnps):
+    # sin B and cos B, B = pi log p / log p*: the window's fixed rotation of each prime
+    b = math.pi * lp / lnps
+    return _sin_cos(b, b, np.empty_like(b), np.empty_like(b))
+
+
 def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
             window: WindowParams | None):
     """One of the Euler-product sums as a function of t, with its primes prepared once.
 
     A value is one ordered sum over ascending primes, computed in leaves of at most _LEAF
-    primes in preallocated buffers, and depends only on its own t.  Every arctan increment
-    x = sin/(p^sigma - cos) takes sin and cos of A = log(p) t - theta once per point; the
-    windowed modes reach the endpoints A +- B, B = pi log p / log p*, by angle addition
-    with fixed tables of cos B and sin B.  Modes: "exact_arctan" and "cosine_approx", the
-    two windowed estimators; "residual", their difference as two rows (higher arctan
-    orders, coupled term); "euler_phase", the phase at A over the whole table (no window).
+    primes in preallocated buffers, and depends only on its own t.  The one leaf takes sin
+    and cos of A = log(p) t - theta from `_sin_cos` once per point; the windowed modes use
+    fixed sin B, cos B tables (`_window_table`, B = pi log p / log p*).  Modes:
+    "exact_arctan", the arctan increments x = sin/(p^sigma - cos) at A +- B, reached by
+    angle addition; "cosine_approx", their leading terms cos A sin B / p^sigma (scale
+    -log p*/pi against -log p*/2pi); "residual", the difference of the two as two rows
+    (higher arctan orders, coupled term); "euler_phase", the phase at A over the whole
+    table (no window).
     """
     _check_eps(eps)
     p, lp, th = _prime_data(chi, primes, p_max=None if window is None else window.p_max)
     p_sigma, buf = np.power(p, 0.5 + eps, out=p), np.empty((7, _LEAF))
-    lnps = None if window is None else math.log(window.p_star)
-    if mode == "cosine_approx":
-        scale, sin_w = -lnps / math.pi, np.sin(math.pi * lp / lnps)
+    scale = -1.0
+    if window is not None:
+        lnps = math.log(window.p_star)
+        scale = -lnps / (math.pi if mode == "cosine_approx" else 2.0 * math.pi)
+        sin_w, cos_w = _window_table(lp, lnps)
 
-        def leaf(t: float, lo: int, m: int) -> np.ndarray:
-            i = slice(lo, lo + m)
-            return _cos_summand(lp[i], th[i], t, sin_w[i], p_sigma[i], buf[0, :m])
-    else:
-        scale = -1.0
-        if mode != "euler_phase":
-            scale, ang_w = -lnps / (2.0 * math.pi), math.pi * lp / lnps
-            sin_w, cos_w = _sin_cos(ang_w, ang_w, np.empty_like(ang_w), np.empty_like(ang_w))
-
-        def leaf(t: float, lo: int, m: int) -> np.ndarray:
-            s, c, u, v, d, e, f = buf[:, :m]
-            i = slice(lo, lo + m)
-            _sin_cos(np.subtract(np.multiply(lp[i], t, s), th[i], s), s, c, d)
-            if mode == "euler_phase":
-                return np.arctan(np.divide(s, np.subtract(p_sigma[i], c, c), s), s)
-            # sin(A +- B) = s cos B +- c sin B, cos(A +- B) = c cos B -+ s sin B
-            np.multiply(s, sin_w[i], v)
-            np.multiply(s, cos_w[i], s)
-            np.multiply(c, sin_w[i], u)
-            np.multiply(c, cos_w[i], c)
-            if mode == "residual":  # cos(A +- B) itself: p^sigma minus the denominator cancels
-                np.subtract(c, v, e)
-                np.add(c, v, f)
-            np.subtract(p_sigma[i], c, c)
-            np.add(c, v, d)
-            np.subtract(c, v, c)
-            np.divide(np.add(s, u, v), d, v)  # x at A + B
-            np.divide(np.subtract(s, u, s), c, s)  # x at A - B
-            if mode == "exact_arctan":
-                return np.subtract(np.arctan(v, v), np.arctan(s, s), v)
-            # rows: the last two pieces of arctan(x) = sin/p^sigma + x cos/p^sigma + (arctan(x) - x),
-            # at A + B minus at A - B
-            np.divide(np.subtract(np.multiply(v, e, e), np.multiply(s, f, f), f), p_sigma[i], f)
-            np.subtract(_x_minus_arctan(s), _x_minus_arctan(v), e)
-            return buf[5:, :m]
+    def leaf(t: float, lo: int, m: int) -> np.ndarray:
+        s, c, u, v, d, e, f = buf[:, :m]
+        i = slice(lo, lo + m)
+        _sin_cos(np.subtract(np.multiply(lp[i], t, s), th[i], s), s, c, d)
+        if mode == "euler_phase":
+            return np.arctan(np.divide(s, np.subtract(p_sigma[i], c, c), s), s)
+        if mode == "cosine_approx":  # the leading term cos A sin B / p^sigma of each increment
+            return np.divide(np.multiply(c, sin_w[i], c), p_sigma[i], c)
+        # sin(A +- B) = s cos B +- c sin B, cos(A +- B) = c cos B -+ s sin B
+        np.multiply(s, sin_w[i], v)
+        np.multiply(s, cos_w[i], s)
+        np.multiply(c, sin_w[i], u)
+        np.multiply(c, cos_w[i], c)
+        if mode == "residual":  # cos(A +- B) itself: p^sigma minus the denominator cancels
+            np.subtract(c, v, e)
+            np.add(c, v, f)
+        np.subtract(p_sigma[i], c, c)
+        np.add(c, v, d)
+        np.subtract(c, v, c)
+        np.divide(np.add(s, u, v), d, v)  # x at A + B
+        np.divide(np.subtract(s, u, s), c, s)  # x at A - B
+        if mode == "exact_arctan":
+            return np.subtract(np.arctan(v, v), np.arctan(s, s), v)
+        # rows: the last two pieces of arctan(x) = sin/p^sigma + x cos/p^sigma + (arctan(x) - x),
+        # at A + B minus at A - B
+        np.divide(np.subtract(np.multiply(v, e, e), np.multiply(s, f, f), f), p_sigma[i], f)
+        np.subtract(_x_minus_arctan(s), _x_minus_arctan(v), e)
+        return buf[5:, :m]
 
     return lambda t: scale * _ordered_sum(partial(leaf, t), 0, lp.size)
 
@@ -357,7 +353,9 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
     # every interval ends at or below the last rising boundary
     p, lp, angles = _prime_data(chi, primes, p_max=math.floor(max(
         oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in classes)))
-    vals = _cos_summand(lp, angles, t, np.sin(math.pi * lp / lnps), p ** (0.5 + eps))
+    a = lp * t - angles
+    cos_a = _sin_cos(a, a, np.empty_like(a), np.empty_like(a))[1]
+    vals = cos_a * _window_table(lp, lnps)[0] / p ** (0.5 + eps)  # the kernel's cosine terms
     res = p.astype(np.int64) % chi.q  # chi.q, not primes.q: the table may be sieved mod another q
     entries = []
     for h in classes:

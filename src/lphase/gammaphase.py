@@ -75,6 +75,7 @@ _BLOCK = 1 << 20
 _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB float64 leaf buffers stay in cache
 _RAMP = np.arange(_LEAF, dtype=np.float64)
 _MACH = float(np.finfo(float).eps)
+_T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
 
 # B_2, B_4, ..., B_26
 BERNOULLI = [
@@ -382,15 +383,13 @@ def _check_stirling_t(t: float) -> None:
         )
 
 
-def stirling_phase(t: float, eps: float, params: PrefactorParams, with_bound: bool = False):
-    """Total prefactor phase by the asymptotic route (refuses t < 0.5)."""
+def stirling_phase(t: float, eps: float, params: PrefactorParams) -> tuple[float, float]:
+    """(Total prefactor phase, its Bernoulli remainder bound) by the asymptotic route; t >= 0.5."""
     _check_stirling_t(t)
     bern, bound = stirling_phase_bernoulli(t, eps, params.alpha)
     total = (stirling_phase_main(t, eps, params)
              + stirling_phase_correction(t, eps, params.alpha) + bern)
-    if with_bound:
-        return total, bound
-    return total
+    return total, bound
 
 
 def stirling_dphase_dt(t: float, eps: float, params: PrefactorParams) -> float:
@@ -476,9 +475,8 @@ def mixed_second_derivative(t: float, alpha: int, route: str = "gw",
     return _richardson(r1, r2, 16.0)
 
 
-def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS,
-                 tol: float = 1e-4) -> float | None:
-    """Zero crossing of the prefactor-phase t-derivative on (0, 100].
+def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS) -> float | None:
+    """Zero crossing of the prefactor-phase t-derivative on (0, 100], to within _T_CROSS_TOL.
 
     Returns None when the curve is positive for all t (no crossing).  The
     curve is strictly increasing in t, so a single bisection suffices.
@@ -492,6 +490,6 @@ def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS,
     for g in grid:
         f_g = f(float(g))
         if f_g > 0.0:
-            return _bisect_one(f, t_lo, float(g), f_lo, tol)
+            return _bisect_one(f, t_lo, float(g), f_lo, _T_CROSS_TOL)
         t_lo, f_lo = float(g), f_g
     raise NumericalInstabilityError("no sign change found on (0, 100]")

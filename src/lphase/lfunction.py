@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,14 +73,14 @@ __all__ = [
 # B_{2k} / (2k)! for k = 1, 2, ...
 _BERN_FACT = [float(b) / math.factorial(2 * (k + 1)) for k, b in enumerate(BERNOULLI)]
 _N_BERN = 11  # Euler-Maclaurin Bernoulli corrections kept; the next one is the estimate
+_L_TOL = 1e-10  # the largest remainder estimate l_eval accepts, from its one head size
 
 
 def _em_head(t_max: float) -> int:
     return max(24, int(t_max) + 40)
 
 
-def _l_values(chi: DirichletCharacter, svals: np.ndarray,
-              n_head: int | None = None) -> tuple[np.ndarray, float]:
+def _l_values(chi: DirichletCharacter, svals: np.ndarray) -> tuple[np.ndarray, float]:
     """L(s, chi) over complex s, and a remainder estimate, in one Euler-Maclaurin pass.
 
     Each unit class r gets zeta(s, r/q): a head sum over n < n_head (one block per
@@ -93,7 +94,7 @@ def _l_values(chi: DirichletCharacter, svals: np.ndarray,
     s = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
     if not s.size:
         return s, 0.0
-    nh = _em_head(float(np.max(np.abs(s.imag)))) if n_head is None else n_head
+    nh = _em_head(float(np.max(np.abs(s.imag))))
     q = chi.q
     units = [r for r in range(1, q + 1) if chi.k[r % q] >= 0]  # r = q only for q = 1 (a = 1)
     w = np.array([[nh + r / q] for r in units])
@@ -137,12 +138,12 @@ class LValue:
     abs_err_estimate: float
 
 
-def l_eval(s: SPoint, chi: DirichletCharacter, tol: float = 1e-10) -> LValue:
-    """L(s, chi) with an a-posteriori remainder estimate <= tol (else NumericalInstabilityError).
+def l_eval(s: SPoint, chi: DirichletCharacter) -> LValue:
+    """L(s, chi) with a remainder estimate <= _L_TOL (else NumericalInstabilityError).
 
-    Non-principal characters are accepted for eps > -1/2; the principal
-    character only for eps > 1/2 (use the reduction identity inside the
-    strip, where its L-function inherits the zeta pole).
+    One Euler-Maclaurin pass with `_em_head(|t|)` head terms.  Non-principal characters
+    are accepted for eps > -1/2; the principal character only for eps > 1/2 (use the
+    reduction identity inside the strip, where its L-function inherits the zeta pole).
     """
     if chi.is_principal:
         if s.eps <= 0.5:
@@ -152,14 +153,9 @@ def l_eval(s: SPoint, chi: DirichletCharacter, tol: float = 1e-10) -> LValue:
     elif s.eps <= -0.5:
         raise DomainError("L-series evaluation requires Re(s) > 0")
 
-    nh = _em_head(abs(s.t))
-    for _ in range(6):
-        vals, err = _l_values(chi, np.array([s.s]), n_head=nh)
-        if err <= tol or nh > 4000:
-            break
-        nh = int(nh * 1.7) + 8
-    if err > tol:
-        raise NumericalInstabilityError(f"L remainder estimate {err:.3e} exceeds tol = {tol:.3e}")
+    vals, err = _l_values(chi, np.array([s.s]))
+    if err > _L_TOL:
+        raise NumericalInstabilityError(f"L remainder estimate {err:.3e} exceeds tol = {_L_TOL:.3e}")
     return LValue(s=s, chi=chi, value=complex(vals[0]), abs_err_estimate=float(err))
 
 
@@ -197,8 +193,9 @@ def xi_eval(s: SPoint, chi: DirichletCharacter) -> complex:
     return complex(xi_on_grid(chi, s.eps, np.array([s.t]))[0])
 
 
+@lru_cache
 def normalizer_phase(chi: DirichletCharacter) -> float:
-    """Half the principal-value angle of i^alpha sqrt(q) / tau(chi)."""
+    """Half the principal-value angle of i^alpha sqrt(q) / tau(chi), cached per character."""
     _require_primitive(chi)
     w = (1j ** chi.parity) * math.sqrt(chi.q) / gauss_sum(chi)
     return 0.5 * math.atan2(w.imag, w.real)
@@ -367,20 +364,23 @@ class ZeroRecord:
     suspected_multiple: bool = False
 
 
+_ZERO_TOL = 1e-8  # bracket width at which zero bisection stops
+
+
 def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
-                       grid_step: float, tol: float = 1e-8) -> list[ZeroRecord]:
-    """Sign-change zeros of eta on [t_lo, t_hi], bisected to width <= tol.
+                       grid_step: float) -> list[ZeroRecord]:
+    """Sign-change zeros of eta on [t_lo, t_hi], bisected to width <= _ZERO_TOL = 1e-8.
 
     eta is sampled on the grid t_lo, t_lo + grid_step, ... in one call; when the grid
     stops short of t_hi, eta(t_hi) is taken in a call of its own (so the grid keeps its
     batch) and closes the scan.  Every sign-change bracket is then refined in lockstep by
     `_bisect`: one eta call per level evaluates the midpoints of all still-open brackets,
-    so a scan makes about 2 + log2(grid_step / tol) eta calls, however many zeros it
+    so a scan makes about 2 + log2(grid_step / _ZERO_TOL) eta calls, however many zeros it
     finds.  A batch never holds more points than the grid call.  A reported t_zero
     depends only on the sequence of sign decisions, not on the eta values: a midpoint's
     eta inside a batch differs from its single-point value by rounding, which can flip a
     decision only where |eta| is at rounding level, within about 1e-13 of the zero, and
-    the result then still lies within tol of it.
+    the result then still lies within _ZERO_TOL of it, which each ZeroRecord reports as tol.
 
     Grid dips of |eta| below 1e-8 of the local scale without a sign change
     are recorded as suspected multiple zeros and left unrefined.  Negative t
@@ -405,8 +405,8 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     starts = [i for i in range(len(fs) - 1) if fs[i] < 0.0 < fs[i + 1] or fs[i + 1] < 0.0 < fs[i]]
     i0 = np.array(starts, dtype=np.intp)
     t_zeros = _bisect(lambda t: eta_on_grid(chi, 0.0, t)[0].real,
-                      grid[i0], grid[i0 + 1], vals[i0], tol)
-    records += [ZeroRecord(t_zero, (ts[i], ts[i + 1]), tol, sign(fs[i]), sign(fs[i + 1]))
+                      grid[i0], grid[i0 + 1], vals[i0], _ZERO_TOL)
+    records += [ZeroRecord(t_zero, (ts[i], ts[i + 1]), _ZERO_TOL, sign(fs[i]), sign(fs[i + 1]))
                 for i, t_zero in zip(starts, t_zeros.tolist())]
 
     absvals = np.abs(vals)

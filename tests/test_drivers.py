@@ -195,12 +195,13 @@ def test_mixed_second_derivative_bit_identical(route):
             assert _same(gp.mixed_second_derivative(t, alpha, route, 10 ** 5), ref)
 
 
-def test_find_t_cross_bit_identical():
+def test_find_t_cross_bit_identical(monkeypatch):
     cases = [(gp.PrefactorParams.for_alpha(1, q), 1e-4) for q in (3, 9, 11)]  # q = 11: None
     cases += [(gp.PrefactorParams.for_alpha(0, 5), 1e-7), (gp.PrefactorParams.for_alpha(2), 1e-4)]
     for params, tol in cases:
         ref = _ref_t_cross(params, 10 ** 5, tol=tol)
-        got = gp.find_t_cross(params, n_terms=10 ** 5, tol=tol)
+        monkeypatch.setattr(gp, "_T_CROSS_TOL", tol)
+        got = gp.find_t_cross(params, n_terms=10 ** 5)
         assert got == ref and type(got) is type(ref)
 
 
@@ -302,8 +303,9 @@ def test_eps_slope_bit_identical(chi):
 
 
 @pytest.mark.parametrize("chi", CHARS, ids=["q3", "q5odd", "q5real"])
-def test_zero_scan_bit_identical(chi):
+def test_zero_scan_bit_identical(chi, monkeypatch):
     for t_lo, t_hi, step, tol in ((0.0, 15.0, 0.05, 1e-8), (-9.0, -0.2, 0.2, 1e-8),
                                   (97.0, 100.0, 0.2, 1e-11)):
-        got = lf.find_zeros_on_line(chi, t_lo, t_hi, step, tol)
+        monkeypatch.setattr(lf, "_ZERO_TOL", tol)
+        got = lf.find_zeros_on_line(chi, t_lo, t_hi, step)
         assert got == _ref_zeros(chi, t_lo, t_hi, step, tol)

@@ -394,7 +394,7 @@ def test_route_agreement_sample_point():
     t, eps, alpha, q = 5.0, 0.0, 1, 3
     params = gp.PrefactorParams.for_alpha(alpha, q)
     s = SPoint(eps, t)
-    stirl, bound = gp.stirling_phase(t, eps, params, with_bound=True)
+    stirl, bound = gp.stirling_phase(t, eps, params)
     gw = gp.gw_log_gamma_phase(s, alpha, 10 ** 6) + 0.5 * t * math.log(q / math.pi)
     assert abs(stirl - gw) <= bound + 10 * gp.gw_phase_tail_estimate(s, alpha, 10 ** 6)
 
@@ -407,7 +407,7 @@ def test_route_agreement_band():
         for eps in (-0.2, 0.0, 0.2):
             for t in (2.0, 7.0, 31.0, 100.0):
                 s = SPoint(eps, t)
-                stirl, bound = gp.stirling_phase(t, eps, params, with_bound=True)
+                stirl, bound = gp.stirling_phase(t, eps, params)
                 gw = gp.gw_log_gamma_phase(s, alpha, n_terms) + t * shift
                 allowance = bound + gp.gw_phase_tail_estimate(s, alpha, n_terms)
                 assert abs(stirl - gw) <= allowance

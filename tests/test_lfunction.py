@@ -54,11 +54,22 @@ def test_principal_reduction_at_two():
     assert got.real == pytest.approx(math.pi ** 2 / 8, abs=1e-12)
 
 
-def test_l_eval_raises_when_tol_is_unmet(chi3):
-    # six head sizes (50 up to 859 terms) leave an estimate near 1e-61, far above tol
+def test_l_eval_raises_when_tol_is_unmet(chi3, monkeypatch):
+    # the 50-term head leaves an estimate near 4e-32, far above this tolerance
+    assert lf.l_eval(SPoint(0.0, 10.0), chi3).abs_err_estimate <= 1e-10
+    monkeypatch.setattr(lf, "_L_TOL", 1e-300)
     with pytest.raises(NumericalInstabilityError, match="exceeds tol"):
-        lf.l_eval(SPoint(0.0, 10.0), chi3, tol=1e-300)
-    assert lf.l_eval(SPoint(0.0, 10.0), chi3, tol=1e-10).abs_err_estimate <= 1e-10
+        lf.l_eval(SPoint(0.0, 10.0), chi3)
+
+
+@pytest.mark.parametrize("q", (3, 13, 29))
+def test_l_eval_first_head_meets_tolerance(q):
+    # l_eval takes one head of _em_head(|t|) terms; its estimate stays far below _L_TOL
+    # from t = 0 to 1e4 across the strip
+    chi = next(c for c in enumerate_characters(q) if c.is_primitive and not c.is_principal)
+    for t in (0.0, 14.13, 1e3, 1e4):
+        for eps in (-0.49, 0.0, 0.49):
+            assert lf.l_eval(SPoint(eps, t), chi).abs_err_estimate <= 1e-12
 
 
 def test_principal_strip_rejected():
@@ -161,6 +172,17 @@ def test_eta_real_on_line(chi3):
     assert abs(eta.imag) < 1e-8 * abs(eta)
     assert half == lf.normalizer_phase(chi3)
     assert half == pytest.approx(0.0, abs=1e-15)  # tau = i sqrt(3)
+
+
+def test_normalizer_phase_takes_one_gauss_sum_per_character(monkeypatch):
+    # a zero scan calls eta once for the grid and once per bisection level; tau(chi) once
+    chi = enumerate_characters(13)[1]
+    calls = []
+    monkeypatch.setattr(lf, "gauss_sum", lambda c: calls.append(c) or arith.gauss_sum(c))
+    lf.normalizer_phase.cache_clear()
+    assert len(lf.find_zeros_on_line(chi, 0.0, 10.0, 0.05)) >= 2
+    assert calls == [chi]
+    assert lf.normalizer_phase(chi) == lf.normalizer_phase.__wrapped__(chi)
 
 
 def test_eta_realness_all_primitive_up_to_13():
@@ -270,7 +292,8 @@ def test_zero_scan_exact_zero_at_t_hi(monkeypatch, chi3):
     fake = lambda chi, eps, t: ((np.asarray(t) - 1.0) * (np.asarray(t) - 3.3)
                                 * (np.asarray(t) - 8.2) + 0j, 0.0)
     monkeypatch.setattr(lf, "eta_on_grid", fake)
-    grid_hit, bisected, tail_hit = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5, tol=1e-10)
+    monkeypatch.setattr(lf, "_ZERO_TOL", 1e-10)
+    grid_hit, bisected, tail_hit = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5)
     assert grid_hit == lf.ZeroRecord(1.0, (1.0, 1.0), 0.0, 0, 1)
     assert bisected.bracket == (3.0, 3.5) and abs(bisected.t_zero - 3.3) <= 1e-10
     assert tail_hit == lf.ZeroRecord(8.2, (8.2, 8.2), 0.0, 0, 0)  # no sample after t_hi
@@ -282,10 +305,10 @@ def test_zero_scan_eta_calls_do_not_grow_with_zeros(monkeypatch):
     calls = []
     eta = lf.eta_on_grid
     monkeypatch.setattr(lf, "eta_on_grid", lambda *a: calls.append(a) or eta(*a))
-    step, tol = 0.05, 1e-8
-    zeros = lf.find_zeros_on_line(chi, 0.0, 30.0, step, tol)
+    step = 0.05
+    zeros = lf.find_zeros_on_line(chi, 0.0, 30.0, step)
     assert len(zeros) >= 10
-    assert len(calls) <= 2 + math.ceil(math.log2(step / tol))
+    assert len(calls) <= 2 + math.ceil(math.log2(step / lf._ZERO_TOL))
 
 
 def test_first_q3_zero_independent_of_scan_range(chi3):

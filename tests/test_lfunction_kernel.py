@@ -104,7 +104,7 @@ def _same(got, ref):
 
 
 @pytest.mark.parametrize("q", MODULI)
-def test_l_values_match_per_class_loop(q):
+def test_l_values_match_per_class_loop(q, monkeypatch):
     for chi in enumerate_characters(q):
         # the principal character keeps the zeta pole, so it is checked right of the strip
         epsilons = (0.75, 1.5) if chi.is_principal else (0.0, 0.2, -0.3, 0.75, 1.5)
@@ -115,7 +115,9 @@ def test_l_values_match_per_class_loop(q):
                 s = 0.5 + eps + 1j * t
                 _same(lf._l_values(chi, s), _ref_l_values(chi, s))
                 if t.size == 5:
-                    _same(lf._l_values(chi, s, n_head=57), _ref_l_values(chi, s, n_head=57))
+                    with monkeypatch.context() as m:
+                        m.setattr(lf, "_em_head", lambda t_max: 57)
+                        _same(lf._l_values(chi, s), _ref_l_values(chi, s, n_head=57))
         if not chi.is_principal:  # at and near s = 1 the dropped pole takes its series
             s = 1.0 + 1j * np.array([0.0, 5e-7, -3.0])
             _same(lf._l_values(chi, s), _ref_l_values(chi, s))
