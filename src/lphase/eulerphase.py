@@ -22,6 +22,9 @@ zero-transitions in prime space, once by the ordered prime sum and once by the
 closed-form Li integral (exponential integral) of the same integrand; their ratios
 at two eps values drive the level-monotonicity checks.  Each call prepares its
 primes, p^(1/2+eps) and the window tables once; `scan` evaluates one kernel in t per grid.
+Preparation copies the runs of the prime table between the few primes that divide q
+straight into its arrays and fills the window tables leaf by leaf, so a prepared kernel
+holds five arrays over its primes and leaf-sized buffers.
 The two estimators, the residual and the Euler phase are modes of that kernel's one leaf:
 each value is one sum in numpy's pairwise order over leaves of 8192 primes
 (`gammaphase._ordered_sum`), so it depends only on its own t.  Every sine and cosine of a
@@ -114,19 +117,27 @@ class PhaseScan:
 
 def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
                 p_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primes p <= p_max coprime to q (ascending), their logs, and character angles."""
+    """Primes p <= p_max coprime to q (ascending), their logs, and character angles.
+
+    A prime off the units divides q, so only primes <= q can drop out; the runs of the
+    table between them are copied straight into the float primes, their logs and their
+    residues mod q, which index the angles.
+    """
     if p_max is not None and p_max > primes.p_max:
         raise DomainError(f"cutoff {p_max} lies past the prime table's p_max {primes.p_max}")
-    n = None if p_max is None else np.searchsorted(primes.primes, p_max, side="right")
-    res = primes.primes[:n] % chi.q
-    theta = chi.angles_by_residue()[res]
-    keep = ~np.isnan(theta)
-    p = primes.primes[:n][keep].astype(np.float64)
-    lp = primes.log_primes[:n][keep]
-    th = theta[keep]
-    if __debug__ and p.size > 1:
-        assert np.all(np.diff(p) > 0), "prime order violated"
-    return p, lp, th
+    table = primes.primes
+    n = table.size if p_max is None else int(np.searchsorted(table, p_max, side="right"))
+    q = chi.q
+    drop = [i for i in range(int(np.searchsorted(table[:n], q, side="right")))
+            if chi.k[table[i] % q] < 0]
+    size = n - len(drop)
+    p, lp, res = np.empty(size), np.empty(size), np.empty(size, dtype=table.dtype)
+    for k, (lo, hi) in enumerate(zip([0] + [i + 1 for i in drop], drop + [n])):
+        out = slice(lo - k, hi - k)  # k primes dropped before lo
+        p[out] = table[lo:hi]
+        lp[out] = primes.log_primes[lo:hi]
+        np.remainder(table[lo:hi], q, out=res[out])
+    return p, lp, chi.angles_by_residue()[res]
 
 
 def _check_eps(eps: float) -> None:
@@ -150,9 +161,14 @@ def _sin_cos(x, s, c, d):
 
 
 def _window_table(lp, lnps):
-    # sin B and cos B, B = pi log p / log p*: the window's fixed rotation of each prime
-    b = math.pi * lp / lnps
-    return _sin_cos(b, b, np.empty_like(b), np.empty_like(b))
+    # sin B and cos B, B = pi log p / log p*: the window's fixed rotation of each prime,
+    # filled leaf by leaf, so that _sin_cos needs one leaf of scratch
+    sin_b, cos_b, d = np.empty_like(lp), np.empty_like(lp), np.empty(_LEAF)
+    for lo in range(0, lp.size, _LEAF):
+        i = slice(lo, lo + _LEAF)
+        b = np.divide(np.multiply(math.pi, lp[i], sin_b[i]), lnps, sin_b[i])
+        _sin_cos(b, b, cos_b[i], d[:b.size])
+    return sin_b, cos_b
 
 
 def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,

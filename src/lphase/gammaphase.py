@@ -74,6 +74,7 @@ T_STIRLING_MIN = 0.5
 _BLOCK = 1 << 20
 _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB float64 leaf buffers stay in cache
 _RAMP = np.arange(_LEAF, dtype=np.float64)
+_HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
 _MACH = float(np.finfo(float).eps)
 _T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
 
@@ -224,6 +225,21 @@ def _hurwitz_tail(tail, pw, v, vmax: float, w: float, coef):
     return tail
 
 
+def _column_blocks(n_cols: int, n_rows: int) -> list[slice]:
+    """Column slices of an (n_rows, n_cols) head matrix, at most _HEAD_CELLS cells each.
+
+    numpy sums a C-contiguous (n, k) block over axis 0 row by row for k >= 2, but an
+    (n, 1) block pairwise; so no block is one column wide unless n_cols is 1, and each
+    column is summed as it would be inside the whole matrix.  Blocks are 2 columns wide
+    at least, so a head of more than _HEAD_CELLS/2 rows exceeds the budget.
+    """
+    width = max(2, _HEAD_CELLS // max(n_rows, 1))
+    starts = list(range(0, n_cols, width))
+    if len(starts) > 1 and n_cols - starts[-1] == 1:
+        starts.pop()  # the last column joins the block before it
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_cols])]
+
+
 def _log_gamma_grid(t, eps: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """log|Gamma(a+iv)| and the limit of the product-route phase over t, from one head matrix.
 
@@ -232,22 +248,28 @@ def _log_gamma_grid(t, eps: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     sum_j (-1)^(j+1) v^(2j)/(2j) zeta(2j, N+1+a) and v*(psi(N+1+a) - psi(N+1)) + sum_j
     (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, N+1+a), to near machine precision for every t.
     The head has n0 = max(64, ceil(4 max|v|) + 32) rows, so the tails converge
-    geometrically; the log-modulus temporaries are freed before the phase head is built.
+    geometrically.  The head matrix is built and summed in the column blocks of
+    `_column_blocks`, both sums from one block of x, so memory stays at _HEAD_CELLS cells
+    plus O(points) and every column is summed as in the whole matrix.
     """
     a, _ = _ab(SPoint(eps, 0.0), alpha)
     v = np.atleast_1d(np.asarray(t, dtype=np.float64)) / 2.0
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
     n0 = int(max(64, math.ceil(4.0 * vmax) + 32))
     n, w = np.arange(1, n0 + 1, dtype=np.float64)[:, None], n0 + 1.0 + a
-    x = v[None, :] / (n + a)
-    head = 0.5 * np.sum(np.log1p(x * x), axis=0)
+    na = n + a
+    nna = n * na
+    head_abs, head_phase = np.empty_like(v), np.empty_like(v)
+    for b in _column_blocks(v.size, n0):
+        x = v[None, b] / na
+        head_abs[b] = 0.5 * np.sum(np.log1p(x * x), axis=0)
+        head_phase[b] = np.sum(v[None, b] * a / nna + _x_minus_arctan(x), axis=0)
     tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w,
                          lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
-    log_abs = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
-    head = np.sum(v[None, :] * a / (n * (n + a)) + _x_minus_arctan(x), axis=0)
+    log_abs = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head_abs - tail
     tail = _hurwitz_tail(v * float(digamma(w) - digamma(n0 + 1.0)), v, v, vmax, w,
                          lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
-    return log_abs, -EULER_GAMMA * v - np.arctan(v / a) + head + tail
+    return log_abs, -EULER_GAMMA * v - np.arctan(v / a) + head_phase + tail
 
 
 def gamma_phase(t, eps: float, alpha: int) -> np.ndarray | float:

@@ -6,6 +6,9 @@ by one Euler-Maclaurin pass over all unit classes (head sums, integral and
 half terms, Bernoulli corrections, explicit remainder estimate); zeta(s) is
 L(s, chi mod 1).  This is accurate to ~1e-13 relative over the desk-scale
 window |t| <= 100 and is valid throughout the strip for non-principal characters.
+The head sums run over column blocks of at most `gammaphase._HEAD_CELLS` cells,
+as the Gamma head does, so a grid needs memory for one block plus
+O(classes x points), never a whole (head, points) matrix.
 
 The completed function
     xi(s, chi) = (q/pi)^((s+alpha)/2) Gamma((s+alpha)/2) L(s, chi)
@@ -40,6 +43,7 @@ from .gammaphase import (
     BERNOULLI,
     PrefactorParams,
     _bisect,
+    _column_blocks,
     _log_gamma_grid,
     _richardson,
     mixed_second_derivative,
@@ -83,13 +87,14 @@ def _em_head(t_max: float) -> int:
 def _l_values(chi: DirichletCharacter, svals: np.ndarray) -> tuple[np.ndarray, float]:
     """L(s, chi) over complex s, and a remainder estimate, in one Euler-Maclaurin pass.
 
-    Each unit class r gets zeta(s, r/q): a head sum over n < n_head (one block per
-    class), then integral, half and Bernoulli terms at w = n_head + r/q as (classes,
-    points) arrays; the pole series and the Pochhammer ladder are built once.  A
-    non-principal character drops the pole 1/(s-1) from every class, keeping s = 1
-    finite; the dropped parts sum to zero.  A class's estimate is its first dropped
-    Bernoulli term times |s+2K+1| / (sigma+2K+1), maximized over s; the classes' estimates
-    are summed and scaled by q^(-sigma).
+    Each unit class r gets zeta(s, r/q): a head sum over n < n_head, one class at a time
+    in the column blocks of `gammaphase._column_blocks`, written into a (classes, points)
+    array (each column is summed as in the whole (n_head, points) matrix), then integral,
+    half and Bernoulli terms at w = n_head + r/q as (classes, points) arrays; the pole
+    series and the Pochhammer ladder are built once.  A non-principal character drops the
+    pole 1/(s-1) from every class, keeping s = 1 finite; the dropped parts sum to zero.
+    A class's estimate is its first dropped Bernoulli term times |s+2K+1| / (sigma+2K+1),
+    maximized over s; the classes' estimates are summed and scaled by q^(-sigma).
     """
     s = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
     if not s.size:
@@ -100,7 +105,12 @@ def _l_values(chi: DirichletCharacter, svals: np.ndarray) -> tuple[np.ndarray, f
     w = np.array([[nh + r / q] for r in units])
     lw = np.array([[math.log(x)] for x in w[:, 0]])  # np.log can differ in the last bit
     n, ms = np.arange(nh, dtype=np.float64)[:, None], -s[None, :]
-    head = np.array([np.sum(np.exp(ms * np.log(n + r / q)), axis=0) for r in units])
+    head = np.empty((len(units), s.size), dtype=np.complex128)
+    blocks = _column_blocks(s.size, nh)
+    for row, r in zip(head, units):
+        log_n = np.log(n + r / q)
+        for b in blocks:
+            row[b] = np.sum(np.exp(ms[:, b] * log_n), axis=0)
     if chi.is_principal:
         integral = np.exp((1.0 - s) * lw) / (s - 1.0)
     else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,19 @@ def chi5_odd():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(173205080)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(f): the most bytes held during f() beyond those held before it, by tracemalloc,
+    to which numpy reports its array buffers."""
+    def peak(f) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            f()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -323,3 +323,27 @@ def test_scan_prepares_primes_once(monkeypatch):
         calls.clear()
         ep.scan(chi, 0.0, _GRID, table, _WINDOWS["pstar=pmax"], estimator=estimator)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 12, 30, 60))
+def test_prime_data_matches_masked_copies(q):
+    # the kept runs between the primes that divide q, against the mask over the whole table;
+    # p_max = 2, 3 and 5 end the table among those primes
+    table = _TABLES[1]
+    for chi in enumerate_characters(q):
+        for p_max in (None, 2, 3, 5, 61, 100_003):
+            got, want = ep._prime_data(chi, table, p_max), _ref_prime_data(chi, table, p_max)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+            assert np.all(np.diff(got[0]) > 0)
+
+
+def test_prepared_kernel_memory_is_five_prime_arrays(traced_peak):
+    # p^sigma, log p, the angles and the sin B, cos B tables, plus the (7, _LEAF) leaf buffer
+    # and _window_table's one leaf of scratch; the residues live only inside _prime_data
+    chi, table = enumerate_characters(3)[1], sieve_primes(10 ** 6, 3)
+    table.log_primes  # the table's own cache, built once per table
+    window = ep.WindowParams(p_star=1e6, p_max=10 ** 6)
+    kept = ep._prime_data(chi, table, window.p_max)[0].size
+    peak = traced_peak(lambda: ep.windowed_ratio_exact(22.0, 0.0, chi, table, window))
+    assert peak <= 8 * (5 * kept + 8 * gp._LEAF) + (64 << 10)

@@ -225,15 +225,23 @@ _KERNEL_T = {"scalar": 37.3, "zero": 0.0, "negative": -5.2, "one-point": np.arra
              "grid": np.linspace(-30.0, 120.0, 301)}
 
 
-@pytest.mark.parametrize("t", _KERNEL_T.values(), ids=_KERNEL_T.keys())
-def test_log_gamma_kernel_bit_identical_to_separate_routines(t):
-    for alpha in (0, 1, 2):
-        for eps in (-0.2, 0.0, 0.3):
-            phase, log_abs = _ref_gamma_phase(t, eps, alpha), _ref_gamma_log_abs(t, eps, alpha)
-            assert _same_bytes(gp.gamma_phase(t, eps, alpha), phase)
-            assert _same_bytes(gp.gamma_log_abs(t, eps, alpha), log_abs)
-            kernel = gp._log_gamma_grid(t, eps, alpha)
-            assert _same_bytes(kernel, (np.atleast_1d(log_abs), np.atleast_1d(phase)))
+# 40032 head rows: at the real _HEAD_CELLS the five columns go into blocks of 2 and 3
+_FAR_T = np.array([-2.0e4, -1.99e4, 5.0, 1.99e4, 2.0e4])
+
+
+@pytest.mark.parametrize("t", [*_KERNEL_T.values(), _FAR_T], ids=[*_KERNEL_T, "far"])
+def test_log_gamma_kernel_bit_identical_to_separate_routines(t, monkeypatch):
+    # the references sum the whole head matrix; 64 cells split a grid into 2- and 3-column blocks
+    for cells in (gp._HEAD_CELLS, 64):
+        monkeypatch.setattr(gp, "_HEAD_CELLS", cells)
+        for alpha in (0, 1, 2):
+            for eps in (-0.2, 0.0, 0.3):
+                phase = _ref_gamma_phase(t, eps, alpha)
+                log_abs = _ref_gamma_log_abs(t, eps, alpha)
+                assert _same_bytes(gp.gamma_phase(t, eps, alpha), phase)
+                assert _same_bytes(gp.gamma_log_abs(t, eps, alpha), log_abs)
+                kernel = gp._log_gamma_grid(t, eps, alpha)
+                assert _same_bytes(kernel, (np.atleast_1d(log_abs), np.atleast_1d(phase)))
 
 
 @pytest.mark.parametrize("t", [np.asarray(t, dtype=np.float64) for t in _KERNEL_T.values()],
@@ -255,6 +263,17 @@ def test_xi_builds_one_head_grid(monkeypatch, chi3):
         calls.clear()
         lf.xi_on_grid(chi3, 0.0, t)
         assert len(calls) == 1
+
+
+def test_xi_memory_is_head_blocks_plus_points(chi3, traced_peak):
+    # the heads hold one column block at a time: the L head's exponents and their exp, or
+    # the Gamma head's real temporaries, stay under 4 complex arrays of _HEAD_CELLS cells;
+    # the rest of xi holds about 32 complex values per point (L's (2, points) class arrays
+    # for chi mod 3, the Gamma tails, xi itself)
+    t = np.arange(0.5, 200.0001, 0.05)
+    lf.xi_on_grid(chi3, 0.0, t[:2])  # scipy's first-call set-up stays outside the trace
+    peak = traced_peak(lambda: lf.xi_on_grid(chi3, 0.0, t))
+    assert peak <= 16 * (4 * gp._HEAD_CELLS + 32 * t.size)
 
 
 def test_gw_domain_guard():

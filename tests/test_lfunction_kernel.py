@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from lphase import lfunction as lf
+from lphase import gammaphase as gp, lfunction as lf
 from lphase.arith import SPoint, _factorize, enumerate_characters, primitive_inducer
 
 _BERN_FACT, _N_BERN = lf._BERN_FACT, lf._N_BERN
@@ -93,6 +93,8 @@ GRIDS = (
     np.array([-12.0, -0.5, 0.0, 0.75, 21.3]),
     np.linspace(-14.0, 29.0, 175),
 )
+# 20040 head rows: at the real _HEAD_CELLS the five columns go into blocks of 2 and 3
+FAR = np.array([-2.0e4, -1.99e4, 5.0, 1.99e4, 2.0e4])
 MODULI = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 24, 30, 60)
 
 
@@ -118,9 +120,16 @@ def test_l_values_match_per_class_loop(q, monkeypatch):
                     with monkeypatch.context() as m:
                         m.setattr(lf, "_em_head", lambda t_max: 57)
                         _same(lf._l_values(chi, s), _ref_l_values(chi, s, n_head=57))
+                if t.size == 175:  # 64 cells: the reference's whole head in 2- and 3-column blocks
+                    with monkeypatch.context() as m:
+                        m.setattr(gp, "_HEAD_CELLS", 64)
+                        _same(lf._l_values(chi, s), _ref_l_values(chi, s))
         if not chi.is_principal:  # at and near s = 1 the dropped pole takes its series
             s = 1.0 + 1j * np.array([0.0, 5e-7, -3.0])
             _same(lf._l_values(chi, s), _ref_l_values(chi, s))
+    chi = enumerate_characters(q)[-1]  # one character per modulus: far heads are large
+    s = (2.0 if chi.is_principal else 0.5) + 1j * FAR
+    _same(lf._l_values(chi, s), _ref_l_values(chi, s))
 
 
 @pytest.mark.parametrize("q", MODULI)
