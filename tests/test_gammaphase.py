@@ -37,12 +37,21 @@ def test_gw_phase_odd_in_t():
 
 
 def test_gw_phase_truncation_within_estimate():
-    for t, alpha in ((5.0, 1), (40.0, 0), (15.0, 2)):
-        s = SPoint(0.0, t)
-        exact = _loggamma_phase(t, 0.0, alpha)
-        for n in (10 ** 4, 10 ** 5):
-            err = abs(gp.gw_log_gamma_phase(s, alpha, n) - exact)
-            assert err <= gp.gw_phase_tail_estimate(s, alpha, n)
+    # limit - S_N = Im logGamma(N+1+z) - v psi(N+1) exactly; the estimate must bound it, and,
+    # with the 3e-14 * (1 + |S_N|) rounding allowance, the computed S_N's distance from the limit
+    for t in (0.3, 5.0, 100.0, 3000.0):
+        for eps in (-0.3, 0.0, 0.4):
+            for alpha in (0, 1, 2):
+                s = SPoint(eps, t)
+                with mp.workdps(40):
+                    z = mp.mpc(0.5 + eps + alpha, t) / 2
+                    limit = float(mp.im(mp.loggamma(z)))
+                    for n in (1, 10, 10 ** 3, 10 ** 6, 10 ** 9):
+                        est = gp.gw_phase_tail_estimate(s, alpha, n)
+                        trunc = mp.im(mp.loggamma(n + 1 + z)) - z.imag * mp.digamma(n + 1)
+                        assert abs(float(trunc)) <= est, (t, eps, alpha, n)
+                        got = gp.gw_log_gamma_phase(s, alpha, n)
+                        assert abs(limit - got) <= est + 3e-14 * (1.0 + abs(got)), (t, eps, alpha, n)
 
 
 def test_gamma_phase_limit_matches_mpmath():
@@ -133,18 +142,72 @@ def _ref_gw(s, alpha, n_terms):
     return phase, dphase
 
 
+def _ref_head_rows(t):
+    # n0 for v = t/2: the partial sums add their first min(N, n0) terms explicitly
+    return max(64, math.ceil(2.0 * abs(t)) + 32)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(n_terms=st.sampled_from([1, 7, 8191, 8193, 12345, 2 * 10 ** 5, 10 ** 6, (1 << 20) + 5]),
+@given(n_terms=st.sampled_from([1, 7, 63, 64, 65, 97, 1000, 8193, 12345, 10 ** 6]),
        t=st.floats(-3000.0, 3000.0), eps=st.floats(-0.4, 0.5), alpha=st.sampled_from([0, 1, 2]))
 @example(n_terms=10 ** 6, t=0.0, eps=0.0, alpha=1)
-@example(n_terms=(1 << 20) + 5, t=-14.13, eps=0.1, alpha=0)
-@example(n_terms=12345, t=1800.3, eps=0.0, alpha=1)        # arctan/series split inside the second leaf
-@example(n_terms=2 * 10 ** 5, t=-1800.3, eps=-0.2, alpha=2)
+@example(n_terms=12345, t=1800.3, eps=0.0, alpha=1)        # arctan/series split inside the head
+@example(n_terms=10 ** 6, t=-2.0e4, eps=-0.2, alpha=2)     # a head of 40032 terms: 5 leaves
+@example(n_terms=(1 << 20) + 5, t=6.0e5, eps=0.1, alpha=0)  # a head of two 2^20 blocks
 def test_gw_sums_bit_identical_to_one_block_sum(n_terms, t, eps, alpha):
+    # up to n0 terms the partial sums are fully explicit and keep the one-block sum's bits
+    n_terms = min(n_terms, _ref_head_rows(t))
     s = SPoint(eps, t)
     phase, dphase = _ref_gw(s, alpha, n_terms)
     assert gp.gw_log_gamma_phase(s, alpha, n_terms) == phase
     assert gp.gw_dphase_dt(s, alpha, n_terms) == dphase
+
+
+def _mp_gw(t, eps, alpha, n_terms):
+    # the exact N-term phase and t-derivative sums at 40 digits, z = a + iv:
+    # -gamma v - arctan(v/a) + v H_N - Im[logGamma(N+1+z) - logGamma(1+z)] and its d/dt
+    with mp.workdps(40):
+        z = mp.mpc(0.5 + eps + alpha, t) / 2
+        a, v, h = z.real, z.imag, mp.harmonic(n_terms)
+        phase = (-mp.euler * v - mp.atan(v / a) + v * h
+                 - mp.im(mp.loggamma(n_terms + 1 + z) - mp.loggamma(1 + z)))
+        dphase = (-mp.euler - a / (a * a + v * v) + h
+                  - mp.re(mp.digamma(n_terms + 1 + z) - mp.digamma(1 + z))) / 2
+        if n_terms <= 10 ** 4:  # the closed form against the direct sums
+            ns = range(1, n_terms + 1)
+            direct = (-mp.euler * v - mp.atan(v / a) + mp.fsum(v / n - mp.atan(v / (n + a)) for n in ns),
+                      (-mp.euler - a / (a * a + v * v)
+                       + mp.fsum(1 / mp.mpf(n) - (n + a) / ((n + a) ** 2 + v * v) for n in ns)) / 2)
+            assert max(abs(phase - direct[0]), abs(dphase - direct[1])) < mp.mpf(10) ** -30
+        return float(phase), float(dphase)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_terms=st.sampled_from([1, 7, 100, 8193, 10 ** 4, 2 * 10 ** 5, 10 ** 6, (1 << 20) + 5,
+                                10 ** 9, 10 ** 12]),
+       t=st.floats(-3000.0, 3000.0), eps=st.floats(-0.4, 0.5), alpha=st.sampled_from([0, 1, 2]))
+@example(n_terms=10 ** 12, t=3000.0, eps=0.5, alpha=2)
+@example(n_terms=10 ** 12, t=-0.3, eps=-0.4, alpha=0)
+@example(n_terms=10 ** 9, t=0.0, eps=0.0, alpha=1)
+@example(n_terms=10 ** 4, t=1800.3, eps=0.1, alpha=0)
+@example(n_terms=10 ** 6, t=14.13, eps=0.0, alpha=1)
+def test_gw_sums_match_mpmath_partial_sum(n_terms, t, eps, alpha):
+    # past n0 terms the partial sums add T(n0) - T(N) in closed form; the stated bound
+    # is 3e-14 * (1 + |ref|) for both, at any N
+    s = SPoint(eps, t)
+    phase, dphase = _mp_gw(t, eps, alpha, n_terms)
+    assert abs(gp.gw_log_gamma_phase(s, alpha, n_terms) - phase) <= 3e-14 * (1.0 + abs(phase))
+    assert abs(gp.gw_dphase_dt(s, alpha, n_terms) - dphase) <= 3e-14 * (1.0 + abs(dphase))
+
+
+@pytest.mark.parametrize("t, n_terms", [(1e7, 10 ** 6), (-1e7, 10 ** 6), (30.0, 10 ** 12)])
+def test_gw_sums_memory_is_one_leaf(t, n_terms, traced_peak):
+    # the explicit head runs through one (4, _LEAF) leaf buffer and the tail holds no array,
+    # so neither an n0-row nor an N-row array is ever built
+    s = SPoint(0.1, t)
+    for f in (gp.gw_log_gamma_phase, gp.gw_dphase_dt):
+        f(s, 1, 10 ** 3)  # scipy's first-call set-up stays outside the trace
+        assert traced_peak(lambda: f(s, 1, n_terms)) <= 4 * gp._LEAF * 8 + 64 * 1024
 
 
 def test_x_minus_arctan_bit_identical():

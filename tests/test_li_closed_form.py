@@ -15,12 +15,12 @@ REL = 1e-10
 _CHARS = {q: arith.enumerate_characters(q)[i] for q, i in ((3, 1), (12, 3), (7, 1), (5, 1))}
 
 
-def _oracle(th, t, eps, lnps, lo, hi, pieces=2):
+def _oracle(th, t, eps, lnps, lo, hi, pieces=2, dps=16):
     """Integral of cos(t log y - th) sin(pi log y / lnps) / (y^(1/2+eps) log y) over [lo, hi]
-    by mpmath in u = log y, split into `pieces` equal parts."""
+    by mpmath in u = log y, split into `pieces` equal parts, at `dps` digits."""
     c = mp.mpf(0.5) - eps
     f = lambda u: mp.cos(t * u - th) * mp.sin(mp.pi * u / lnps) * mp.exp(c * u) / u
-    with mp.workdps(16):
+    with mp.workdps(dps):
         return mp.quad(f, mp.linspace(mp.log(lo), mp.log(hi), pieces + 1),
                        method="gauss-legendre")
 
@@ -67,6 +67,24 @@ def test_mass_li_at_degenerate_frequencies(eps):
     for th in (0.0, 0.7, -2.1):
         for lo, hi in ((2.0, 1e5), (30.0, 4e3)):
             _assert_mass(th, t, eps, lnps, 2, lo, hi)
+
+
+# short intervals, where E1(-za) - E1(-zb) cancels: the first ledger interval of the
+# character mod 7 at t = 40, clamped at 2 and ending at a cosine zero near 2.0012, and the
+# stretch below p_star = 1e5, where sin(pi log y / log p_star) -> 0; 1e-13 relies on the
+# 80-bit long double of x86-64 (with a 64-bit one the error is about 2e-13)
+_SHORT = [(7, 40.0, 0.45, 1e7, 2.0, 2.0012)] + [
+    (q, t, eps, 1e5, 95493.0, 1e5) for q in (3, 12) for t in (10.0, 25.0) for eps in (0.0, 0.45)]
+
+
+@pytest.mark.parametrize("q, t, eps, p_star, lo, hi", _SHORT)
+def test_li_integral_on_short_intervals(q, t, eps, p_star, lo, hi):
+    lnps = math.log(p_star)
+    for h in _classes(_CHARS[q]):
+        th = _CHARS[q].angle(h)
+        want = _oracle(th, t, eps, lnps, lo, hi, dps=30)
+        got = ep._li_integral(th, t, eps, lnps, lo, hi)
+        assert abs(got - want) <= 1e-13 * abs(want), (h, got, want)
 
 
 @pytest.mark.parametrize("q, t, p_max", [(12, 5.0, 10 ** 6)] + [
