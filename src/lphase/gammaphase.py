@@ -163,8 +163,8 @@ def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
 
 
 def _gw_sum(total: float, n_terms: int, v: float, a: float, leaf, dt: bool = False) -> float:
-    # add the summands for n = 1..n_terms to `total`: the first n0 from `leaf`, one ordered
-    # sum per 2^20 block, and any past n0 as _gw_tail(n0) - _gw_tail(n_terms)
+    # add the summands for n = 1..n_terms to `total`: the first min(n_terms, n0) from `leaf`,
+    # one ordered sum per 2^20 block, and any past n0 as _gw_tail(n0) - _gw_tail(n_terms)
     m = min(n_terms, _head_rows(abs(v)))
     for lo in range(1, m + 1, _BLOCK):
         total += _ordered_sum(leaf, lo, min(_BLOCK, m + 1 - lo))
@@ -232,7 +232,7 @@ def _hurwitz_tail(tail, pw, v, vmax: float, w: float, coef):
 
 
 def _head_rows(vmax: float) -> int:
-    # n0: past n0 terms |v|/(n+a) <= 1/4 for |v| <= vmax, so the tail series converge geometrically
+    # n0: past n0 terms |v|/(n+a) <= 1/4 for |v| <= vmax, so the tail series converge fast
     return int(max(64, math.ceil(4.0 * vmax) + 32))
 
 

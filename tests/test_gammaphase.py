@@ -51,7 +51,8 @@ def test_gw_phase_truncation_within_estimate():
                         trunc = mp.im(mp.loggamma(n + 1 + z)) - z.imag * mp.digamma(n + 1)
                         assert abs(float(trunc)) <= est, (t, eps, alpha, n)
                         got = gp.gw_log_gamma_phase(s, alpha, n)
-                        assert abs(limit - got) <= est + 3e-14 * (1.0 + abs(got)), (t, eps, alpha, n)
+                        slack = 3e-14 * (1.0 + abs(got))
+                        assert abs(limit - got) <= est + slack, (t, eps, alpha, n)
 
 
 def test_gamma_phase_limit_matches_mpmath():
@@ -175,7 +176,8 @@ def _mp_gw(t, eps, alpha, n_terms):
                   - mp.re(mp.digamma(n_terms + 1 + z) - mp.digamma(1 + z))) / 2
         if n_terms <= 10 ** 4:  # the closed form against the direct sums
             ns = range(1, n_terms + 1)
-            direct = (-mp.euler * v - mp.atan(v / a) + mp.fsum(v / n - mp.atan(v / (n + a)) for n in ns),
+            direct = (-mp.euler * v - mp.atan(v / a)
+                      + mp.fsum(v / n - mp.atan(v / (n + a)) for n in ns),
                       (-mp.euler - a / (a * a + v * v)
                        + mp.fsum(1 / mp.mpf(n) - (n + a) / ((n + a) ** 2 + v * v) for n in ns)) / 2)
             assert max(abs(phase - direct[0]), abs(dphase - direct[1])) < mp.mpf(10) ** -30
