@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -86,17 +87,15 @@ def _primitive_character(args) -> arith.DirichletCharacter:
     return chi
 
 
-def _check_p_max(args) -> None:
+def _table(args) -> tuple[arith.PrimeTable, ep.WindowParams]:
+    # the prime table and window of a prime-sum command
     cap = arith._DEFAULT_P_BUDGET
     if args.p_max > cap and not args.allow_large:
         raise _UsageError(f"--p-max {args.p_max} exceeds the cap {cap}; pass --allow-large")
     if args.p_max < 2:
         raise _UsageError("--p-max must be at least 2")
-
-
-def _table(args) -> arith.PrimeTable:
-    _check_p_max(args)
-    return arith.sieve_primes(args.p_max, args.q, p_budget=args.p_max)
+    return (arith.sieve_primes(args.p_max, args.q, p_budget=args.p_max),
+            ep.WindowParams(p_star=args.p_star, p_max=args.p_max))
 
 
 def _t_grid(args) -> np.ndarray:
@@ -147,10 +146,8 @@ def _cmd_gauss(args) -> int:
 
 
 def _cmd_figure_mixed(args) -> int:
-    grid = _t_grid(args)
     rows = []
-    for t in grid:
-        t = float(t)
+    for t in _t_grid(args).tolist():
         row = [t]
         for alpha in (0, 1, 2):
             row.append(gp.mixed_second_derivative(t, alpha, route="gw", n_terms=args.gw_terms))
@@ -166,10 +163,8 @@ def _cmd_figure_mixed(args) -> int:
 
 def _cmd_figure_prefactor(args, alpha: int, name: str) -> int:
     params = gp.PrefactorParams.for_alpha(alpha, args.q)
-    grid = _t_grid(args)
     rows = []
-    for t in grid:
-        t = float(t)
+    for t in _t_grid(args).tolist():
         val = gp.prefactor_dphase_dt(SPoint(args.eps, t), params, args.gw_terms)
         asym = 0.5 * math.log(abs(t) * args.q / (2.0 * math.pi)) if t != 0 else float("nan")
         rows.append([t, val, asym])
@@ -183,8 +178,7 @@ def _cmd_figure_prefactor(args, alpha: int, name: str) -> int:
 
 def _cmd_figure_symmetries(args) -> int:
     chi = _resolve_character(args)
-    table = _table(args)
-    window = ep.WindowParams(p_star=args.p_star, p_max=args.p_max)
+    table, window = _table(args)
     grid = _t_grid(args)
     sc = ep.scan(chi, args.eps, grid, table, window)
     rows = []
@@ -226,8 +220,7 @@ def _cmd_scan_zeros(args) -> int:
 
 def _cmd_level_check(args) -> int:
     chi = _primitive_character(args)
-    table = _table(args)
-    window = ep.WindowParams(p_star=args.p_star, p_max=args.p_max)
+    table, window = _table(args)
     res = ep.level_check(args.t, args.eps, chi, table, window)
     target = -0.5 * math.log(args.t * args.q / (2.0 * math.pi))
     _write_csv(args.out, "level-check",
@@ -240,8 +233,7 @@ def _cmd_level_check(args) -> int:
 
 def _cmd_ledger(args) -> int:
     chi = _resolve_character(args)
-    table = _table(args)
-    window = ep.WindowParams(p_star=args.p_star, p_max=args.p_max)
+    table, window = _table(args)
     k_max = args.k_max
     if k_max is None:
         k_max = ep.max_k_for_bound(args.t, chi, float(min(args.p_max, args.p_star)))
@@ -282,10 +274,6 @@ def _cmd_verify(args) -> int:
 # argument wiring
 # --------------------------------------------------------------------------
 
-def _add_out(p):
-    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-
-
 def _add_character_opts(p):
     p.add_argument("--chi-index", type=int, default=None,
                    help="character index in the deterministic enumeration")
@@ -314,85 +302,63 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"lphase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("characters", help="exact character phase table mod q")
-    p.add_argument("--q", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_characters)
+    def command(name, fn, help, **q):
+        # a subcommand run by fn, writing CSV to --out; keywords, if any, define its --q
+        p = sub.add_parser(name, help=help)
+        if q:
+            p.add_argument("--q", type=int, **q)
+        p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gauss", help="Gauss sums and the |tau|^2 = q law")
-    p.add_argument("--q", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_gauss)
+    command("characters", _cmd_characters, "exact character phase table mod q", required=True)
+    command("gauss", _cmd_gauss, "Gauss sums and the |tau|^2 = q law", required=True)
 
-    p = sub.add_parser("figure-mixed", help="mixed-derivative curves for alpha = 0, 1, 2")
+    p = command("figure-mixed", _cmd_figure_mixed, "mixed-derivative curves for alpha = 0, 1, 2")
     _add_grid_opts(p, 0.25, 10.0, 0.25)
     p.add_argument("--gw-terms", type=int, default=2 * 10 ** 5)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_figure_mixed)
 
-    p = sub.add_parser("figure-q3", help="odd prefactor-phase derivative curve")
-    p.add_argument("--q", type=int, default=3)
-    p.add_argument("--eps", type=float, default=0.0)
-    _add_grid_opts(p, 0.05, 10.0, 0.05)
-    p.add_argument("--gw-terms", type=int, default=2 * 10 ** 5)
-    _add_out(p)
-    p.set_defaults(fn=lambda a: _cmd_figure_prefactor(a, 1, "figure-q3"))
+    for name, alpha, q, parity in (("figure-q3", 1, 3, "odd"), ("figure-q5", 0, 5, "even")):
+        p = command(name, partial(_cmd_figure_prefactor, alpha=alpha, name=name),
+                    f"{parity} prefactor-phase derivative curve", default=q)
+        p.add_argument("--eps", type=float, default=0.0)
+        _add_grid_opts(p, 0.05, 10.0, 0.05)
+        p.add_argument("--gw-terms", type=int, default=2 * 10 ** 5)
 
-    p = sub.add_parser("figure-q5", help="even prefactor-phase derivative curve")
-    p.add_argument("--q", type=int, default=5)
-    p.add_argument("--eps", type=float, default=0.0)
-    _add_grid_opts(p, 0.05, 10.0, 0.05)
-    p.add_argument("--gw-terms", type=int, default=2 * 10 ** 5)
-    _add_out(p)
-    p.set_defaults(fn=lambda a: _cmd_figure_prefactor(a, 0, "figure-q5"))
-
-    p = sub.add_parser("figure-symmetries", help="windowed estimator scan over a +/- t grid")
-    p.add_argument("--q", type=int, required=True)
+    p = command("figure-symmetries", _cmd_figure_symmetries,
+                "windowed estimator scan over a +/- t grid", required=True)
     _add_character_opts(p)
     p.add_argument("--eps", type=float, default=0.0)
     _add_grid_opts(p, -15.0, 15.0, 0.1)
     _add_prime_opts(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_figure_symmetries)
 
-    p = sub.add_parser("table-odd", help="crossing thresholds t_cross for q = 3..9")
+    p = command("table-odd", _cmd_table_odd, "crossing thresholds t_cross for q = 3..9")
     p.add_argument("--gw-terms", type=int, default=10 ** 6)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_table_odd)
 
-    p = sub.add_parser("scan-zeros", help="critical-line zeros of eta by sign changes")
-    p.add_argument("--q", type=int, required=True)
+    p = command("scan-zeros", _cmd_scan_zeros, "critical-line zeros of eta by sign changes",
+                required=True)
     _add_character_opts(p)
     _add_grid_opts(p, 0.0, 30.0, 0.05)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_scan_zeros)
 
-    p = sub.add_parser("level-check", help="windowed level against the xi phase derivative")
-    p.add_argument("--q", type=int, required=True)
+    p = command("level-check", _cmd_level_check,
+                "windowed level against the xi phase derivative", required=True)
     _add_character_opts(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
     _add_prime_opts(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_level_check)
 
-    p = sub.add_parser("ledger", help="oscillation masses per (k, h) by sum and Li integral")
-    p.add_argument("--q", type=int, required=True)
+    p = command("ledger", _cmd_ledger,
+                "oscillation masses per (k, h) by sum and Li integral", required=True)
     _add_character_opts(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--k-max", type=int, default=None,
                    help="largest oscillation index (default: largest fitting p_max)")
     _add_prime_opts(p)
-    _add_out(p)
-    p.set_defaults(fn=_cmd_ledger)
 
-    p = sub.add_parser("verify", help="run the acceptance suite (exit 2 on failure)")
+    p = command("verify", _cmd_verify, "run the acceptance suite (exit 2 on failure)")
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion ids (default: all)")
-    _add_out(p)
-    p.set_defaults(fn=_cmd_verify)
-
     return parser
 
 

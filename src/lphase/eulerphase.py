@@ -71,16 +71,14 @@ __all__ = [
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
 _SPIKE_MADS = 6.0  # spike threshold in median absolute deviations above the median
 # A Li interval [a, b] in u = log y is short when max(|z|, 1/a) (b - a) <= _GL_SPAN.  There
-# E1(-za) - E1(-zb) cancels, so _GL_ORDER Gauss-Legendre nodes take the integrand itself, in
-# long double: its cosine or sine factor vanishes at an end, where a rounded angle costs digits
+# E1(-za) - E1(-zb) cancels, so _GL_ORDER Gauss-Legendre nodes take the integrand itself
 _GL_SPAN, _GL_ORDER = 2.0, 20
-_PI_LD = 4 * np.arctan(np.longdouble(1))
 
 
 @cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     # nodes and weights on [-1, 1]; built on first use, since leggauss's LAPACK call costs RSS
-    return tuple(x.astype(np.longdouble) for x in np.polynomial.legendre.leggauss(_GL_ORDER))
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -343,10 +341,10 @@ def _li_integral(th, t, eps, lnps, lo, hi):
     A short interval, where the E1 values cancel, is integrated in u directly (`_GL_SPAN`)."""
     a, b = math.log(lo), math.log(hi)
     if max(math.hypot(0.5 - eps, math.pi / lnps + abs(t)), 1.0 / a) * (b - a) <= _GL_SPAN:
-        (x, w), a, b = _gauss_legendre(), np.log(np.longdouble(lo)), np.log(np.longdouble(hi))
+        x, w = _gauss_legendre()
         u = a + (b - a) / 2 * (1 + x)
-        f = np.cos(t * u - th) * np.sin(_PI_LD * u / lnps) * np.exp((0.5 - eps) * u) / u
-        return float((b - a) / 2 * np.dot(w, f))
+        f = np.cos(t * u - th) * np.sin(math.pi * u / lnps) * np.exp((0.5 - eps) * u) / u
+        return (b - a) / 2 * float(np.dot(w, f))
     total = 0.0
     for omega, phi in ((math.pi / lnps + t, -th), (math.pi / lnps - t, th)):
         z = complex(0.5 - eps, omega)

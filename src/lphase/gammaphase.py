@@ -165,6 +165,8 @@ def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
 def _gw_sum(total: float, n_terms: int, v: float, a: float, leaf, dt: bool = False) -> float:
     # add the summands for n = 1..n_terms to `total`: the first min(n_terms, n0) from `leaf`,
     # one ordered sum per 2^20 block, and any past n0 as _gw_tail(n0) - _gw_tail(n_terms)
+    if n_terms < 1:
+        raise DomainError("n_terms must be at least 1")
     m = min(n_terms, _head_rows(abs(v)))
     for lo in range(1, m + 1, _BLOCK):
         total += _ordered_sum(leaf, lo, min(_BLOCK, m + 1 - lo))
@@ -178,8 +180,6 @@ def gw_log_gamma_phase(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -
 
     Costs O(min(N, |t|)); within 3e-14 * (1 + |S_N|) of S_N for |t| <= 3000, N <= 1e12.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
     a, v = _ab(s, alpha)
     buf = np.empty((4, _LEAF))
 
@@ -309,8 +309,6 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> floa
 
     Costs O(min(N, |t|)); within 3e-14 * (1 + |value|) of it for |t| <= 3000, N <= 1e12.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
     a, v = _ab(s, alpha)
     buf = np.empty((3, _LEAF))
 

@@ -194,14 +194,11 @@ def _c9_positivity(c: _Check) -> None:
 
 
 def _c10_first_zeros(c: _Check) -> None:
-    chi3 = _odd_primitive(3)[0]
-    zs = [z for z in lf.find_zeros_on_line(chi3, 0.0, 9.0, 0.05) if not z.suspected_multiple]
-    c.expect(f"q=3 first zero at {zs[0].t_zero:.4f} in (8.0, 8.2), none earlier",
-             len(zs) == 1 and 8.0 < zs[0].t_zero < 8.2)
-    chi4 = _odd_primitive(4)[0]
-    zs4 = [z for z in lf.find_zeros_on_line(chi4, 0.0, 6.5, 0.05) if not z.suspected_multiple]
-    c.expect(f"q=4 first zero at {zs4[0].t_zero:.4f} in (6.0, 6.2), none earlier",
-             len(zs4) == 1 and 6.0 < zs4[0].t_zero < 6.2)
+    for q, t_hi, lo, hi in ((3, 9.0, 8.0, 8.2), (4, 6.5, 6.0, 6.2)):
+        chi = _odd_primitive(q)[0]
+        zs = [z for z in lf.find_zeros_on_line(chi, 0.0, t_hi, 0.05) if not z.suspected_multiple]
+        c.expect(f"q={q} first zero at {zs[0].t_zero:.4f} in ({lo}, {hi}), none earlier",
+                 len(zs) == 1 and lo < zs[0].t_zero < hi)
     for q, t_hi in ((5, 4.0), (7, 2.0)):
         for chi in _odd_primitive(q):
             zs_q = lf.find_zeros_on_line(chi, 0.0, t_hi, 0.05)

@@ -71,8 +71,7 @@ def test_mass_li_at_degenerate_frequencies(eps):
 
 # short intervals, where E1(-za) - E1(-zb) cancels: the first ledger interval of the
 # character mod 7 at t = 40, clamped at 2 and ending at a cosine zero near 2.0012, and the
-# stretch below p_star = 1e5, where sin(pi log y / log p_star) -> 0; 1e-13 relies on the
-# 80-bit long double of x86-64 (with a 64-bit one the error is about 2e-13)
+# stretch below p_star = 1e5, where sin(pi log y / log p_star) -> 0
 _SHORT = [(7, 40.0, 0.45, 1e7, 2.0, 2.0012)] + [
     (q, t, eps, 1e5, 95493.0, 1e5) for q in (3, 12) for t in (10.0, 25.0) for eps in (0.0, 0.45)]
 
