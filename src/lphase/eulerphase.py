@@ -19,7 +19,7 @@ increment by its leading cosine term gives `windowed_ratio_approx`, and
 structurally bounded pieces (higher arctan orders, and the 1/p-coupled
 term).  Oscillation masses collect |cosine summand| between consecutive cosine
 zero-transitions in prime space, once by the ordered prime sum and once by the
-closed-form Li integral (exponential integral) of the same integrand; their ratios
+Li integral of the same integrand (composite Gauss-Legendre in log y); their ratios
 at two eps values drive the level-monotonicity checks.  Each call prepares its
 primes, p^(1/2+eps) and the window tables once; `scan` evaluates one kernel in t per grid.
 Preparation copies the runs of the prime table between the few primes that divide q
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
-from scipy.special import exp1
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
 from .errors import DegenerateInputError, DomainError, TruncationError
@@ -70,8 +69,8 @@ __all__ = [
 
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
 _SPIKE_MADS = 6.0  # spike threshold in median absolute deviations above the median
-# A Li interval [a, b] in u = log y is short when max(|z|, 1/a) (b - a) <= _GL_SPAN.  There
-# E1(-za) - E1(-zb) cancels, so _GL_ORDER Gauss-Legendre nodes take the integrand itself
+# Li intervals [a, b] in u = log y are cut into panels with max(|z|, 1/a) (b - a) <= _GL_SPAN,
+# each integrated by _GL_ORDER Gauss-Legendre nodes (`_li_integral`)
 _GL_SPAN, _GL_ORDER = 2.0, 20
 
 
@@ -335,22 +334,18 @@ def _mass_sum(p, vals, lnps, lo, hi):
 def _li_integral(th, t, eps, lnps, lo, hi):
     """Signed integral of cos(t log y - th) sin(pi log y / lnps) y^-(1/2+eps) / log y on [lo, hi].
 
-    By cos X sin Y = (sin(Y+X) + sin(Y-X))/2 it is (1/2) sum Im[e^(i phi) (E1(-z a) - E1(-z b))]
-    over (omega, phi) = (pi/lnps +- t, -+th), z = 1/2 - eps + i omega, [a, b] = [log lo, log hi].
-    At omega = 0 both ends lie on the same side of E1's cut; at z = 0 the bracket is log(b/a).
-    A short interval, where the E1 values cancel, is integrated in u directly (`_GL_SPAN`)."""
+    In u = log y, [a, b] = [log lo, log hi], the integrand is analytic away from its pole at
+    u = 0, so Gauss-Legendre converges geometrically on panels of bounded span: [a, b] is cut
+    into ceil(max(|z|, 1/a) (b - a) / _GL_SPAN) equal panels, z = 1/2 - eps + i(pi/lnps + |t|),
+    of _GL_ORDER nodes each, and the panel sums are added in order."""
     a, b = math.log(lo), math.log(hi)
-    if max(math.hypot(0.5 - eps, math.pi / lnps + abs(t)), 1.0 / a) * (b - a) <= _GL_SPAN:
-        x, w = _gauss_legendre()
-        u = a + (b - a) / 2 * (1 + x)
-        f = np.cos(t * u - th) * np.sin(math.pi * u / lnps) * np.exp((0.5 - eps) * u) / u
-        return (b - a) / 2 * float(np.dot(w, f))
-    total = 0.0
-    for omega, phi in ((math.pi / lnps + t, -th), (math.pi / lnps - t, th)):
-        z = complex(0.5 - eps, omega)
-        d = exp1(-z * a) - exp1(-z * b) if z else math.log(b / a)
-        total += float((complex(math.cos(phi), math.sin(phi)) * d).imag)
-    return 0.5 * total
+    span = max(math.hypot(0.5 - eps, math.pi / lnps + abs(t)), 1.0 / a) * (b - a)
+    n = max(1, math.ceil(span / _GL_SPAN))
+    x, w = _gauss_legendre()
+    h = (b - a) / n
+    u = a + h * (np.arange(n)[:, None] + (1 + x) / 2)
+    f = np.cos(t * u - th) * np.sin(math.pi * u / lnps) * np.exp((0.5 - eps) * u) / u
+    return h / 2 * float(np.sum(f @ w))
 
 
 def _mass_li(th, t, eps, lnps, phi_q, lo, hi):
@@ -513,8 +508,8 @@ def class_li_combination(t: float, eps: float, chi: DirichletCharacter,
     """Sum over reduced classes of the Li-weighted cosine integral on [2, p_max].
 
     The class phases sum to zero for non-principal characters, so the exact
-    value is 0; each class integral is in closed form, and the returned number
-    is the rounding left around that 0.
+    value is 0; each class integral is a composite Gauss-Legendre sum, and the
+    returned number is the quadrature and rounding error left around that 0.
     """
     _check_eps(eps)
     if chi.is_principal:

@@ -291,7 +291,6 @@ def _eta_derivatives(chi: DirichletCharacter, t: float, h: float) -> tuple[float
 
 def angular_momentum_eps_slope(t: float, chi: DirichletCharacter) -> EpsSlopeResult:
     """(eta')^2 - eta*eta'' at eps=0, with the finite-difference eps route alongside."""
-    _require_primitive(chi)
     y, dp, dpp = _eta_derivatives(chi, t, _DT)
     if abs(y) < 0.05 * max(abs(dp) * _DT, abs(y), 1e-300):
         # close to a zero of eta: shrink the stencil
@@ -304,7 +303,6 @@ def angular_momentum_eps_slope(t: float, chi: DirichletCharacter) -> EpsSlopeRes
 
 def eps_slope_on_grid(chi: DirichletCharacter, t_grid: np.ndarray) -> np.ndarray:
     """(eta')^2 - eta*eta'' on a grid (vectorized, fixed stencil)."""
-    _require_primitive(chi)
     t = np.asarray(t_grid, dtype=np.float64)
     y, dp, dpp = _five_point(
         [eta_on_grid(chi, 0.0, t + u * _DT)[0].real for u in (-1.0, -0.5, 0.0, 0.5, 1.0)], _DT)

@@ -156,10 +156,16 @@ def test_xi_real_axis_symmetry(chi5_real):
 
 
 def test_xi_requires_primitive():
-    with pytest.raises(DomainError):
-        lf.xi_eval(SPoint(0.0, 1.0), enumerate_characters(3)[0])
-    with pytest.raises(DomainError):
-        lf.xi_eval(SPoint(0.0, 1.0), enumerate_characters(9)[3])  # induced, not primitive
+    calls = [lambda chi: lf.xi_eval(SPoint(0.0, 1.0), chi),
+             lambda chi: lf.eta_on_grid(chi, 0.0, np.array([1.0])),
+             lambda chi: lf.eps_slope_on_grid(chi, np.array([1.0])),
+             lambda chi: lf.angular_momentum_eps_slope(1.0, chi),
+             lambda chi: lf.find_zeros_on_line(chi, 0.0, 1.0, 0.5)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call(enumerate_characters(3)[0])
+        with pytest.raises(DomainError):
+            call(enumerate_characters(9)[3])  # induced, not primitive
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The closed-form Li integrals against mpmath quadrature: `arith.li`, the ledger's
-per-interval Li masses and the class combination, each to 1e-10 relative."""
+"""The Li integrals against mpmath quadrature: `arith.li` (closed form), and the ledger's
+per-interval Li masses and the class combination (composite Gauss-Legendre), each to 1e-10
+relative; short intervals and the ledger intervals at p_star = 1e7 also to 1e-13."""
 
 import math
 
@@ -29,11 +30,27 @@ def _classes(chi):
     return np.flatnonzero(chi.k >= 0).tolist()
 
 
-def _assert_mass(th, t, eps, lnps, phi_q, lo, hi):
+def _assert_mass(th, t, eps, lnps, phi_q, lo, hi, rel=REL, pieces=2, dps=16):
     got = ep._mass_li(th, t, eps, lnps, phi_q, lo, hi)
-    want = abs(lnps / (2 * mp.pi * phi_q) * _oracle(th, t, eps, lnps, max(lo, 2.0), hi))
+    want = abs(lnps / (2 * mp.pi * phi_q)
+               * _oracle(th, t, eps, lnps, max(lo, 2.0), hi, pieces, dps))
     assert type(got) is float and want > 0
-    assert abs(got - want) <= REL * want, (th, t, eps, lnps, lo, hi, got, want)
+    assert abs(got - want) <= rel * want, (th, t, eps, lnps, lo, hi, got, want)
+
+
+def _ledger_intervals(chi, t, p_star):
+    # per class: the first ledger interval pair, clamped at 2, the last one, and the
+    # stretch from its end to p_star, where sin(pi log y / log p_star) -> 0
+    k_max = ep.max_k_for_bound(t, chi, p_star)
+    for h in _classes(chi):
+        th = chi.angle(h)
+        k_first = math.floor((t * math.log(2.0) - math.pi / 2.0 - th) / (2.0 * math.pi)) + 1
+        for k in (k_first, k_max):
+            x_up, x_down = ep.oscillation_boundaries(k, h, t, chi)
+            x_next = ep.oscillation_boundaries(k + 1, h, t, chi)[0]
+            yield th, x_up, x_down
+            yield th, x_down, x_next
+        yield th, x_next, p_star
 
 
 _LEDGERS = [(q, t, p_star) for q in (3, 12) for t in (10.0, 25.0) for p_star in (1e5, 1e7)]
@@ -41,26 +58,28 @@ _LEDGERS = [(q, t, p_star) for q in (3, 12) for t in (10.0, 25.0) for p_star in 
 
 @pytest.mark.parametrize("q, t, p_star", _LEDGERS + [(7, 14.0, 1e6)])
 def test_mass_li_on_ledger_intervals(q, t, p_star):
-    # per class: the first ledger interval pair, clamped at 2, the last one, and the
-    # stretch from its end to p_star, where sin(pi log y / log p_star) -> 0
     chi, lnps, phi_q = _CHARS[q], math.log(p_star), arith.euler_phi(q)
-    k_max = ep.max_k_for_bound(t, chi, p_star)
     for eps in (0.0, 0.2, -0.3, 0.45):
-        for h in _classes(chi):
-            th = chi.angle(h)
-            k_first = math.floor((t * math.log(2.0) - math.pi / 2.0 - th) / (2.0 * math.pi)) + 1
-            for k in (k_first, k_max):
-                x_up, x_down = ep.oscillation_boundaries(k, h, t, chi)
-                x_next = ep.oscillation_boundaries(k + 1, h, t, chi)[0]
-                _assert_mass(th, t, eps, lnps, phi_q, x_up, x_down)
-                _assert_mass(th, t, eps, lnps, phi_q, x_down, x_next)
-            _assert_mass(th, t, eps, lnps, phi_q, x_next, p_star)
+        for th, lo, hi in _ledger_intervals(chi, t, p_star):
+            _assert_mass(th, t, eps, lnps, phi_q, lo, hi)
+
+
+@pytest.mark.parametrize("q, t, eps", [(q, t, eps) for q in (3, 7)
+                                       for t in (10.0, 25.0) for eps in (0.0, 0.45)])
+def test_mass_li_to_1e13_on_ledger_intervals(q, t, eps):
+    # the same intervals at p_star = 1e7 against a 30-digit oracle split into one piece
+    # per radian of t log(hi/lo)
+    chi, lnps, phi_q = _CHARS[q], math.log(1e7), arith.euler_phi(q)
+    for th, lo, hi in _ledger_intervals(chi, t, 1e7):
+        pieces = max(1, math.ceil(t * math.log(hi / max(lo, 2.0))))
+        _assert_mass(th, t, eps, lnps, phi_q, lo, hi, rel=1e-13, pieces=pieces, dps=30)
 
 
 @pytest.mark.parametrize("eps", (0.0, 0.5), ids=("omega=0", "z=0"))
 def test_mass_li_at_degenerate_frequencies(eps):
-    # t = pi/log p_star makes omega = pi/log p_star - t exactly 0: -z log y lies on E1's
-    # branch cut for eps < 1/2, and at eps = 1/2 also z = 0, where E1 is infinite
+    # t = pi/log p_star makes the frequency pi/log p_star - t of one term of
+    # cos X sin Y = (sin(Y+X) + sin(Y-X))/2 exactly 0, and at eps = 1/2 the integrand
+    # loses its exponential factor too: the cases an exponential-integral form singles out
     lnps = math.log(1e5)
     t = math.pi / lnps
     assert math.pi / lnps - t == 0.0
@@ -69,9 +88,10 @@ def test_mass_li_at_degenerate_frequencies(eps):
             _assert_mass(th, t, eps, lnps, 2, lo, hi)
 
 
-# short intervals, where E1(-za) - E1(-zb) cancels: the first ledger interval of the
-# character mod 7 at t = 40, clamped at 2 and ending at a cosine zero near 2.0012, and the
-# stretch below p_star = 1e5, where sin(pi log y / log p_star) -> 0
+# short intervals, one panel each, where an exponential-integral difference would cancel:
+# the first ledger interval of the character mod 7 at t = 40, clamped at 2 and ending at a
+# cosine zero near 2.0012, and the stretch below p_star = 1e5, where
+# sin(pi log y / log p_star) -> 0
 _SHORT = [(7, 40.0, 0.45, 1e7, 2.0, 2.0012)] + [
     (q, t, eps, 1e5, 95493.0, 1e5) for q in (3, 12) for t in (10.0, 25.0) for eps in (0.0, 0.45)]
 
