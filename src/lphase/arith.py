@@ -20,7 +20,7 @@ single integer product of the exponent table with the discrete-log table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -298,13 +298,10 @@ class PrimeTable:
     p_max: int
     q: int
     primes: np.ndarray            # int64, strictly increasing
-    _log_primes: np.ndarray | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def log_primes(self) -> np.ndarray:
-        if self._log_primes is None:
-            self._log_primes = np.log(self.primes.astype(np.float64))
-        return self._log_primes
+        return np.log(self.primes.astype(np.float64))
 
     def class_primes(self, h: int) -> np.ndarray:
         """Ordered primes = h (mod q) for a reduced residue h."""
@@ -348,9 +345,7 @@ def sieve_primes(p_max: int, q: int = 1, *, p_budget: int = _DEFAULT_P_BUDGET) -
                 seg[start - lo:: p] = False
         chunks.append((np.nonzero(seg)[0] + lo).astype(np.int64))
         lo = hi
-    primes = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-
-    return PrimeTable(p_max=p_max, q=q, primes=primes)
+    return PrimeTable(p_max=p_max, q=q, primes=np.concatenate(chunks))
 
 
 # --------------------------------------------------------------------------
@@ -365,18 +360,15 @@ def li(x: float) -> float:
 
 
 def pnt_class_ratio(x: float, q: int, table: PrimeTable | None = None) -> dict[int, float]:
-    """pi(x; q, h) * phi(q) / Li(x) for every reduced class h mod q."""
+    """pi(x; q, h) * phi(q) / Li(x) for every reduced class h mod q, from any table reaching x."""
     if x < 10:
         raise DomainError("pnt_class_ratio requires x >= 10")
     if q < 1:
         raise DomainError("modulus must be a positive integer")
-    if table is None or table.q != q or table.p_max < int(x):
-        table = sieve_primes(int(x), q)
+    if table is None or table.p_max < int(x):
+        table = sieve_primes(int(x))
+    primes = table.primes[:np.searchsorted(table.primes, x, side="right")]
+    counts = np.bincount(primes % q, minlength=q)
     phi = euler_phi(q)
     li_x = li(float(x))
-    out = {}
-    for h in range(q):
-        if gcd(h, q) == 1:
-            n = int(np.searchsorted(table.class_primes(h), x, side="right"))
-            out[h] = n * phi / li_x
-    return out
+    return {h: int(counts[h]) * phi / li_x for h in range(q) if gcd(h, q) == 1}

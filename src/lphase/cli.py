@@ -94,7 +94,7 @@ def _table(args) -> tuple[arith.PrimeTable, ep.WindowParams]:
         raise _UsageError(f"--p-max {args.p_max} exceeds the cap {cap}; pass --allow-large")
     if args.p_max < 2:
         raise _UsageError("--p-max must be at least 2")
-    return (arith.sieve_primes(args.p_max, args.q, p_budget=args.p_max),
+    return (arith.sieve_primes(args.p_max, p_budget=args.p_max),
             ep.WindowParams(p_star=args.p_star, p_max=args.p_max))
 
 
@@ -150,7 +150,7 @@ def _cmd_figure_mixed(args) -> int:
     for t in _t_grid(args).tolist():
         row = [t]
         for alpha in (0, 1, 2):
-            row.append(gp.mixed_second_derivative(t, alpha, route="gw", n_terms=args.gw_terms))
+            row.append(gp.mixed_second_derivative(t, alpha, n_terms=args.gw_terms))
         row += [(2 * a - 1) / (4.0 * t * t) for a in (0, 1, 2)]
         rows.append(row)
     _write_csv(args.out, "figure-mixed",

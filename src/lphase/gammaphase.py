@@ -14,9 +14,9 @@ so the N-term truncation error is O(1/N).  Past n0 = max(64, ceil(4|v|) + 32) te
 rest of the sum is a digamma difference plus a geometric Hurwitz-zeta series (`_gw_tail`):
 `_log_gamma_grid` adds it to an n0-row head matrix, giving the limit, and log|Gamma| from
 the same head, to near machine precision.  The N-term sums add their first min(N, n0)
-terms in numpy's pairwise order over leaves of 8192 terms (2^20-term blocks in ascending
-order) and the rest as the difference of two tails, in O(min(N, |t|)).  The limit of the
-t-derivative is Re psi(z)/2 from scipy's complex digamma.  The route is valid for all t.
+terms as one sum in numpy's pairwise order over leaves of 8192 terms and the rest as the
+difference of two tails, in O(min(N, |t|)).  The limit of the t-derivative is Re psi(z)/2
+from scipy's complex digamma.  The route is valid for all t.
 
 Asymptotic route ("stirling"): ln Gamma(z+1) with z = (2*eps+2*alpha-3)/4 +
 i*t/2, expanded through a fixed Bernoulli series (the B_2 and B_4 terms; the
@@ -29,8 +29,9 @@ covers the small-t neighborhood.
 
 The three-case pattern for the mixed derivative d^2 phase / (d eps d t) at
 eps = 0 -- 3/(4t^2), 1/(4t^2), -1/(4t^2) for alpha = 2, 1, 0 -- is exposed
-through `mixed_second_derivative`, which differentiates either route in eps
-by a Richardson-extrapolated central difference.
+through `mixed_second_derivative`, which differentiates the product route in eps
+by a Richardson-extrapolated central difference; the tests cross-check it against
+the same difference of the Stirling route.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ __all__ = [
 EULER_GAMMA = float(np.euler_gamma)
 GW_DEFAULT_TERMS = 10 ** 6
 T_STIRLING_MIN = 0.5
-_BLOCK = 1 << 20
 _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB float64 leaf buffers stay in cache
 _RAMP = np.arange(_LEAF, dtype=np.float64)
 _HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
@@ -163,13 +163,12 @@ def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
 
 
 def _gw_sum(total: float, n_terms: int, v: float, a: float, leaf, dt: bool = False) -> float:
-    # add the summands for n = 1..n_terms to `total`: the first min(n_terms, n0) from `leaf`,
-    # one ordered sum per 2^20 block, and any past n0 as _gw_tail(n0) - _gw_tail(n_terms)
+    # add the summands for n = 1..n_terms to `total`: the first min(n_terms, n0) from `leaf`
+    # as one ordered sum, and any past n0 as _gw_tail(n0) - _gw_tail(n_terms)
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
     m = min(n_terms, _head_rows(abs(v)))
-    for lo in range(1, m + 1, _BLOCK):
-        total += _ordered_sum(leaf, lo, min(_BLOCK, m + 1 - lo))
+    total += _ordered_sum(leaf, 1, m)
     if n_terms > m:
         total += _gw_tail(v, abs(v), m, a, dt) - _gw_tail(v, abs(v), n_terms, a, dt)
     return float(total)
@@ -197,15 +196,17 @@ def gw_log_gamma_phase(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -
 
 
 def gw_phase_tail_estimate(s: SPoint, alpha: int, n_terms: int) -> float:
-    """Upper estimate of |limit - N-term sum| for `gw_log_gamma_phase`.
+    """Upper estimate of |limit - N-term sum| for the computed `gw_log_gamma_phase`.
 
     The tail terms satisfy 0 < v/n - arctan(v/(n+a)) <= v*a/(n(n+a)) +
-    v^3/(3(n+a)^3) termwise, so the bound below dominates the full tail.  It bounds the
-    exact partial sum's truncation; the computed sum adds its rounding, 3e-14 * (1 + |S_N|).
+    v^3/(3(n+a)^3) termwise, so the first two terms dominate the exact partial sum's
+    truncation.  The last bounds the computed sum's rounding, 3e-14 * (1 + |S_N|), since
+    |S_N| <= |v| (gamma + H_N) + pi/2 and H_N <= 1 + ln N.
     """
     a, v = _ab(s, alpha)
     v = abs(v)
-    return v * a / n_terms + v ** 3 / (6.0 * n_terms ** 2)
+    return (v * a / n_terms + v ** 3 / (6.0 * n_terms ** 2)
+            + 3e-14 * (1.0 + math.pi / 2.0 + v * (1.0 + EULER_GAMMA + math.log(n_terms))))
 
 
 def _tail_order(vmax: float, w: float) -> int:
@@ -482,25 +483,18 @@ def _bisect_one(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
     return float(_bisect(lambda ts: [f(float(ts[0]))], [lo], [hi], [f_lo], tol)[0])
 
 
-def mixed_second_derivative(t: float, alpha: int, route: str = "gw",
-                            n_terms: int = GW_DEFAULT_TERMS) -> float:
+def mixed_second_derivative(t: float, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> float:
     """d/d eps at eps=0 of the prefactor-phase t-derivative (independent of q).
 
-    Central differences in eps with a three-level Richardson ladder; the step
-    is h = max(1e-5, 1e-4 * t).  Raises NumericalInstabilityError when the
-    ladder fails to settle.
+    Central differences in eps of the product route's `gw_dphase_dt` with a three-level
+    Richardson ladder; the step is h = max(1e-5, 1e-4 * t).  Raises
+    NumericalInstabilityError when the ladder fails to settle.
     """
     if t <= 0.0:
         raise DomainError("mixed derivative requires t > 0")
-    if route == "gw":
-        if n_terms < 10 ** 5:
-            raise DomainError("product route requires n_terms >= 1e5 here")
-        f = lambda e: gw_dphase_dt(SPoint(e, t), alpha, n_terms)
-    elif route == "stirling":
-        params = PrefactorParams.for_alpha(alpha)
-        f = lambda e: stirling_dphase_dt(t, e, params)
-    else:
-        raise DomainError(f"unknown route {route!r}")
+    if n_terms < 10 ** 5:
+        raise DomainError("product route requires n_terms >= 1e5 here")
+    f = lambda e: gw_dphase_dt(SPoint(e, t), alpha, n_terms)
 
     h = max(1e-5, 1e-4 * t)
     d = []

@@ -420,7 +420,7 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     absvals = np.abs(vals)
     for i in range(1, len(grid) - 1):
         window = absvals[max(0, i - 10): i + 11]
-        scale = float(np.max(window)) if window.size else 0.0
+        scale = float(np.max(window))
         if (absvals[i] < 1e-8 * scale and absvals[i] <= absvals[i - 1]
                 and absvals[i] <= absvals[i + 1]
                 and np.sign(vals[i - 1]) == np.sign(vals[i + 1]) != 0.0):
@@ -447,4 +447,4 @@ def sufficient_condition_check(chi: DirichletCharacter, t: float) -> bool:
     params = PrefactorParams.for_character(chi)
     if prefactor_dphase_dt(SPoint(0.0, t), params, _SUFFICIENT_TERMS) <= 0.0:
         return False
-    return mixed_second_derivative(t, 1, route="gw", n_terms=_SUFFICIENT_TERMS) > 0.0
+    return mixed_second_derivative(t, 1, n_terms=_SUFFICIENT_TERMS) > 0.0

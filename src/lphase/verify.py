@@ -65,8 +65,8 @@ class _Check:
 
 
 @lru_cache(maxsize=8)
-def _primes(p_max: int, q: int) -> arith.PrimeTable:
-    return arith.sieve_primes(p_max, q)
+def _primes(p_max: int) -> arith.PrimeTable:
+    return arith.sieve_primes(p_max)
 
 
 def _odd_primitive(q: int) -> list[arith.DirichletCharacter]:
@@ -105,14 +105,14 @@ def _c3_three_case_mixed(c: _Check) -> None:
     for alpha in (2, 1, 0):
         target_num = 2 * alpha - 1
         for t, eps_tol in tol.items():
-            got = gp.mixed_second_derivative(t, alpha, route="gw", n_terms=10 ** 6)
+            got = gp.mixed_second_derivative(t, alpha, n_terms=10 ** 6)
             ref = target_num / (4.0 * t * t)
             rel = abs(got - ref) / abs(ref)
             c.expect(f"alpha={alpha} t={t}: rel dev {rel:.4%} <= {eps_tol:.1%}", rel <= eps_tol)
 
 
 def _c4_mixed_curve_crossing(c: _Check) -> None:
-    f = lambda t: gp.mixed_second_derivative(t, 0, route="gw", n_terms=10 ** 6)
+    f = lambda t: gp.mixed_second_derivative(t, 0, n_terms=10 ** 6)
     lo, hi = 0.5, 0.7
     f_lo = f(lo)
     if not f_lo > 0 > f(hi):
@@ -207,7 +207,7 @@ def _c10_first_zeros(c: _Check) -> None:
 
 def _c11_level_bracket(c: _Check) -> None:
     chi = _odd_primitive(3)[0]
-    table = _primes(10 ** 6, 3)
+    table = _primes(10 ** 6)
     w = ep.WindowParams(p_star=1e6, p_max=10 ** 6)
     v0 = ep.windowed_ratio_exact(20.0, 0.0, chi, table, w)
     v2 = ep.windowed_ratio_exact(20.0, 0.2, chi, table, w)
@@ -218,8 +218,8 @@ def _c11_level_bracket(c: _Check) -> None:
 
 def _c12_residual_stability(c: _Check) -> None:
     chi = _odd_primitive(3)[0]
-    small = _primes(10 ** 5, 3)
-    large = _primes(2 * 10 ** 5, 3)
+    small = _primes(10 ** 5)
+    large = _primes(2 * 10 ** 5)
     for t, tag in ((8.04, "on-spike"), (14.0, "off-spike")):
         r1 = ep.estimator_residual(t, 0.25, chi, small,
                                    ep.WindowParams(p_star=1e5, p_max=10 ** 5)).total
@@ -232,7 +232,7 @@ def _c12_residual_stability(c: _Check) -> None:
 
 def _c13_mass_ratios(c: _Check) -> None:
     chi = _odd_primitive(3)[0]
-    table = _primes(10 ** 6, 3)
+    table = _primes(10 ** 6)
     w = ep.WindowParams(p_star=1e6, p_max=10 ** 6)
     gaps = {}
     ratios = {}
@@ -252,7 +252,7 @@ def _c13_mass_ratios(c: _Check) -> None:
 
 def _c14_class_ratios(c: _Check) -> None:
     for q in (3, 4, 5):
-        ratios = arith.pnt_class_ratio(1e6, q, table=_primes(10 ** 6, q))
+        ratios = arith.pnt_class_ratio(1e6, q, table=_primes(10 ** 6))
         lo, hi = min(ratios.values()), max(ratios.values())
         c.expect(f"q={q}: class ratios in [{lo:.5f}, {hi:.5f}] subset of [0.99, 1.01]",
                  lo >= 0.99 and hi <= 1.01)
@@ -268,7 +268,7 @@ def _c15_reduction_identities(c: _Check) -> None:
 
 def _c16_symmetry(c: _Check) -> None:
     chi = arith.enumerate_characters(5)[2]  # the real non-principal character
-    table = _primes(10 ** 5, 5)
+    table = _primes(10 ** 5)
     w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
     grid = np.round(np.arange(-15.0, 15.0001, 0.1), 10)
     sc = ep.scan(chi, 0.0, grid, table, w)

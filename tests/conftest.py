@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lphase import arith
+from lphase import arith, gammaphase as gp
+from lphase.arith import SPoint
+from lphase.errors import NumericalInstabilityError
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +46,33 @@ def chi5_odd():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(173205080)
+
+
+@pytest.fixture(scope="session")
+def ref_mixed():
+    """mixed(t, alpha, route, n_terms): the eps-difference Richardson ladder of the
+    prefactor-phase t-derivative, written out, on the product ("gw", n_terms terms) or
+    the asymptotic ("stirling") route."""
+    def mixed(t, alpha, route, n_terms=10 ** 5):
+        if route == "gw":
+            f = lambda e: gp.gw_dphase_dt(SPoint(e, t), alpha, n_terms)
+        else:
+            params = gp.PrefactorParams.for_alpha(alpha)
+            f = lambda e: gp.stirling_dphase_dt(t, e, params)
+        h = max(1e-5, 1e-4 * t)
+        d = []
+        scale = 1.0
+        for step in (h, h / 2.0, h / 4.0):
+            fp, fm = f(step), f(-step)
+            scale = max(scale, abs(fp), abs(fm))
+            d.append((fp - fm) / (2.0 * step))
+        r1 = (4.0 * d[1] - d[0]) / 3.0
+        r2 = (4.0 * d[2] - d[1]) / 3.0
+        tol = max(1e-6 * max(abs(r1), abs(r2)), 1e4 * gp._MACH * scale / h)
+        if abs(r2 - r1) > tol:
+            raise NumericalInstabilityError("ladder")
+        return (16.0 * r2 - r1) / 15.0
+    return mixed
 
 
 @pytest.fixture

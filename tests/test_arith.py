@@ -407,6 +407,18 @@ def test_pnt_class_ratios():
     assert all(0.7 <= v <= 1.3 for v in r3.values())
 
 
+def test_pnt_class_ratio_counts_classes_of_any_table(monkeypatch):
+    # a table sieved mod 3 counts the classes mod 4 as a mod-4 table does, without a re-sieve
+    ref = arith.pnt_class_ratio(1e6, 4, table=arith.sieve_primes(10 ** 6, 4))
+    table = arith.sieve_primes(10 ** 6, 3)
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("pnt_class_ratio sieved although the table reaches x")
+
+    monkeypatch.setattr(arith, "sieve_primes", no_sieve)
+    assert arith.pnt_class_ratio(1e6, 4, table=table) == ref
+
+
 def test_spoint():
     s = arith.SPoint(0.25, 3.0)
     assert s.s == complex(0.75, 3.0)
