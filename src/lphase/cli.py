@@ -106,6 +106,11 @@ def _t_grid(args) -> np.ndarray:
     return np.round(np.arange(args.t_min, args.t_max + args.t_step / 2, args.t_step), 12)
 
 
+def _level(t: float, q: int) -> float:
+    """The level log sqrt(|t| q / 2 pi), NaN at t = 0."""
+    return 0.5 * math.log(abs(t) * q / (2.0 * math.pi)) if t != 0 else float("nan")
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -166,8 +171,7 @@ def _cmd_figure_prefactor(args, alpha: int, name: str) -> int:
     rows = []
     for t in _t_grid(args).tolist():
         val = gp.prefactor_dphase_dt(SPoint(args.eps, t), params, args.gw_terms)
-        asym = 0.5 * math.log(abs(t) * args.q / (2.0 * math.pi)) if t != 0 else float("nan")
-        rows.append([t, val, asym])
+        rows.append([t, val, _level(t, args.q)])
     _write_csv(args.out, name,
                {"q": args.q, "alpha": alpha, "eps": args.eps,
                 "t_min": args.t_min, "t_max": args.t_max, "t_step": args.t_step,
@@ -181,11 +185,7 @@ def _cmd_figure_symmetries(args) -> int:
     table, window = _table(args)
     grid = _t_grid(args)
     sc = ep.scan(chi, args.eps, grid, table, window)
-    rows = []
-    for t, v in zip(sc.t_grid, sc.values):
-        lvl = (-0.5 * math.log(abs(t) * args.q / (2.0 * math.pi))
-               if t != 0 else float("nan"))
-        rows.append([float(t), float(v), lvl])
+    rows = [[t, v, -_level(t, args.q)] for t, v in zip(sc.t_grid.tolist(), sc.values.tolist())]
     _write_csv(args.out, "figure-symmetries",
                {"q": args.q, "chi_index": chi.index, "eps": args.eps,
                 "p_star": args.p_star, "p_max": args.p_max,
@@ -222,7 +222,7 @@ def _cmd_level_check(args) -> int:
     chi = _primitive_character(args)
     table, window = _table(args)
     res = ep.level_check(args.t, args.eps, chi, table, window)
-    target = -0.5 * math.log(args.t * args.q / (2.0 * math.pi))
+    target = -_level(args.t, args.q)
     _write_csv(args.out, "level-check",
                {"q": args.q, "chi_index": chi.index, "t": args.t, "eps": args.eps,
                 "p_star": args.p_star, "p_max": args.p_max},

@@ -473,10 +473,11 @@ def scan(chi: DirichletCharacter, eps: float, t_grid: np.ndarray, primes: PrimeT
     if estimator not in ("exact_arctan", "cosine_approx"):
         raise DomainError(f"unknown estimator {estimator!r}")
     t_grid = np.asarray(t_grid, dtype=np.float64)
+    out = PhaseScan(chi=chi, eps=eps, t_grid=t_grid, values=np.empty(t_grid.size),
+                    estimator=estimator, window=window)  # checks the grid before any prime
     f = _kernel(estimator, eps, chi, primes, window)
-    values = np.array([f(float(t)) for t in t_grid])
-    return PhaseScan(chi=chi, eps=eps, t_grid=t_grid, values=values,
-                     estimator=estimator, window=window)
+    out.values[:] = [f(t) for t in t_grid.tolist()]
+    return out
 
 
 def spike_strips(scan_result: PhaseScan) -> list[tuple[float, float]]:

@@ -210,12 +210,12 @@ def gw_phase_tail_estimate(s: SPoint, alpha: int, n_terms: int) -> float:
 
 
 def _tail_order(vmax: float, w: float) -> int:
-    # number of Hurwitz-zeta tail terms for ratio vmax/w, targeting ~1e-18
+    # Hurwitz-zeta tail terms for r = vmax/w, targeting ~1e-18; every caller has w >= n0 + 1 + a,
+    # a > 0, n0 = _head_rows(vmax) >= 4 vmax + 32, so r < 1/4 and the order lies in [2, 16]
     r = vmax / w
     if r <= 0:
         return 1
-    j = int(math.ceil(-18.0 * math.log(10) / (2.0 * math.log(min(r, 0.5))))) + 1
-    return max(2, min(j, 40))
+    return int(math.ceil(-18.0 * math.log(10) / (2.0 * math.log(r)))) + 1
 
 
 def _hurwitz_tail(tail, pw, v, vmax: float, w: float, coef):

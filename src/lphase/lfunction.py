@@ -17,9 +17,10 @@ takes its Gamma modulus and phase from one call of the product-route kernel
     eta = exp(i/2 * angle(i^alpha sqrt(q) / tau(chi))) * xi
 is real on the critical line for primitive characters; its sign changes
 locate the zeros, and the quantity (eta')^2 - eta*eta'' equals the
-eps-derivative of the angular momentum of xi at eps = 0.  A zero scan samples
-eta on a grid that ends at t_hi, then bisects every sign-change bracket in
-lockstep, one eta call per level for all of them.
+eps-derivative of the angular momentum of xi at eps = 0.  Every t-derivative samples
+one five-point stencil (`_SHIFTS`, Richardson in its step).  A zero scan samples eta on
+a grid that ends at t_hi, finds sign changes, hits and dips by array operations, then
+bisects every sign-change bracket in lockstep, one eta call per level for all of them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import (
     DirichletCharacter,
@@ -226,14 +228,26 @@ def eta_on_grid(chi: DirichletCharacter, eps: float,
 _DT = 1e-3            # t step of every difference stencil (halved once for Richardson)
 _DT_NEAR_ZERO = 1e-4  # the eta stencil's t step next to a zero of eta
 _EPS_STEP = 1e-4      # eps step of the finite-difference cross-check
+_SHIFTS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])  # t + u*h is t - h, t - h/2, ... bit for bit
+
+
+def _stencil(f, t, h: float) -> list:
+    """f(t + u*h) for u in _SHIFTS, one f call per shift."""
+    return [f(t + u * h) for u in _SHIFTS]
+
+
+def _five_point(y, h: float):
+    """y(t), y' and y'' from samples y at t - h, t - h/2, t, t + h/2, t + h (Richardson in h)."""
+    dp = _richardson((y[4] - y[0]) / (2.0 * h), (y[3] - y[1]) / h)
+    dpp = _richardson((y[4] - 2.0 * y[2] + y[0]) / (h * h),
+                      (y[3] - 2.0 * y[2] + y[1]) / (h * h / 4.0))
+    return y[2], dp, dpp
 
 
 def _ang_mom_ladder(chi: DirichletCharacter, eps: float, t: np.ndarray):
     """Re xi * d_t Im xi - Im xi * d_t Re xi at steps _DT and _DT/2, and
     |xi(t)|^2 + |xi(t+_DT)|^2 as its scale."""
-    xc = xi_on_grid(chi, eps, t)
-    xm, xp = xi_on_grid(chi, eps, t - _DT), xi_on_grid(chi, eps, t + _DT)
-    xm2, xp2 = xi_on_grid(chi, eps, t - _DT / 2), xi_on_grid(chi, eps, t + _DT / 2)
+    xm, xm2, xc, xp2, xp = _stencil(lambda u: xi_on_grid(chi, eps, u), t, _DT)
     det = lambda lo, hi, h: (xc.real * ((hi.imag - lo.imag) / (2.0 * h))
                              - xc.imag * ((hi.real - lo.real) / (2.0 * h)))
     return det(xm, xp, _DT), det(xm2, xp2, _DT / 2), np.abs(xc) ** 2 + np.abs(xp) ** 2
@@ -258,10 +272,9 @@ def angular_momentum(s: SPoint, chi: DirichletCharacter) -> float:
 
 def xi_phase_dt(chi: DirichletCharacter, eps: float, t: float) -> float:
     """Numerical d/dt of the phase of xi, via Im(xi'/xi) with Richardson."""
-    tc = np.array([t - _DT, t - _DT / 2, t + _DT / 2, t + _DT])
-    x = xi_on_grid(chi, eps, tc)
+    x = xi_on_grid(chi, eps, t + _DT * _SHIFTS[[0, 1, 3, 4]])
     xc = xi_on_grid(chi, eps, np.array([t]))[0]
-    deriv = _richardson((x[3] - x[0]) / (2.0 * _DT), (x[2] - x[1]) / _DT)
+    _, deriv, _ = _five_point([x[0], x[1], xc, x[2], x[3]], _DT)
     return float((deriv / xc).imag)
 
 
@@ -275,17 +288,8 @@ class EpsSlopeResult:
     eta: float
 
 
-def _five_point(y, h: float):
-    """y(t), y' and y'' from samples y at t - h, t - h/2, t, t + h/2, t + h (Richardson in h)."""
-    dp = _richardson((y[4] - y[0]) / (2.0 * h), (y[3] - y[1]) / h)
-    dpp = _richardson((y[4] - 2.0 * y[2] + y[0]) / (h * h),
-                      (y[3] - 2.0 * y[2] + y[1]) / (h * h / 4.0))
-    return y[2], dp, dpp
-
-
 def _eta_derivatives(chi: DirichletCharacter, t: float, h: float) -> tuple[float, float, float]:
-    grid = np.array([t - h, t - h / 2, t, t + h / 2, t + h])
-    y, dp, dpp = _five_point(eta_on_grid(chi, 0.0, grid)[0].real, h)
+    y, dp, dpp = _five_point(eta_on_grid(chi, 0.0, t + h * _SHIFTS)[0].real, h)
     return float(y), dp, dpp
 
 
@@ -303,9 +307,8 @@ def angular_momentum_eps_slope(t: float, chi: DirichletCharacter) -> EpsSlopeRes
 
 def eps_slope_on_grid(chi: DirichletCharacter, t_grid: np.ndarray) -> np.ndarray:
     """(eta')^2 - eta*eta'' on a grid (vectorized, fixed stencil)."""
-    t = np.asarray(t_grid, dtype=np.float64)
-    y, dp, dpp = _five_point(
-        [eta_on_grid(chi, 0.0, t + u * _DT)[0].real for u in (-1.0, -0.5, 0.0, 0.5, 1.0)], _DT)
+    y, dp, dpp = _five_point(_stencil(lambda u: eta_on_grid(chi, 0.0, u)[0].real,
+                                      np.asarray(t_grid, dtype=np.float64), _DT), _DT)
     return dp * dp - y * dpp
 
 
@@ -332,29 +335,23 @@ class ReductionReport:
 
 
 def reduction_identities(s: SPoint, q: int) -> ReductionReport:
-    """Residuals of the principal-to-zeta and induced-character identities.
-
-    Requires eps > 1/2 so every factor converges absolutely.
+    """Residuals of L(s, chi) = L(s, psi) * prod_{p | q} (1 - psi(p) p^-s), psi inducing chi
+    (the character mod 1, so L(s, psi) = zeta(s), for the principal chi); every L-value passes
+    `l_eval`'s remainder check.  Requires eps > 1/2 so every factor converges absolutely.
     """
     if s.eps <= 0.5:
         raise DomainError("reduction identities are checked in the absolute-convergence region")
-    zeta_s = complex(_l_values(enumerate_characters(1)[0], np.array([s.s]))[0][0])  # chi mod 1
     q_primes = [p for p, _ in _factorize(q)] if q > 1 else []
 
     entries = []
     for chi in enumerate_characters(q):
         lhs = l_eval(s, chi).value
-        if chi.is_principal:
-            rhs = zeta_s
-            for p in q_primes:
-                rhs *= 1.0 - p ** (-s.s)
-            entries.append(ReductionEntry(chi.index, "principal", abs(lhs - rhs)))
-        else:
-            psi = primitive_inducer(chi)
-            rhs = l_eval(s, psi).value
-            for p in q_primes:
-                rhs *= 1.0 - psi.value(p) * p ** (-s.s)
-            entries.append(ReductionEntry(chi.index, "induced", abs(lhs - rhs)))
+        psi = primitive_inducer(chi)
+        rhs = l_eval(s, psi).value
+        for p in q_primes:
+            rhs *= 1.0 - psi.value(p) * p ** (-s.s)
+        kind = "principal" if chi.is_principal else "induced"
+        entries.append(ReductionEntry(chi.index, kind, abs(lhs - rhs)))
     return ReductionReport(s=s, q=q, entries=tuple(entries))
 
 
@@ -390,8 +387,8 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     decision only where |eta| is at rounding level, within about 1e-13 of the zero, and
     the result then still lies within _ZERO_TOL of it, which each ZeroRecord reports as tol.
 
-    Grid dips of |eta| below 1e-8 of the local scale without a sign change
-    are recorded as suspected multiple zeros and left unrefined.  Negative t
+    Grid dips of |eta| below 1e-8 of the largest |eta| within 10 grid points, without
+    a sign change, are recorded as suspected multiple zeros and left unrefined.  Negative t
     is allowed (used to confirm the +/-t pairing of real-character zeros).
     """
     if t_hi <= t_lo:
@@ -404,29 +401,26 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
         grid = np.append(grid, t_hi)
         vals = np.append(vals, eta_on_grid(chi, 0.0, np.array([float(t_hi)]))[0].real)
 
-    ts, fs = grid.tolist(), vals.tolist()
-    sign = lambda v: int(math.copysign(1, v))
+    ts = grid.tolist()
+    sign = np.where(np.signbit(vals), -1, 1).tolist()  # math.copysign(1, v) for every v
     # exact grid hits; the scan's last point has no sign after it
-    records = [ZeroRecord(a, (a, a), 0.0, 0, sign(fs[i + 1]) if i + 1 < len(fs) else 0)
-               for i, (a, fa) in enumerate(zip(ts, fs)) if fa == 0.0]
+    records = [ZeroRecord(ts[i], (ts[i], ts[i]), 0.0, 0, sign[i + 1] if i + 1 < len(ts) else 0)
+               for i in np.flatnonzero(vals == 0.0).tolist()]
     # signs are compared, not multiplied: |eta| ~ 1e-170 near t = 500 squares to 0
-    starts = [i for i in range(len(fs) - 1) if fs[i] < 0.0 < fs[i + 1] or fs[i + 1] < 0.0 < fs[i]]
-    i0 = np.array(starts, dtype=np.intp)
+    lo, hi = vals[:-1], vals[1:]
+    i0 = np.flatnonzero((lo < 0.0) & (hi > 0.0) | (hi < 0.0) & (lo > 0.0))
     t_zeros = _bisect(lambda t: eta_on_grid(chi, 0.0, t)[0].real,
                       grid[i0], grid[i0 + 1], vals[i0], _ZERO_TOL)
-    records += [ZeroRecord(t_zero, (ts[i], ts[i + 1]), _ZERO_TOL, sign(fs[i]), sign(fs[i + 1]))
-                for i, t_zero in zip(starts, t_zeros.tolist())]
+    records += [ZeroRecord(t_zero, (ts[i], ts[i + 1]), _ZERO_TOL, sign[i], sign[i + 1])
+                for i, t_zero in zip(i0.tolist(), t_zeros.tolist())]
 
-    absvals = np.abs(vals)
-    for i in range(1, len(grid) - 1):
-        window = absvals[max(0, i - 10): i + 11]
-        scale = float(np.max(window))
-        if (absvals[i] < 1e-8 * scale and absvals[i] <= absvals[i - 1]
-                and absvals[i] <= absvals[i + 1]
-                and np.sign(vals[i - 1]) == np.sign(vals[i + 1]) != 0.0):
-            records.append(ZeroRecord(None, (float(grid[i - 1]), float(grid[i + 1])),
-                                      grid_step, sign(fs[i - 1]), sign(fs[i + 1]),
-                                      suspected_multiple=True))
+    # dips against the largest |eta| within 10 grid points; zero padding is exact, |eta| >= 0
+    a, sg = np.abs(vals), np.sign(vals)
+    mid, scale = a[1:-1], sliding_window_view(np.pad(a, 10), 21).max(axis=1)[1:-1]
+    dips = np.flatnonzero((mid < 1e-8 * scale) & (mid <= a[:-2]) & (mid <= a[2:])
+                          & (sg[:-2] == sg[2:]) & (sg[2:] != 0.0)) + 1
+    records += [ZeroRecord(None, (ts[i - 1], ts[i + 1]), grid_step, sign[i - 1], sign[i + 1],
+                           suspected_multiple=True) for i in dips.tolist()]
     records.sort(key=lambda r: r.bracket[0])
     # the grid can end past t_hi; a zero bisected out there is not reported
     return [r for r in records if r.t_zero is None or t_lo <= r.t_zero <= t_hi]

@@ -285,3 +285,30 @@ def test_zero_scan_bit_identical(chi, monkeypatch):
         monkeypatch.setattr(lf, "_ZERO_TOL", tol)
         got = lf.find_zeros_on_line(chi, t_lo, t_hi, step)
         assert got == _ref_zeros(chi, t_lo, t_hi, step, tol)
+
+
+# mid: |eta| at the grid point 2.0 over the largest |eta| within 9, 10 and 11 grid points is
+# 1.57e-8, 1.33e-8 and 0.74e-8 in the first case (no dip) and 1.08e-8, 0.90e-8 and 0.87e-8
+# in the second (a dip), so a window one point too wide or too narrow changes the records
+@pytest.mark.parametrize("t_lo, t_hi, step, mid, n_dips", ((0.0, 4.0, 0.0625, 4.4e-5, 2),
+                                                           (-0.5, 4.25, 0.125, 1.35e-4, 3)))
+def test_zero_scan_suspected_multiples_bit_identical(t_lo, t_hi, step, mid, n_dips, monkeypatch):
+    # a stand-in eta with touching zeros 1e-6 off the grid points 0.125 and 3.875 (within 10
+    # points of either end, so their windows are clipped) and `mid` off 2.0, a simple zero at
+    # 1.3 and an exact hit at 2.5; both grids end exactly at t_hi, which is no zero, so the
+    # reference loop sees every hit
+    def fake(chi, eps, t):
+        t = np.asarray(t)
+        return ((t - 0.125 - 1e-6) ** 2 * (t - 2.0 - mid) ** 2 * (t - 3.875 + 1e-6) ** 2
+                * (t - 1.3) * (t - 2.5) + 0j, 0.0)
+
+    monkeypatch.setattr(lf, "eta_on_grid", fake)
+    assert np.arange(t_lo, t_hi + step / 2.0, step)[-1] == t_hi
+    got = lf.find_zeros_on_line(CHARS[0], t_lo, t_hi, step)
+    ref = _ref_zeros(CHARS[0], t_lo, t_hi, step)
+    assert got == ref
+    assert [[type(v) for v in vars(r).values()] for r in got] == \
+        [[type(v) for v in vars(r).values()] for r in ref]
+    dips = [r.bracket for r in got if r.suspected_multiple]
+    assert len(dips) == n_dips and dips[0][0] < t_lo + 10 * step and dips[-1][1] > t_hi - 10 * step
+    assert sum(r.t_zero == 2.5 and r.tol == 0.0 for r in got) == 1

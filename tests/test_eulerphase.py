@@ -163,6 +163,15 @@ def test_scan_determinism(chi3, primes_1e5_q3):
     assert np.array_equal(a, b)
 
 
+def test_scan_rejects_unordered_grid_before_any_prime(chi3, primes_1e5_q3, monkeypatch):
+    # the grid is checked before the primes are prepared, so no point is summed in vain
+    monkeypatch.setattr(ep, "_prime_data", None)
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    for grid in (np.array([3.0, 2.0, 1.0]), np.array([1.0, 1.0])):
+        with pytest.raises(DomainError):
+            ep.scan(chi3, 0.0, grid, primes_1e5_q3, w)
+
+
 # --------------------------------------------------------------------------
 # residual pieces
 # --------------------------------------------------------------------------
