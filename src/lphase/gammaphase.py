@@ -29,9 +29,9 @@ covers the small-t neighborhood.
 
 The three-case pattern for the mixed derivative d^2 phase / (d eps d t) at
 eps = 0 -- 3/(4t^2), 1/(4t^2), -1/(4t^2) for alpha = 2, 1, 0 -- is exposed
-through `mixed_second_derivative`, which differentiates the product route in eps
-by a Richardson-extrapolated central difference; the tests cross-check it against
-the same difference of the Stirling route.
+through `mixed_second_derivative`, the product route's N-term sum differentiated
+in eps termwise: a trigamma partial sum, its first min(N, n0) terms explicit and
+the rest a Hurwitz tail, in the same pass as the other two sums.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ T_STIRLING_MIN = 0.5
 _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB float64 leaf buffers stay in cache
 _RAMP = np.arange(_LEAF, dtype=np.float64)
 _HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
-_MACH = float(np.finfo(float).eps)
 _T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
 
 # B_2, B_4, ..., B_26
@@ -162,15 +161,15 @@ def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
     return _ordered_sum(leaf, lo, m2) + _ordered_sum(leaf, lo + m2, m - m2)
 
 
-def _gw_sum(total: float, n_terms: int, v: float, a: float, leaf, dt: bool = False) -> float:
+def _gw_sum(total: float, n_terms: int, v: float, leaf, tail) -> float:
     # add the summands for n = 1..n_terms to `total`: the first min(n_terms, n0) from `leaf`
-    # as one ordered sum, and any past n0 as _gw_tail(n0) - _gw_tail(n_terms)
+    # as one ordered sum, and any past n0 as tail(n0) - tail(n_terms), tail(m) the sum over n > m
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
     m = min(n_terms, _head_rows(abs(v)))
     total += _ordered_sum(leaf, 1, m)
     if n_terms > m:
-        total += _gw_tail(v, abs(v), m, a, dt) - _gw_tail(v, abs(v), n_terms, a, dt)
+        total += tail(m) - tail(n_terms)
     return float(total)
 
 
@@ -192,7 +191,8 @@ def gw_log_gamma_phase(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -
         _x_minus_arctan_series(x[k:], n[k:], na[k:])
         return np.add(y, na, y)
 
-    return _gw_sum(-EULER_GAMMA * v - math.atan(v / a), n_terms, v, a, leaf)
+    return _gw_sum(-EULER_GAMMA * v - math.atan(v / a), n_terms, v, leaf,
+                   lambda m: _gw_tail(v, abs(v), m, a))
 
 
 def gw_phase_tail_estimate(s: SPoint, alpha: int, n_terms: int) -> float:
@@ -237,15 +237,11 @@ def _head_rows(vmax: float) -> int:
     return int(max(64, math.ceil(4.0 * vmax) + 32))
 
 
-def _gw_tail(v, vmax: float, m: int, a: float, dt: bool = False):
+def _gw_tail(v, vmax: float, m: int, a: float):
     """Sum over n > m >= n0 of the phase summands v/n - arctan(v/(n+a)), w = m+1+a:
-    v (psi(w) - psi(m+1)) + sum_j (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, w); with dt its
-    t-derivative, (psi(w) - psi(m+1))/2 + sum_j (-1)^(j+1) v^(2j)/2 zeta(2j+1, w)."""
+    v (psi(w) - psi(m+1)) + sum_j (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, w)."""
     w = m + 1.0 + a
-    psi = float(digamma(w) - digamma(m + 1.0))
-    if dt:
-        return 0.5 * _hurwitz_tail(psi, 1.0, v, vmax, w, lambda j: ((-1) ** (j + 1), 2 * j + 1))
-    return _hurwitz_tail(v * psi, v, v, vmax, w,
+    return _hurwitz_tail(v * float(digamma(w) - digamma(m + 1.0)), v, v, vmax, w,
                          lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
 
 
@@ -320,7 +316,29 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> floa
         np.multiply(0.5, np.add(np.multiply(a, na, na), v * v, na), na)
         return np.divide(na, w, na)
 
-    return _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, v, a, leaf, True)
+    def tail(m: int) -> float:  # (psi(w) - psi(m+1))/2 + sum_j (-1)^(j+1) v^(2j)/2 zeta(2j+1, w)
+        w = m + 1.0 + a
+        return 0.5 * _hurwitz_tail(float(digamma(w) - digamma(m + 1.0)), 1.0, v, abs(v), w,
+                                   lambda j: ((-1) ** (j + 1), 2 * j + 1))
+
+    return _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, v, leaf, tail)
+
+
+def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
+    """eps-derivative of `gw_dphase_dt` (da/d eps = 1/2), the trigamma partial sum
+    sum_{n=0..N} ((n+a)^2 - v^2) / (4((n+a)^2 + v^2)^2) = Re [psi'(z) - psi'(z+N+1)]/4."""
+    a, v = _ab(s, alpha)
+
+    def leaf(lo: int, m: int) -> np.ndarray:
+        x2 = (_RAMP[:m] + lo + a) ** 2
+        return (x2 - v * v) / (4.0 * (x2 + v * v) ** 2)
+
+    def tail(m: int) -> float:  # sum_j (-1)^j (2j+1) v^(2j)/4 zeta(2j+2, w)
+        w = m + 1.0 + a
+        return 0.25 * _hurwitz_tail(float(hurwitz_zeta_real(2.0, w)), 1.0, v, abs(v), w,
+                                    lambda j: ((-1) ** j * (2 * j + 1), 2 * j + 2))
+
+    return _gw_sum((a * a - v * v) / (4.0 * (a * a + v * v) ** 2), n_terms, v, leaf, tail)
 
 
 def gamma_dphase_dt(t, eps: float, alpha: int) -> np.ndarray | float:
@@ -445,13 +463,8 @@ def stirling_dphase_dt(t: float, eps: float, params: PrefactorParams) -> float:
 
 
 # --------------------------------------------------------------------------
-# difference and root drivers, mixed derivative and crossing points
+# bisection driver, mixed derivative and crossing points
 # --------------------------------------------------------------------------
-
-def _richardson(coarse, fine, r: float = 4.0):
-    # step-halving extrapolation: removes the error term that falls by a factor r per halving
-    return (r * fine - coarse) / (r - 1.0)
-
 
 def _bisect(f, lo, hi, f_lo, tol: float) -> np.ndarray:
     """Midpoints of sign-change brackets [lo, hi] of f, each narrowed to width <= tol.
@@ -484,32 +497,14 @@ def _bisect_one(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
 
 
 def mixed_second_derivative(t: float, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> float:
-    """d/d eps at eps=0 of the prefactor-phase t-derivative (independent of q).
-
-    Central differences in eps of the product route's `gw_dphase_dt` with a three-level
-    Richardson ladder; the step is h = max(1e-5, 1e-4 * t).  Raises
-    NumericalInstabilityError when the ladder fails to settle.
-    """
+    """d/d eps at eps=0 of the prefactor-phase t-derivative (independent of q): the N-term
+    product sum differentiated termwise, a trigamma partial sum whose terms past n0 come from
+    a Hurwitz tail (`_gw_mixed`); O(min(N, t)), within 1e-14 * max(1, |value|) of it."""
     if t <= 0.0:
         raise DomainError("mixed derivative requires t > 0")
     if n_terms < 10 ** 5:
         raise DomainError("product route requires n_terms >= 1e5 here")
-    f = lambda e: gw_dphase_dt(SPoint(e, t), alpha, n_terms)
-
-    h = max(1e-5, 1e-4 * t)
-    d = []
-    scale = 1.0
-    for step in (h, h / 2.0, h / 4.0):
-        fp, fm = f(step), f(-step)
-        scale = max(scale, abs(fp), abs(fm))
-        d.append((fp - fm) / (2.0 * step))
-    r1, r2 = _richardson(d[0], d[1]), _richardson(d[1], d[2])
-    tol = max(1e-6 * max(abs(r1), abs(r2)), 1e4 * _MACH * scale / h)
-    if abs(r2 - r1) > tol:
-        raise NumericalInstabilityError(
-            f"Richardson ladder disagreement {abs(r2 - r1):.3e} at t={t}"
-        )
-    return _richardson(r1, r2, 16.0)
+    return _gw_mixed(SPoint(0.0, t), alpha, n_terms)
 
 
 def find_t_cross(params: PrefactorParams, n_terms: int = GW_DEFAULT_TERMS) -> float | None:

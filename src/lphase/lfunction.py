@@ -47,7 +47,6 @@ from .gammaphase import (
     _bisect,
     _column_blocks,
     _log_gamma_grid,
-    _richardson,
     mixed_second_derivative,
     prefactor_dphase_dt,
 )
@@ -236,6 +235,11 @@ def _stencil(f, t, h: float) -> list:
     return [f(t + u * h) for u in _SHIFTS]
 
 
+def _richardson(coarse, fine):
+    # step-halving extrapolation: removes the error term that falls by a factor 4 per halving
+    return (4.0 * fine - coarse) / 3.0
+
+
 def _five_point(y, h: float):
     """y(t), y' and y'' from samples y at t - h, t - h/2, t, t + h/2, t + h (Richardson in h)."""
     dp = _richardson((y[4] - y[0]) / (2.0 * h), (y[3] - y[1]) / h)
@@ -387,7 +391,7 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     decision only where |eta| is at rounding level, within about 1e-13 of the zero, and
     the result then still lies within _ZERO_TOL of it, which each ZeroRecord reports as tol.
 
-    Grid dips of |eta| below 1e-8 of the largest |eta| within 10 grid points, without
+    Nonzero grid dips of |eta| below 1e-8 of the largest |eta| within 10 grid points, without
     a sign change, are recorded as suspected multiple zeros and left unrefined.  Negative t
     is allowed (used to confirm the +/-t pairing of real-character zeros).
     """
@@ -414,10 +418,10 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     records += [ZeroRecord(t_zero, (ts[i], ts[i + 1]), _ZERO_TOL, sign[i], sign[i + 1])
                 for i, t_zero in zip(i0.tolist(), t_zeros.tolist())]
 
-    # dips against the largest |eta| within 10 grid points; zero padding is exact, |eta| >= 0
+    # nonzero dips against the largest |eta| within 10 grid points; zero padding is exact
     a, sg = np.abs(vals), np.sign(vals)
     mid, scale = a[1:-1], sliding_window_view(np.pad(a, 10), 21).max(axis=1)[1:-1]
-    dips = np.flatnonzero((mid < 1e-8 * scale) & (mid <= a[:-2]) & (mid <= a[2:])
+    dips = np.flatnonzero((0.0 < mid) & (mid < 1e-8 * scale) & (mid <= a[:-2]) & (mid <= a[2:])
                           & (sg[:-2] == sg[2:]) & (sg[2:] != 0.0)) + 1
     records += [ZeroRecord(None, (ts[i - 1], ts[i + 1]), grid_step, sign[i - 1], sign[i + 1],
                            suspected_multiple=True) for i in dips.tolist()]

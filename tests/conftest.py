@@ -68,7 +68,7 @@ def ref_mixed():
             d.append((fp - fm) / (2.0 * step))
         r1 = (4.0 * d[1] - d[0]) / 3.0
         r2 = (4.0 * d[2] - d[1]) / 3.0
-        tol = max(1e-6 * max(abs(r1), abs(r2)), 1e4 * gp._MACH * scale / h)
+        tol = max(1e-6 * max(abs(r1), abs(r2)), 1e4 * np.finfo(float).eps * scale / h)
         if abs(r2 - r1) > tol:
             raise NumericalInstabilityError("ladder")
         return (16.0 * r2 - r1) / 15.0

@@ -147,7 +147,9 @@ def _ref_gw(s, alpha, n_terms):
     phase += float(np.sum(v * a / (n * (n + a)) + _ref_x_minus_arctan(v / (n + a))))
     na = n + a
     dphase += float(np.sum(0.5 * (a * na + v * v) / (n * (na * na + v * v))))
-    return phase, dphase
+    mixed = (a * a - v * v) / (4.0 * (a * a + v * v) ** 2)
+    mixed += float(np.sum((na ** 2 - v * v) / (4.0 * (na ** 2 + v * v) ** 2)))
+    return phase, dphase, mixed
 
 
 def _ref_head_rows(t):
@@ -166,14 +168,16 @@ def test_gw_sums_bit_identical_to_one_block_sum(n_terms, t, eps, alpha):
     # up to n0 terms the partial sums are fully explicit and keep the one-block sum's bits
     n_terms = min(n_terms, _ref_head_rows(t))
     s = SPoint(eps, t)
-    phase, dphase = _ref_gw(s, alpha, n_terms)
+    phase, dphase, mixed = _ref_gw(s, alpha, n_terms)
     assert gp.gw_log_gamma_phase(s, alpha, n_terms) == phase
     assert gp.gw_dphase_dt(s, alpha, n_terms) == dphase
+    assert gp._gw_mixed(s, alpha, n_terms) == mixed
 
 
 def _mp_gw(t, eps, alpha, n_terms):
-    # the exact N-term phase and t-derivative sums at 40 digits, z = a + iv:
-    # -gamma v - arctan(v/a) + v H_N - Im[logGamma(N+1+z) - logGamma(1+z)] and its d/dt
+    # the exact N-term phase, t-derivative and mixed sums at 40 digits, z = a + iv:
+    # -gamma v - arctan(v/a) + v H_N - Im[logGamma(N+1+z) - logGamma(1+z)], its d/dt and
+    # the eps-derivative of that, Re[psi'(z) - psi'(z+N+1)]/4
     with mp.workdps(40):
         z = mp.mpc(0.5 + eps + alpha, t) / 2
         a, v, h = z.real, z.imag, mp.harmonic(n_terms)
@@ -181,14 +185,18 @@ def _mp_gw(t, eps, alpha, n_terms):
                  - mp.im(mp.loggamma(n_terms + 1 + z) - mp.loggamma(1 + z)))
         dphase = (-mp.euler - a / (a * a + v * v) + h
                   - mp.re(mp.digamma(n_terms + 1 + z) - mp.digamma(1 + z))) / 2
+        mixed = mp.re(mp.psi(1, z) - mp.psi(1, z + n_terms + 1)) / 4
         if n_terms <= 10 ** 4:  # the closed form against the direct sums
             ns = range(1, n_terms + 1)
             direct = (-mp.euler * v - mp.atan(v / a)
                       + mp.fsum(v / n - mp.atan(v / (n + a)) for n in ns),
                       (-mp.euler - a / (a * a + v * v)
-                       + mp.fsum(1 / mp.mpf(n) - (n + a) / ((n + a) ** 2 + v * v) for n in ns)) / 2)
-            assert max(abs(phase - direct[0]), abs(dphase - direct[1])) < mp.mpf(10) ** -30
-        return float(phase), float(dphase)
+                       + mp.fsum(1 / mp.mpf(n) - (n + a) / ((n + a) ** 2 + v * v) for n in ns)) / 2,
+                      mp.fsum(((n + a) ** 2 - v * v) / (4 * ((n + a) ** 2 + v * v) ** 2)
+                              for n in range(n_terms + 1)))
+            assert max(abs(phase - direct[0]), abs(dphase - direct[1]),
+                       abs(mixed - direct[2])) < mp.mpf(10) ** -30
+        return float(phase), float(dphase), float(mixed)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -204,17 +212,18 @@ def test_gw_sums_match_mpmath_partial_sum(n_terms, t, eps, alpha):
     # past n0 terms the partial sums add T(n0) - T(N) in closed form; the stated bound
     # is 3e-14 * (1 + |ref|) for both, at any N
     s = SPoint(eps, t)
-    phase, dphase = _mp_gw(t, eps, alpha, n_terms)
+    phase, dphase, mixed = _mp_gw(t, eps, alpha, n_terms)
     assert abs(gp.gw_log_gamma_phase(s, alpha, n_terms) - phase) <= 3e-14 * (1.0 + abs(phase))
     assert abs(gp.gw_dphase_dt(s, alpha, n_terms) - dphase) <= 3e-14 * (1.0 + abs(dphase))
+    assert abs(gp._gw_mixed(s, alpha, n_terms) - mixed) <= 3e-14 * (1.0 + abs(mixed))
 
 
 @pytest.mark.parametrize("t, n_terms", [(1e7, 10 ** 6), (-1e7, 10 ** 6), (30.0, 10 ** 12)])
 def test_gw_sums_memory_is_one_leaf(t, n_terms, traced_peak):
-    # the explicit head runs through one (4, _LEAF) leaf buffer and the tail holds no array,
+    # the explicit head runs in leaves of at most _LEAF terms and the tail holds no array,
     # so neither an n0-row nor an N-row array is ever built
     s = SPoint(0.1, t)
-    for f in (gp.gw_log_gamma_phase, gp.gw_dphase_dt):
+    for f in (gp.gw_log_gamma_phase, gp.gw_dphase_dt, gp._gw_mixed):
         f(s, 1, 10 ** 3)  # scipy's first-call set-up stays outside the trace
         assert traced_peak(lambda: f(s, 1, n_terms)) <= 4 * gp._LEAF * 8 + 64 * 1024
 
@@ -515,6 +524,30 @@ def test_mixed_derivative_three_cases_both_routes(ref_mixed):
         prod = gp.mixed_second_derivative(10.0, alpha, n_terms=10 ** 5)
         assert stirl == pytest.approx(ref, rel=0.02)
         assert prod == pytest.approx(stirl, abs=2e-5)
+
+
+def test_mixed_derivative_matches_trigamma_oracle():
+    # the N-term sum at 40 digits, sum_{n=0..N} Re (n+z)^(-2)/4 = Re[psi'(z) - psi'(z+N+1)]/4
+    # with z = (1/2 + alpha + it)/2, across the alpha = 0 crossing and up to N = 1e12
+    for t in (0.01, 0.25, 0.5888, 1.0, 10.0, 50.0, 300.0, 3000.0):
+        for alpha in (0, 1, 2):
+            for n_terms in (10 ** 5, 10 ** 6, 10 ** 9, 10 ** 12):
+                with mp.workdps(40):
+                    z = mp.mpc(0.5 + alpha, t) / 2
+                    ref = float(mp.re(mp.psi(1, z) - mp.psi(1, z + n_terms + 1)) / 4)
+                got = gp.mixed_second_derivative(t, alpha, n_terms)
+                assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_mixed_derivative_within_ladder_tolerance(ref_mixed):
+    # the eps-difference Richardson ladder of gw_dphase_dt is an independent route to the
+    # same derivative; its worst error here is 3.5e-6 relative, at the alpha = 0 crossing
+    # 0.5888, where the value is 1e-5 and the absolute term carries the bound
+    for alpha in (0, 1, 2):
+        for t in (0.55, 0.5888, 0.6, 1.0, 3.7, 10.0, 20.0, 50.0, 99.5):
+            ref = ref_mixed(t, alpha, "gw", 10 ** 5)
+            got = gp.mixed_second_derivative(t, alpha, 10 ** 5)
+            assert abs(got - ref) <= 1e-6 * abs(ref) + 1e-10
 
 
 def test_mixed_derivative_normalized_limit():
