@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -70,14 +70,23 @@ __all__ = [
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
 _SPIKE_MADS = 6.0  # spike threshold in median absolute deviations above the median
 # Li intervals [a, b] in u = log y are cut into panels with max(|z|, 1/a) (b - a) <= _GL_SPAN,
-# each integrated by _GL_ORDER Gauss-Legendre nodes (`_li_integral`)
-_GL_SPAN, _GL_ORDER = 2.0, 20
-
-
-@cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # nodes and weights on [-1, 1]; built on first use, since leggauss's LAPACK call costs RSS
-    return np.polynomial.legendre.leggauss(_GL_ORDER)
+# each integrated by the 20 Gauss-Legendre nodes and weights on [-1, 1] below (`_li_integral`):
+# numpy's leggauss(20) to the last bit, stored, since its LAPACK call costs peak RSS
+_GL_SPAN = 2.0
+_GL_NODES = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+])
+_GL_WEIGHTS = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893,
+])
 
 
 @dataclass(frozen=True)
@@ -337,15 +346,14 @@ def _li_integral(th, t, eps, lnps, lo, hi):
     In u = log y, [a, b] = [log lo, log hi], the integrand is analytic away from its pole at
     u = 0, so Gauss-Legendre converges geometrically on panels of bounded span: [a, b] is cut
     into ceil(max(|z|, 1/a) (b - a) / _GL_SPAN) equal panels, z = 1/2 - eps + i(pi/lnps + |t|),
-    of _GL_ORDER nodes each, and the panel sums are added in order."""
+    of 20 nodes each, and the panel sums are added in order."""
     a, b = math.log(lo), math.log(hi)
     span = max(math.hypot(0.5 - eps, math.pi / lnps + abs(t)), 1.0 / a) * (b - a)
     n = max(1, math.ceil(span / _GL_SPAN))
-    x, w = _gauss_legendre()
     h = (b - a) / n
-    u = a + h * (np.arange(n)[:, None] + (1 + x) / 2)
+    u = a + h * (np.arange(n)[:, None] + (1 + _GL_NODES) / 2)
     f = np.cos(t * u - th) * np.sin(math.pi * u / lnps) * np.exp((0.5 - eps) * u) / u
-    return h / 2 * float(np.sum(f @ w))
+    return h / 2 * float(np.sum(f @ _GL_WEIGHTS))
 
 
 def _mass_li(th, t, eps, lnps, phi_q, lo, hi):

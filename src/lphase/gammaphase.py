@@ -211,7 +211,8 @@ def gw_phase_tail_estimate(s: SPoint, alpha: int, n_terms: int) -> float:
 
 def _tail_order(vmax: float, w: float) -> int:
     # Hurwitz-zeta tail terms for r = vmax/w, targeting ~1e-18; every caller has w >= n0 + 1 + a,
-    # a > 0, n0 = _head_rows(vmax) >= 4 vmax + 32, so r < 1/4 and the order lies in [2, 16]
+    # a > 0, n0 = _head_rows(vmax) >= 4 vmax + 32, so r < 1/4 and the order lies in [2, 16],
+    # or is 1 when vmax = 0
     r = vmax / w
     if r <= 0:
         return 1
@@ -219,15 +220,20 @@ def _tail_order(vmax: float, w: float) -> int:
 
 
 def _hurwitz_tail(tail, pw, v, vmax: float, w: float, coef):
-    # add c * zeta(s, w) * pw for j = 1, 2, ... with (c, s) = coef(j), multiplying
-    # pw by v^2 before each term; stop after _tail_order terms or once a term is negligible
+    # add c * zeta(s, w) * pw for j = 1, 2, ... with (c, s) = coef(j), multiplying pw by v^2
+    # before each term.  Every caller's orders s step by 2, so the zeta(s, w) of all
+    # _tail_order terms come from one ufunc call over s_1, s_1 + 2, ...; c is taken term by
+    # term.  Stop after those terms or at the first with max|term| < 1e-18 (1 + max|tail|),
+    # taken by the builtin abs on a scalar tail and by one max over an array tail's entries
+    s1 = coef(1)[1]
+    zetas = hurwitz_zeta_real(np.arange(s1, s1 + 2 * _tail_order(vmax, w), 2.0), w)
+    size = (lambda x: np.abs(x).max(initial=0.0)) if isinstance(tail, np.ndarray) else abs
     v2 = v * v
-    for j in range(1, _tail_order(vmax, w) + 1):
+    for j, z in enumerate(zetas.tolist(), 1):
         pw = pw * v2
-        c, order = coef(j)
-        term = c * float(hurwitz_zeta_real(order, w)) * pw
+        term = coef(j)[0] * z * pw
         tail += term
-        if np.max(np.abs(term), initial=0.0) < 1e-18 * (1.0 + np.max(np.abs(tail), initial=0.0)):
+        if size(term) < 1e-18 * (1.0 + size(tail)):
             break
     return tail
 

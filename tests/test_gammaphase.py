@@ -357,6 +357,66 @@ def test_xi_memory_is_head_blocks_plus_points(chi3, traced_peak):
     assert peak <= 16 * (4 * gp._HEAD_CELLS + 32 * t.size)
 
 
+# the four Hurwitz tails, by coefficient (c, s) = coef(j): the phase and log|Gamma| of
+# `_log_gamma_grid`, gw_dphase_dt's and the mixed derivative's
+_TAIL_COEFS = {
+    "phase": lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1),
+    "log-modulus": lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j),
+    "dphase": lambda j: ((-1) ** (j + 1), 2 * j + 1),
+    "mixed": lambda j: ((-1) ** j * (2 * j + 1), 2 * j + 2),
+}
+# (vmax, w, pw scale): v = 0 takes one term (order 1), r = vmax/w = 1e-6 stops before its
+# order of 3, r just under 1/4 runs to the full order of 16, and r = 0.025 is a
+# prefactor-sized tail
+_TAIL_CASES = {"v=0": (0.0, 65.5, 1.0), "early-break": (1.0, 1e6 + 1.5, 1.0),
+               "full-order": (999.9, 4000.75, 1e6), "typical": (5.0, 200.5, 1.0)}
+
+
+@pytest.mark.parametrize("family", _TAIL_COEFS)
+@pytest.mark.parametrize("case", _TAIL_CASES)
+def test_hurwitz_tail_bit_identical_to_per_term_loop(family, case):
+    coef, (vmax, w, scale) = _TAIL_COEFS[family], _TAIL_CASES[case]
+    c1, s1 = coef(1)
+    for v in (vmax, -vmax, 0.5 * vmax, np.array([]), np.array([vmax]),
+              vmax * np.array([-1.0, -0.3, 0.0, 0.7, 1.0])):
+        pw = scale * (v if family == "phase" else 1.0 + 0.0 * v)
+        # the start cancels the first term, so the later ones are not lost beside it; each
+        # call adds to its own copy of the start, and both count the terms they take
+        start = lambda: 0.37 - c1 * float(hurwitz_zeta(s1, w)) * (pw * (v * v))
+        terms, got_terms = [], []
+        ref = _ref_hurwitz_tail(start(), pw, v, vmax, w, lambda j: terms.append(j) or coef(j))
+        got = gp._hurwitz_tail(start(), pw, v, vmax, w,
+                               lambda j: got_terms.append(j) or coef(j))
+        assert _same_bytes(got, ref), (v, got, ref)
+        assert type(got) is (float if np.ndim(v) == 0 else np.ndarray)
+        assert max(got_terms) == len(terms)
+    # the last array holds vmax, so the loop took the case's number of terms
+    order = gp._tail_order(vmax, w)
+    assert {"v=0": order == len(terms) == 1, "early-break": len(terms) < order,
+            "full-order": len(terms) == order == 16}.get(case, True), (order, terms)
+
+
+@pytest.mark.parametrize("t", [0.3, 10.0, 300.0, 3000.0])
+def test_gw_sums_bit_identical_with_per_term_tail(t, monkeypatch):
+    # the three N-term sums keep their bits when _hurwitz_tail is the per-term loop: N = n0 + 1
+    # takes a tail difference next to the head, N = 1e12 one far from it
+    def sums(n_terms):
+        s = SPoint(0.0, t)
+        mixed = (gp._gw_mixed(s, alpha, n_terms) if n_terms < 10 ** 5
+                 else gp.mixed_second_derivative(t, alpha, n_terms))
+        return (gp.gw_log_gamma_phase(s, alpha, n_terms), gp.gw_dphase_dt(s, alpha, n_terms),
+                mixed)
+
+    for alpha in (0, 1, 2):
+        for n_terms in (_ref_head_rows(t) + 1, 10 ** 6, 10 ** 12):
+            got = sums(n_terms)
+            with monkeypatch.context() as m:
+                m.setattr(gp, "_hurwitz_tail", _ref_hurwitz_tail)
+                ref = sums(n_terms)
+            assert all(type(x) is float and _same_bytes(x, y) for x, y in zip(got, ref)), \
+                (alpha, n_terms, got, ref)
+
+
 def test_gw_domain_guard():
     with pytest.raises(DomainError):
         gp.gw_log_gamma_phase(SPoint(-0.5, 1.0), 0, 100)  # a = 0
