@@ -98,17 +98,23 @@ def _table(args) -> tuple[arith.PrimeTable, ep.WindowParams]:
             ep.WindowParams(p_star=args.p_star, p_max=args.p_max))
 
 
+def _finite(text: str) -> float:
+    # the argparse type of every float option: nan and +/-inf are usage errors
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _t_grid(args) -> np.ndarray:
     if args.t_step <= 0:
         raise _UsageError("--t-step must be positive")
     if args.t_max <= args.t_min:
         raise _UsageError("--t-max must exceed --t-min")
     return np.round(np.arange(args.t_min, args.t_max + args.t_step / 2, args.t_step), 12)
-
-
-def _level(t: float, q: int) -> float:
-    """The level log sqrt(|t| q / 2 pi), NaN at t = 0."""
-    return 0.5 * math.log(abs(t) * q / (2.0 * math.pi)) if t != 0 else float("nan")
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def _cmd_figure_prefactor(args, alpha: int, name: str) -> int:
     rows = []
     for t in _t_grid(args).tolist():
         val = gp.prefactor_dphase_dt(SPoint(args.eps, t), params, args.gw_terms)
-        rows.append([t, val, _level(t, args.q)])
+        rows.append([t, val, gp._level(t, args.q)])
     _write_csv(args.out, name,
                {"q": args.q, "alpha": alpha, "eps": args.eps,
                 "t_min": args.t_min, "t_max": args.t_max, "t_step": args.t_step,
@@ -185,7 +191,7 @@ def _cmd_figure_symmetries(args) -> int:
     table, window = _table(args)
     grid = _t_grid(args)
     sc = ep.scan(chi, args.eps, grid, table, window)
-    rows = [[t, v, -_level(t, args.q)] for t, v in zip(sc.t_grid.tolist(), sc.values.tolist())]
+    rows = [[t, v, -gp._level(t, args.q)] for t, v in zip(sc.t_grid.tolist(), sc.values.tolist())]
     _write_csv(args.out, "figure-symmetries",
                {"q": args.q, "chi_index": chi.index, "eps": args.eps,
                 "p_star": args.p_star, "p_max": args.p_max,
@@ -222,7 +228,7 @@ def _cmd_level_check(args) -> int:
     chi = _primitive_character(args)
     table, window = _table(args)
     res = ep.level_check(args.t, args.eps, chi, table, window)
-    target = -_level(args.t, args.q)
+    target = -gp._level(args.t, args.q)
     _write_csv(args.out, "level-check",
                {"q": args.q, "chi_index": chi.index, "t": args.t, "eps": args.eps,
                 "p_star": args.p_star, "p_max": args.p_max},
@@ -282,7 +288,7 @@ def _add_character_opts(p):
 
 
 def _add_prime_opts(p):
-    p.add_argument("--p-star", type=float, default=float(_P_MAX_DEFAULT),
+    p.add_argument("--p-star", type=_finite, default=float(_P_MAX_DEFAULT),
                    help="window prime scale p* (real, default 1e6)")
     p.add_argument("--p-max", type=int, default=_P_MAX_DEFAULT,
                    help="prime summation cutoff (default 1e6)")
@@ -291,9 +297,9 @@ def _add_prime_opts(p):
 
 
 def _add_grid_opts(p, t_min, t_max, t_step):
-    p.add_argument("--t-min", type=float, default=t_min)
-    p.add_argument("--t-max", type=float, default=t_max)
-    p.add_argument("--t-step", type=float, default=t_step)
+    p.add_argument("--t-min", type=_finite, default=t_min)
+    p.add_argument("--t-max", type=_finite, default=t_max)
+    p.add_argument("--t-step", type=_finite, default=t_step)
 
 
 def build_parser() -> _Parser:
@@ -321,14 +327,14 @@ def build_parser() -> _Parser:
     for name, alpha, q, parity in (("figure-q3", 1, 3, "odd"), ("figure-q5", 0, 5, "even")):
         p = command(name, partial(_cmd_figure_prefactor, alpha=alpha, name=name),
                     f"{parity} prefactor-phase derivative curve", default=q)
-        p.add_argument("--eps", type=float, default=0.0)
+        p.add_argument("--eps", type=_finite, default=0.0)
         _add_grid_opts(p, 0.05, 10.0, 0.05)
         p.add_argument("--gw-terms", type=int, default=2 * 10 ** 5)
 
     p = command("figure-symmetries", _cmd_figure_symmetries,
                 "windowed estimator scan over a +/- t grid", required=True)
     _add_character_opts(p)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=_finite, default=0.0)
     _add_grid_opts(p, -15.0, 15.0, 0.1)
     _add_prime_opts(p)
 
@@ -343,15 +349,15 @@ def build_parser() -> _Parser:
     p = command("level-check", _cmd_level_check,
                 "windowed level against the xi phase derivative", required=True)
     _add_character_opts(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--t", type=_finite, required=True)
+    p.add_argument("--eps", type=_finite, default=0.0)
     _add_prime_opts(p)
 
     p = command("ledger", _cmd_ledger,
                 "oscillation masses per (k, h) by sum and Li integral", required=True)
     _add_character_opts(p)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--t", type=_finite, required=True)
+    p.add_argument("--eps", type=_finite, default=0.0)
     p.add_argument("--k-max", type=int, default=None,
                    help="largest oscillation index (default: largest fitting p_max)")
     _add_prime_opts(p)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
 from .errors import DegenerateInputError, DomainError, TruncationError
-from .gammaphase import _LEAF, _ordered_sum, _x_minus_arctan
+from .gammaphase import _LEAF, _level, _ordered_sum, _x_minus_arctan
 
 __all__ = [
     "WindowParams",
@@ -64,7 +64,6 @@ __all__ = [
     "level_check",
     "scan",
     "spike_strips",
-    "class_li_combination",
 ]
 
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
@@ -102,7 +101,7 @@ class WindowParams:
     p_max: int
 
     def __post_init__(self):
-        if self.p_star <= 1.0:
+        if not self.p_star > 1.0:
             raise DomainError("p_star must exceed 1")
         if self.p_max < 2:
             raise DomainError("p_max must be at least 2")
@@ -469,7 +468,7 @@ def level_check(t: float, eps: float, chi: DirichletCharacter, primes: PrimeTabl
     if t <= 0.0:
         raise DomainError("level check requires t > 0")
     ratio = windowed_ratio_exact(t, eps, chi, primes, window)
-    lhs = 0.5 * math.log(t * chi.q / (2.0 * math.pi)) + ratio
+    lhs = _level(t, chi.q) + ratio
     dphi = xi_phase_dt(chi, eps, t)
     return LevelCheckResult(t=t, eps=eps, windowed=ratio, lhs=lhs,
                             xi_phase_dt=dphi, defect=lhs - dphi)
@@ -511,19 +510,3 @@ def spike_strips(scan_result: PhaseScan) -> list[tuple[float, float]]:
             strips.append((lo, hi))
     return strips
 
-
-def class_li_combination(t: float, eps: float, chi: DirichletCharacter,
-                         window: WindowParams) -> float:
-    """Sum over reduced classes of the Li-weighted cosine integral on [2, p_max].
-
-    The class phases sum to zero for non-principal characters, so the exact
-    value is 0; each class integral is a composite Gauss-Legendre sum, and the
-    returned number is the quadrature and rounding error left around that 0.
-    """
-    _check_eps(eps)
-    if chi.is_principal:
-        raise DomainError("class combination requires a non-principal character")
-    lnps = math.log(window.p_star)
-    total = sum(_li_integral(chi.angle(h), t, eps, lnps, 2.0, window.p_max)
-                for h in np.flatnonzero(chi.k >= 0).tolist())
-    return lnps / (math.pi * euler_phi(chi.q)) * total

@@ -381,10 +381,15 @@ def stirling_phase_main(t: float, eps: float, params: PrefactorParams) -> float:
             - math.pi / 8.0 + (math.pi / 4.0) * y)
 
 
+def _level(t: float, q: int) -> float:
+    """The level log sqrt(|t| q / 2 pi), NaN at t = 0."""
+    return 0.5 * math.log(abs(t) * q / (2.0 * math.pi)) if t != 0 else math.nan
+
+
 def stirling_phase_main_dt(t: float, params: PrefactorParams) -> float:
     """d/dt of the growing part: log sqrt(t*q/(2*pi))."""
     _require_positive_t(t)
-    return 0.5 * math.log(t * params.q / (2.0 * math.pi))
+    return _level(t, params.q)
 
 
 def _correction_u(t: float, eps: float, alpha: int) -> tuple[float, float]:
@@ -508,8 +513,6 @@ def mixed_second_derivative(t: float, alpha: int, n_terms: int = GW_DEFAULT_TERM
     a Hurwitz tail (`_gw_mixed`); O(min(N, t)), within 1e-14 * max(1, |value|) of it."""
     if t <= 0.0:
         raise DomainError("mixed derivative requires t > 0")
-    if n_terms < 10 ** 5:
-        raise DomainError("product route requires n_terms >= 1e5 here")
     return _gw_mixed(SPoint(0.0, t), alpha, n_terms)
 
 

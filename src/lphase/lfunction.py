@@ -224,9 +224,8 @@ def eta_on_grid(chi: DirichletCharacter, eps: float,
 # angular momentum and its eps-derivative
 # --------------------------------------------------------------------------
 
-_DT = 1e-3            # t step of every difference stencil (halved once for Richardson)
-_DT_NEAR_ZERO = 1e-4  # the eta stencil's t step next to a zero of eta
-_EPS_STEP = 1e-4      # eps step of the finite-difference cross-check
+_DT = 1e-3        # t step of every difference stencil (halved once for Richardson)
+_EPS_STEP = 1e-4  # eps step of the finite-difference cross-check
 _SHIFTS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])  # t + u*h is t - h, t - h/2, ... bit for bit
 
 
@@ -292,17 +291,10 @@ class EpsSlopeResult:
     eta: float
 
 
-def _eta_derivatives(chi: DirichletCharacter, t: float, h: float) -> tuple[float, float, float]:
-    y, dp, dpp = _five_point(eta_on_grid(chi, 0.0, t + h * _SHIFTS)[0].real, h)
-    return float(y), dp, dpp
-
-
 def angular_momentum_eps_slope(t: float, chi: DirichletCharacter) -> EpsSlopeResult:
     """(eta')^2 - eta*eta'' at eps=0, with the finite-difference eps route alongside."""
-    y, dp, dpp = _eta_derivatives(chi, t, _DT)
-    if abs(y) < 0.05 * max(abs(dp) * _DT, abs(y), 1e-300):
-        # close to a zero of eta: shrink the stencil
-        y, dp, dpp = _eta_derivatives(chi, t, _DT_NEAR_ZERO)
+    y, dp, dpp = _five_point(eta_on_grid(chi, 0.0, t + _DT * _SHIFTS)[0].real, _DT)
+    y = float(y)
     value = dp * dp - y * dpp
     lm_d = angular_momentum(SPoint(_EPS_STEP, t), chi)
     lm_0 = angular_momentum(SPoint(0.0, t), chi)

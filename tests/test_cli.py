@@ -1,7 +1,10 @@
 """CLI surface: CSV output, determinism, selectors, exit codes."""
 
+import argparse
+
 import pytest
 
+from lphase import cli
 from lphase.cli import main
 
 
@@ -142,3 +145,25 @@ def test_figure_mixed_and_q5_run(capsys):
     assert len(lines) == 3 and len(lines[0].split(",")) == 7
     assert main(["figure-q5", "--t-min", "1", "--t-max", "2", "--t-step", "0.5",
                  "--gw-terms", "50000"]) == 0
+
+
+def _float_options():
+    # (command, option) for every option of every subcommand that takes a real number
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, p in sub.choices.items()
+            for a in p._actions if a.type not in (None, int)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option", _float_options())
+def test_float_options_reject_non_finite(command, option, value, capsys):
+    assert main([command, f"{option}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"lphase: usage error: argument {option}: expected a finite number, got {value!r}\n"
+
+
+def test_float_options_cover_every_real_parameter():
+    assert set(_float_options()) >= {
+        ("figure-symmetries", "--p-star"), ("figure-q3", "--eps"), ("figure-q3", "--t-step"),
+        ("level-check", "--t"), ("ledger", "--t"), ("scan-zeros", "--t-max")}

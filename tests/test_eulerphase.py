@@ -403,3 +403,8 @@ def test_window_params_validation():
     w = ep.WindowParams(p_star=math.exp(math.pi), p_max=100)
     assert w.half_width == pytest.approx(1.0)
     assert w.delta_t == pytest.approx(2.0)
+
+
+def test_window_params_reject_nan_p_star():
+    with pytest.raises(DomainError):
+        ep.WindowParams(p_star=math.nan, p_max=100)

@@ -629,7 +629,18 @@ def test_mixed_derivative_guards():
     with pytest.raises(DomainError):
         gp.mixed_second_derivative(-1.0, 1)
     with pytest.raises(DomainError):
-        gp.mixed_second_derivative(1.0, 1, n_terms=10)
+        gp.mixed_second_derivative(1.0, 1, n_terms=0)
+    assert _same_bytes(gp.mixed_second_derivative(1.0, 1, n_terms=1),
+                       gp._gw_mixed(SPoint(0.0, 1.0), 1, 1))
+
+
+@pytest.mark.parametrize("n_terms", [1, 7, 99_999, 10 ** 5, 10 ** 6])
+def test_mixed_derivative_is_the_trigamma_sum_at_any_n(n_terms):
+    # no floor on N: the closed-form sum is exact for every N >= 1
+    for alpha in (0, 1, 2):
+        for t in (0.25, 0.5887965556, 10.0, 50.0):
+            assert _same_bytes(gp.mixed_second_derivative(t, alpha, n_terms),
+                               gp._gw_mixed(SPoint(0.0, t), alpha, n_terms))
 
 
 # --------------------------------------------------------------------------

@@ -245,6 +245,37 @@ def test_eps_slope_grid_positive(chi3):
     assert np.all(vals > 0)
 
 
+def _mpmath_eta(chi):
+    """eta(t) = exp(i half) xi(1/2 + it) at mpmath's working precision, with the character
+    values as mpc (mp.dirichlet with Python complex values has given a wrong result)."""
+    q, a = chi.q, chi.parity
+    vals = [mp.expjpi(mp.mpf(2 * k) / chi.m) if k >= 0 else mp.mpc(0) for k in chi.k.tolist()]
+    tau = mp.fsum(v * mp.expjpi(mp.mpf(2 * n) / q) for n, v in enumerate(vals))
+    rot = mp.expj(mp.arg(mp.j ** a * mp.sqrt(q) / tau) / 2)
+
+    def eta(t):
+        s = mp.mpf(0.5) + mp.j * t
+        return rot * (q / mp.pi) ** ((s + a) / 2) * mp.gamma((s + a) / 2) * mp.dirichlet(s, vals)
+    return eta
+
+
+def test_eps_slope_against_mpmath_next_to_zeros(chi3, chi5_odd):
+    # (eta')^2 - eta*eta'' on the first zeros of the odd chi mod 3 and mod 5 and 3e-5 past
+    # them, where |eta| is far below |eta'| times the stencil step, against mp.diff of a
+    # 40-digit eta
+    for chi, n_zeros in ((chi3, 4), (chi5_odd, 2)):
+        zeros = [z.t_zero for z in lf.find_zeros_on_line(chi, 0.5, 20.0, 0.05)
+                 if not z.suspected_multiple][:n_zeros]
+        assert len(zeros) == n_zeros
+        eta = _mpmath_eta(chi)
+        for t in [z + off for z in zeros for off in (0.0, 3e-5)]:
+            with mp.workdps(40):
+                x = mp.mpf(t)
+                want = (mp.diff(eta, x, 1) ** 2 - eta(x) * mp.diff(eta, x, 2)).real
+            got = lf.angular_momentum_eps_slope(t, chi).value
+            assert abs(got - want) <= 3e-11 * abs(want), (chi.q, t, got, float(want))
+
+
 # --------------------------------------------------------------------------
 # reduction identities
 # --------------------------------------------------------------------------
