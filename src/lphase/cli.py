@@ -114,7 +114,7 @@ def _t_grid(args) -> np.ndarray:
         raise _UsageError("--t-step must be positive")
     if args.t_max <= args.t_min:
         raise _UsageError("--t-max must exceed --t-min")
-    return np.round(np.arange(args.t_min, args.t_max + args.t_step / 2, args.t_step), 12)
+    return np.round(lf._uniform_grid(args.t_min, args.t_max, args.t_step), 12)
 
 
 # --------------------------------------------------------------------------

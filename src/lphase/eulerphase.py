@@ -199,7 +199,9 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
     angle addition; "cosine_approx", their leading terms cos A sin B / p^sigma (scale
     -log p*/pi against -log p*/2pi); "residual", the difference of the two as two rows
     (higher arctan orders, coupled term); "euler_phase", the phase at A over the whole
-    table (no window).
+    table (no window).  The leaf works in place in its buffers: the same leaf written as
+    plain expressions gives the same bits but is slower at 665k primes (q = 3, p_max = 1e7,
+    in-process medians on a 2-vCPU host): 13.7-17.0 against 11.9-12.0 ms a point.
     """
     _check_eps(eps)
     p, lp, th = _prime_data(chi, primes, p_max=None if window is None else window.p_max)

@@ -31,7 +31,7 @@ The three-case pattern for the mixed derivative d^2 phase / (d eps d t) at
 eps = 0 -- 3/(4t^2), 1/(4t^2), -1/(4t^2) for alpha = 2, 1, 0 -- is exposed
 through `mixed_second_derivative`, the product route's N-term sum differentiated
 in eps termwise: a trigamma partial sum, its first min(N, n0) terms explicit and
-the rest a Hurwitz tail, in the same pass as the other two sums.
+the rest a Hurwitz tail, in a `_gw_sum` pass of its own like the other two sums.
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ __all__ = [
 EULER_GAMMA = float(np.euler_gamma)
 GW_DEFAULT_TERMS = 10 ** 6
 T_STIRLING_MIN = 0.5
-_LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB float64 leaf buffers stay in cache
-_RAMP = np.arange(_LEAF, dtype=np.float64)
+_LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB leaf buffers and temporaries fit cache
 _HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
 _T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
 
@@ -128,22 +127,20 @@ def _ab(s: SPoint, alpha: int) -> tuple[float, float]:
     return a, v
 
 
-def _x_minus_arctan_series(x: np.ndarray, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # x - arctan(x) = x^3/3 - x^5/5 + ... through x^11, for |x| < 0.1; x2 is scratch
-    np.divide(np.multiply(x, x, x2), 11.0, out)
-    for c in (-1.0 / 9.0, 1.0 / 7.0, -1.0 / 5.0):
-        np.multiply(x2, np.add(c, out, out), out)
-    np.add(1.0 / 3.0, out, out)
-    return np.multiply(np.multiply(x, x2, x2), out, out)
-
-
 def _x_minus_arctan(x: np.ndarray) -> np.ndarray:
-    # x - arctan(x) in one pass; the |x| < 0.1 entries, where the subtraction cancels, by the series
+    # x - arctan(x) in one pass; the |x| < 0.1 entries, where the subtraction cancels, by the
+    # series x^3/3 - x^5/5 + ... through x^11, in place in two scratch arrays, since the Gamma
+    # head of a 3,991-point grid passes about 1.7M cells
     out = np.abs(x)
     small = out < 0.1
     np.subtract(x, np.arctan(x, out=out), out=out)
     xs = x[small]
-    out[small] = _x_minus_arctan_series(xs, np.empty_like(xs), np.empty_like(xs))
+    x2, series = np.multiply(xs, xs), np.empty_like(xs)
+    np.divide(x2, 11.0, series)
+    for c in (-1.0 / 9.0, 1.0 / 7.0, -1.0 / 5.0):
+        np.multiply(x2, np.add(c, series, series), series)
+    np.add(1.0 / 3.0, series, series)
+    out[small] = np.multiply(np.multiply(xs, x2, x2), series, series)
     return out
 
 
@@ -161,13 +158,13 @@ def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
     return _ordered_sum(leaf, lo, m2) + _ordered_sum(leaf, lo + m2, m - m2)
 
 
-def _gw_sum(total: float, n_terms: int, v: float, leaf, tail) -> float:
-    # add the summands for n = 1..n_terms to `total`: the first min(n_terms, n0) from `leaf`
-    # as one ordered sum, and any past n0 as tail(n0) - tail(n_terms), tail(m) the sum over n > m
+def _gw_sum(total: float, n_terms: int, v: float, terms, tail) -> float:
+    # add the summands terms(n) for n = 1..n_terms to `total`: the first min(n_terms, n0) as
+    # one ordered sum, and any past n0 as tail(n0) - tail(n_terms), tail(m) the sum over n > m
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
     m = min(n_terms, _head_rows(abs(v)))
-    total += _ordered_sum(leaf, 1, m)
+    total += _ordered_sum(lambda lo, k: terms(np.arange(lo, lo + k, dtype=np.float64)), 1, m)
     if n_terms > m:
         total += tail(m) - tail(n_terms)
     return float(total)
@@ -179,19 +176,12 @@ def gw_log_gamma_phase(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -
     Costs O(min(N, |t|)); within 3e-14 * (1 + |S_N|) of S_N for |t| <= 3000, N <= 1e12.
     """
     a, v = _ab(s, alpha)
-    buf = np.empty((4, _LEAF))
 
-    def leaf(lo: int, m: int) -> np.ndarray:
-        n, na, x, y = buf[:, :m]
-        np.divide(v, np.add(np.add(_RAMP[:m], lo, n), a, na), x)
-        np.divide(v * a, np.multiply(n, na, y), y)
-        # |x| falls with n: the first k terms take arctan, the rest the series
-        k = int(np.count_nonzero(np.abs(x, n) >= 0.1))
-        np.subtract(x[:k], np.arctan(x[:k], na[:k]), na[:k])
-        _x_minus_arctan_series(x[k:], n[k:], na[k:])
-        return np.add(y, na, y)
+    def terms(n: np.ndarray) -> np.ndarray:
+        na = n + a
+        return v * a / (n * na) + _x_minus_arctan(v / na)
 
-    return _gw_sum(-EULER_GAMMA * v - math.atan(v / a), n_terms, v, leaf,
+    return _gw_sum(-EULER_GAMMA * v - math.atan(v / a), n_terms, v, terms,
                    lambda m: _gw_tail(v, abs(v), m, a))
 
 
@@ -313,21 +303,17 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> floa
     Costs O(min(N, |t|)); within 3e-14 * (1 + |value|) of it for |t| <= 3000, N <= 1e12.
     """
     a, v = _ab(s, alpha)
-    buf = np.empty((3, _LEAF))
 
-    def leaf(lo: int, m: int) -> np.ndarray:
-        n, na, w = buf[:, :m]
-        np.add(np.add(_RAMP[:m], lo, n), a, na)
-        np.multiply(n, np.add(np.multiply(na, na, w), v * v, w), w)
-        np.multiply(0.5, np.add(np.multiply(a, na, na), v * v, na), na)
-        return np.divide(na, w, na)
+    def terms(n: np.ndarray) -> np.ndarray:
+        na = n + a
+        return 0.5 * (a * na + v * v) / (n * (na * na + v * v))
 
     def tail(m: int) -> float:  # (psi(w) - psi(m+1))/2 + sum_j (-1)^(j+1) v^(2j)/2 zeta(2j+1, w)
         w = m + 1.0 + a
         return 0.5 * _hurwitz_tail(float(digamma(w) - digamma(m + 1.0)), 1.0, v, abs(v), w,
                                    lambda j: ((-1) ** (j + 1), 2 * j + 1))
 
-    return _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, v, leaf, tail)
+    return _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, v, terms, tail)
 
 
 def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
@@ -335,8 +321,8 @@ def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
     sum_{n=0..N} ((n+a)^2 - v^2) / (4((n+a)^2 + v^2)^2) = Re [psi'(z) - psi'(z+N+1)]/4."""
     a, v = _ab(s, alpha)
 
-    def leaf(lo: int, m: int) -> np.ndarray:
-        x2 = (_RAMP[:m] + lo + a) ** 2
+    def terms(n: np.ndarray) -> np.ndarray:
+        x2 = (n + a) ** 2
         return (x2 - v * v) / (4.0 * (x2 + v * v) ** 2)
 
     def tail(m: int) -> float:  # sum_j (-1)^j (2j+1) v^(2j)/4 zeta(2j+2, w)
@@ -344,7 +330,7 @@ def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
         return 0.25 * _hurwitz_tail(float(hurwitz_zeta_real(2.0, w)), 1.0, v, abs(v), w,
                                     lambda j: ((-1) ** j * (2 * j + 1), 2 * j + 2))
 
-    return _gw_sum((a * a - v * v) / (4.0 * (a * a + v * v) ** 2), n_terms, v, leaf, tail)
+    return _gw_sum((a * a - v * v) / (4.0 * (a * a + v * v) ** 2), n_terms, v, terms, tail)
 
 
 def gamma_dphase_dt(t, eps: float, alpha: int) -> np.ndarray | float:

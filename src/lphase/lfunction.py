@@ -40,7 +40,7 @@ from .arith import (
     gauss_sum,
     primitive_inducer,
 )
-from .errors import DomainError, NumericalInstabilityError
+from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
 from .gammaphase import (
     BERNOULLI,
     PrefactorParams,
@@ -366,15 +366,26 @@ class ZeroRecord:
 
 
 _ZERO_TOL = 1e-8  # bracket width at which zero bisection stops
+_GRID_POINTS = 10 ** 6  # most points of a t grid; 250 times the largest grid in use
+
+
+def _uniform_grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
+    # np.arange(t_lo, t_hi + step/2, step), refused past _GRID_POINTS points before allocating
+    stop = t_hi + step / 2.0
+    if (stop - t_lo) / step > _GRID_POINTS:
+        raise ResourceLimitError(
+            f"t grid [{t_lo}, {t_hi}] at step {step} has over {_GRID_POINTS} points")
+    return np.arange(t_lo, stop, step)
 
 
 def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
                        grid_step: float) -> list[ZeroRecord]:
     """Sign-change zeros of eta on [t_lo, t_hi], bisected to width <= _ZERO_TOL = 1e-8.
 
-    eta is sampled on the grid t_lo, t_lo + grid_step, ... in one call; when the grid
-    stops short of t_hi, eta(t_hi) is taken in a call of its own (so the grid keeps its
-    batch) and closes the scan.  Every sign-change bracket is then refined in lockstep by
+    eta is sampled on the grid t_lo, t_lo + grid_step, ... in one call (a grid of more
+    than _GRID_POINTS points raises ResourceLimitError); when the grid stops short of
+    t_hi, eta(t_hi) is taken in a call of its own (so the grid keeps its batch) and
+    closes the scan.  Every sign-change bracket is then refined in lockstep by
     `_bisect`: one eta call per level evaluates the midpoints of all still-open brackets,
     so a scan makes about 2 + log2(grid_step / _ZERO_TOL) eta calls, however many zeros it
     finds.  A batch never holds more points than the grid call.  A reported t_zero
@@ -387,11 +398,11 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     a sign change, are recorded as suspected multiple zeros and left unrefined.  Negative t
     is allowed (used to confirm the +/-t pairing of real-character zeros).
     """
-    if t_hi <= t_lo:
+    if not t_lo < t_hi:  # written so that a NaN bound or step fails too
         raise DomainError("need t_lo < t_hi")
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise DomainError("grid_step must be positive")
-    grid = np.arange(t_lo, t_hi + grid_step / 2.0, grid_step)
+    grid = _uniform_grid(t_lo, t_hi, grid_step)
     vals = eta_on_grid(chi, 0.0, grid)[0].real
     if grid[-1] < t_hi:
         grid = np.append(grid, t_hi)

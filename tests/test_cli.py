@@ -125,6 +125,14 @@ def test_usage_errors_exit_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+def test_unbounded_t_grids_exit_1(capsys):
+    # the point count is checked before np.arange, so 2e16 points are refused, not allocated
+    assert main(["figure-q3", "--t-max", "1e15"]) == 1
+    assert main(["scan-zeros", "--q", "3", "--chi-index", "1", "--t-max", "1e15"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("lphase: error: t grid") == 2 and "Traceback" not in err
+
+
 def test_verify_single_passing_criterion(capsys, tmp_path):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--criteria", "2", "--out", str(out)]) == 0

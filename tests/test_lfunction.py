@@ -8,7 +8,7 @@ import pytest
 
 from lphase import arith, gammaphase, lfunction as lf
 from lphase.arith import SPoint, enumerate_characters
-from lphase.errors import DomainError, NumericalInstabilityError
+from lphase.errors import DomainError, NumericalInstabilityError, ResourceLimitError
 
 mp.mp.dps = 30
 
@@ -178,6 +178,20 @@ def test_eta_real_on_line(chi3):
     assert abs(eta.imag) < 1e-8 * abs(eta)
     assert half == lf.normalizer_phase(chi3)
     assert half == pytest.approx(0.0, abs=1e-15)  # tau = i sqrt(3)
+
+
+def test_zero_scan_grid_within_point_budget(chi3, monkeypatch):
+    # the grid's point count is checked before np.arange would try to allocate 2e16 points
+    with pytest.raises(ResourceLimitError):
+        lf.find_zeros_on_line(chi3, 0.0, 1e15, 0.05)
+    for bounds in ((0.0, math.nan, 0.05), (math.nan, 1.0, 0.05), (0.0, 1.0, math.nan)):
+        with pytest.raises(DomainError):
+            lf.find_zeros_on_line(chi3, *bounds)
+    # a budget of 5 points admits 0, 1, ..., 4 and refuses 0, 1, ..., 5
+    monkeypatch.setattr(lf, "_GRID_POINTS", 5)
+    assert lf._uniform_grid(0.0, 4.0, 1.0).tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(ResourceLimitError):
+        lf._uniform_grid(0.0, 5.0, 1.0)
 
 
 def test_normalizer_phase_takes_one_gauss_sum_per_character(monkeypatch):
