@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -110,10 +110,6 @@ def _finite(text: str) -> float:
 
 
 def _t_grid(args) -> np.ndarray:
-    if args.t_step <= 0:
-        raise _UsageError("--t-step must be positive")
-    if args.t_max <= args.t_min:
-        raise _UsageError("--t-max must exceed --t-min")
     return np.round(lf._uniform_grid(args.t_min, args.t_max, args.t_step), 12)
 
 
@@ -368,10 +364,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = cache(build_parser)  # built on the first main call, not at import
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"lphase: usage error: {exc}", file=sys.stderr)

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, zeta as hurwitz_zeta_real
 
 from .arith import SPoint
-from .errors import DomainError, NumericalInstabilityError, SingularityError
+from .errors import DomainError, NumericalInstabilityError, ResourceLimitError, SingularityError
 
 __all__ = [
     "PrefactorParams",
@@ -73,6 +73,7 @@ GW_DEFAULT_TERMS = 10 ** 6
 T_STIRLING_MIN = 0.5
 _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB leaf buffers and temporaries fit cache
 _HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
+_MAX_HEAD_ROWS = 1 << 20  # most rows of a head (|t| ~ 5e5 for Gamma, 1e6 for L); 80 MiB traced
 _T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
 
 # B_2, B_4, ..., B_26
@@ -200,31 +201,23 @@ def gw_phase_tail_estimate(s: SPoint, alpha: int, n_terms: int) -> float:
 
 
 def _tail_order(vmax: float, w: float) -> int:
-    # Hurwitz-zeta tail terms for r = vmax/w, targeting ~1e-18; every caller has w >= n0 + 1 + a,
-    # a > 0, n0 = _head_rows(vmax) >= 4 vmax + 32, so r < 1/4 and the order lies in [2, 16],
-    # or is 1 when vmax = 0
+    # the one truncation rule of every Hurwitz-zeta tail: the smallest J with r^(2J) <= 1e-18,
+    # r = vmax/w; every caller has w >= n0 + 1 + a, a > 0, n0 = _head_rows(vmax) >= 4 vmax + 32,
+    # so r < 1/4 and J lies in [1, 15], and J is 1 when vmax = 0
     r = vmax / w
     if r <= 0:
         return 1
-    return int(math.ceil(-18.0 * math.log(10) / (2.0 * math.log(r)))) + 1
+    return int(math.ceil(-18.0 * math.log(10) / (2.0 * math.log(r))))
 
 
-def _hurwitz_tail(tail, pw, v, vmax: float, w: float, coef):
-    # add c * zeta(s, w) * pw for j = 1, 2, ... with (c, s) = coef(j), multiplying pw by v^2
-    # before each term.  Every caller's orders s step by 2, so the zeta(s, w) of all
-    # _tail_order terms come from one ufunc call over s_1, s_1 + 2, ...; c is taken term by
-    # term.  Stop after those terms or at the first with max|term| < 1e-18 (1 + max|tail|),
-    # taken by the builtin abs on a scalar tail and by one max over an array tail's entries
-    s1 = coef(1)[1]
+def _hurwitz_tail(tail, pw, v, vmax: float, w: float, s1: float, coef):
+    # add coef(j) * zeta(s1 + 2(j-1), w) * pw * v^(2j) for j = 1.._tail_order(vmax, w), with
+    # all the zeta values from one ufunc call; tail, pw and v are scalars or arrays alike
     zetas = hurwitz_zeta_real(np.arange(s1, s1 + 2 * _tail_order(vmax, w), 2.0), w)
-    size = (lambda x: np.abs(x).max(initial=0.0)) if isinstance(tail, np.ndarray) else abs
     v2 = v * v
     for j, z in enumerate(zetas.tolist(), 1):
         pw = pw * v2
-        term = coef(j)[0] * z * pw
-        tail += term
-        if size(term) < 1e-18 * (1.0 + size(tail)):
-            break
+        tail += coef(j) * z * pw
     return tail
 
 
@@ -237,8 +230,8 @@ def _gw_tail(v, vmax: float, m: int, a: float):
     """Sum over n > m >= n0 of the phase summands v/n - arctan(v/(n+a)), w = m+1+a:
     v (psi(w) - psi(m+1)) + sum_j (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, w)."""
     w = m + 1.0 + a
-    return _hurwitz_tail(v * float(digamma(w) - digamma(m + 1.0)), v, v, vmax, w,
-                         lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
+    return _hurwitz_tail(v * float(digamma(w) - digamma(m + 1.0)), v, v, vmax, w, 3,
+                         lambda j: ((-1) ** (j + 1)) / (2 * j + 1))
 
 
 def _column_blocks(n_cols: int, n_rows: int) -> list[slice]:
@@ -247,8 +240,11 @@ def _column_blocks(n_cols: int, n_rows: int) -> list[slice]:
     numpy sums a C-contiguous (n, k) block over axis 0 row by row for k >= 2, but an
     (n, 1) block pairwise; so no block is one column wide unless n_cols is 1, and each
     column is summed as it would be inside the whole matrix.  Blocks are 2 columns wide
-    at least, so a head of more than _HEAD_CELLS/2 rows exceeds the budget.
+    at least, so a head of more than _HEAD_CELLS/2 rows exceeds the cell budget, and one
+    of more than _MAX_HEAD_ROWS raises ResourceLimitError; each head takes its blocks first.
     """
+    if n_rows > _MAX_HEAD_ROWS:
+        raise ResourceLimitError(f"a head of {n_rows} rows is over the {_MAX_HEAD_ROWS}-row budget")
     width = max(2, _HEAD_CELLS // max(n_rows, 1))
     starts = list(range(0, n_cols, width))
     if len(starts) > 1 and n_cols - starts[-1] == 1:
@@ -271,16 +267,17 @@ def _log_gamma_grid(t, eps: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     v = np.atleast_1d(np.asarray(t, dtype=np.float64)) / 2.0
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
     n0 = _head_rows(vmax)
+    blocks = _column_blocks(v.size, n0)
     n, w = np.arange(1, n0 + 1, dtype=np.float64)[:, None], n0 + 1.0 + a
     na = n + a
     nna = n * na
     head_abs, head_phase = np.empty_like(v), np.empty_like(v)
-    for b in _column_blocks(v.size, n0):
+    for b in blocks:
         x = v[None, b] / na
         head_abs[b] = 0.5 * np.sum(np.log1p(x * x), axis=0)
         head_phase[b] = np.sum(v[None, b] * a / nna + _x_minus_arctan(x), axis=0)
-    tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w,
-                         lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
+    tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 2,
+                         lambda j: ((-1) ** (j + 1)) / (2.0 * j))
     log_abs = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head_abs - tail
     return log_abs, -EULER_GAMMA * v - np.arctan(v / a) + head_phase + _gw_tail(v, vmax, n0, a)
 
@@ -310,8 +307,8 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> floa
 
     def tail(m: int) -> float:  # (psi(w) - psi(m+1))/2 + sum_j (-1)^(j+1) v^(2j)/2 zeta(2j+1, w)
         w = m + 1.0 + a
-        return 0.5 * _hurwitz_tail(float(digamma(w) - digamma(m + 1.0)), 1.0, v, abs(v), w,
-                                   lambda j: ((-1) ** (j + 1), 2 * j + 1))
+        return 0.5 * _hurwitz_tail(float(digamma(w) - digamma(m + 1.0)), 1.0, v, abs(v), w, 3,
+                                   lambda j: (-1) ** (j + 1))
 
     return _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, v, terms, tail)
 
@@ -327,8 +324,8 @@ def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
 
     def tail(m: int) -> float:  # sum_j (-1)^j (2j+1) v^(2j)/4 zeta(2j+2, w)
         w = m + 1.0 + a
-        return 0.25 * _hurwitz_tail(float(hurwitz_zeta_real(2.0, w)), 1.0, v, abs(v), w,
-                                    lambda j: ((-1) ** j * (2 * j + 1), 2 * j + 2))
+        return 0.25 * _hurwitz_tail(float(hurwitz_zeta_real(2.0, w)), 1.0, v, abs(v), w, 4,
+                                    lambda j: (-1) ** j * (2 * j + 1))
 
     return _gw_sum((a * a - v * v) / (4.0 * (a * a + v * v) ** 2), n_terms, v, terms, tail)
 

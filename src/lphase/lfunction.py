@@ -105,9 +105,9 @@ def _l_values(chi: DirichletCharacter, svals: np.ndarray) -> tuple[np.ndarray, f
     units = [r for r in range(1, q + 1) if chi.k[r % q] >= 0]  # r = q only for q = 1 (a = 1)
     w = np.array([[nh + r / q] for r in units])
     lw = np.array([[math.log(x)] for x in w[:, 0]])  # np.log can differ in the last bit
+    blocks = _column_blocks(s.size, nh)
     n, ms = np.arange(nh, dtype=np.float64)[:, None], -s[None, :]
     head = np.empty((len(units), s.size), dtype=np.complex128)
-    blocks = _column_blocks(s.size, nh)
     for row, r in zip(head, units):
         log_n = np.log(n + r / q)
         for b in blocks:
@@ -193,9 +193,9 @@ def xi_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.nd
     _require_primitive(chi)
     t = np.asarray(t_grid, dtype=np.float64)
     alpha = chi.parity
+    log_abs, phase = _log_gamma_grid(t, eps, alpha)  # first: its head refuses a smaller |t|
     lvals = l_on_grid(chi, eps, t)
     lnqpi = math.log(chi.q / math.pi)
-    log_abs, phase = _log_gamma_grid(t, eps, alpha)
     log_mod = log_abs + (0.5 + eps + alpha) / 2.0 * lnqpi
     return np.exp(log_mod + 1j * (phase + 0.5 * t * lnqpi)) * lvals
 
@@ -370,7 +370,11 @@ _GRID_POINTS = 10 ** 6  # most points of a t grid; 250 times the largest grid in
 
 
 def _uniform_grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
-    # np.arange(t_lo, t_hi + step/2, step), refused past _GRID_POINTS points before allocating
+    # np.arange(t_lo, t_hi + step/2, step) for t_lo < t_hi and step > 0, written so that a NaN
+    # fails too; refused past _GRID_POINTS points before allocating
+    if not (t_lo < t_hi and step > 0):
+        raise DomainError(f"a t grid needs t_min < t_max and a positive step, got "
+                          f"[{t_lo}, {t_hi}] at step {step}")
     stop = t_hi + step / 2.0
     if (stop - t_lo) / step > _GRID_POINTS:
         raise ResourceLimitError(
@@ -398,10 +402,6 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     a sign change, are recorded as suspected multiple zeros and left unrefined.  Negative t
     is allowed (used to confirm the +/-t pairing of real-character zeros).
     """
-    if not t_lo < t_hi:  # written so that a NaN bound or step fails too
-        raise DomainError("need t_lo < t_hi")
-    if not grid_step > 0:
-        raise DomainError("grid_step must be positive")
     grid = _uniform_grid(t_lo, t_hi, grid_step)
     vals = eta_on_grid(chi, 0.0, grid)[0].real
     if grid[-1] < t_hi:

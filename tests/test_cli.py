@@ -175,3 +175,32 @@ def test_float_options_cover_every_real_parameter():
     assert set(_float_options()) >= {
         ("figure-symmetries", "--p-star"), ("figure-q3", "--eps"), ("figure-q3", "--t-step"),
         ("level-check", "--t"), ("ledger", "--t"), ("scan-zeros", "--t-max")}
+
+
+def test_inverted_or_empty_t_grids_exit_1(capsys):
+    # both grid conditions live in lfunction._uniform_grid, shared with find_zeros_on_line
+    assert main(["figure-q3", "--t-step", "0"]) == 1
+    assert main(["scan-zeros", "--q", "3", "--chi-index", "1", "--t-max", "1", "--t-min", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("lphase: error: a t grid needs") == 2 and "Traceback" not in err
+
+
+def test_far_t_head_exits_1_before_allocating(capsys):
+    # the Gamma and L heads at t = 1e12 would hold 2e12 and 1e12 rows; the row budget
+    # refuses them before either is built
+    assert main(["scan-zeros", "--q", "3", "--chi-index", "1",
+                 "--t-min", "1e12", "--t-max", "1000000000000.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lphase: error: a head of ") and err.count("\n") == 1
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["characters", "--q", "3"]) == 0
+    assert cli._parser.cache_info().misses == 1
+    # a reused parser still gives each parse its own --match-phase list
+    spec = ["scan-zeros", "--q", "5", "--match-phase", "2=1/2"]
+    first, second = (cli._parser().parse_args(spec) for _ in range(2))
+    assert first.match_phase == second.match_phase == ["2=1/2"]
+    assert first.match_phase is not second.match_phase

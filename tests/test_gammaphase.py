@@ -251,20 +251,15 @@ def _ref_head_grid(t, eps, alpha):
     return a, v, vmax, np.arange(1, n0 + 1, dtype=np.float64)[:, None], n0 + 1.0 + a
 
 
-def _ref_hurwitz_tail(tail, pw, v, vmax, w, coef):
-    # c * zeta(s, w) * v^(2j) * pw for j = 1..order, (c, s) = coef(j), until a term is negligible;
-    # order targets a ~1e-18 term at ratio vmax/w
+def _ref_hurwitz_tail(tail, pw, v, vmax, w, s1, coef):
+    # coef(j) * zeta(s1 + 2(j-1), w) * v^(2j) * pw for j = 1..J, one zeta call per term, with
+    # J the least order whose ratio power (vmax/w)^(2J) is <= 1e-18, and J = 1 when vmax = 0
     r, order = vmax / w, 1
-    if r > 0:
-        order = int(math.ceil(-18.0 * math.log(10) / (2.0 * math.log(min(r, 0.5))))) + 1
-        order = max(2, min(order, 40))
+    while r > 0 and r ** (2 * order) > 1e-18:
+        order += 1
     for j in range(1, order + 1):
         pw = pw * (v * v)
-        c, s = coef(j)
-        term = c * float(hurwitz_zeta(s, w)) * pw
-        tail += term
-        if np.max(np.abs(term), initial=0.0) < 1e-18 * (1.0 + np.max(np.abs(tail), initial=0.0)):
-            break
+        tail += coef(j) * float(hurwitz_zeta(s1 + 2 * (j - 1), w)) * pw
     return tail
 
 
@@ -272,8 +267,8 @@ def _ref_gamma_phase(t, eps, alpha):
     a, v, vmax, n, w = _ref_head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
     head = np.sum(v[None, :] * a / (n * (n + a)) + _ref_x_minus_arctan(x), axis=0)
-    tail = _ref_hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w,
-                             lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1))
+    tail = _ref_hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 3,
+                             lambda j: ((-1) ** (j + 1)) / (2 * j + 1))
     out = -gp.EULER_GAMMA * v - np.arctan(v / a) + head + tail
     return out if np.ndim(t) else float(out[0])
 
@@ -282,8 +277,8 @@ def _ref_gamma_log_abs(t, eps, alpha):
     a, v, vmax, n, w = _ref_head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
     head = 0.5 * np.sum(np.log1p(x * x), axis=0)
-    tail = _ref_hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w,
-                             lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j))
+    tail = _ref_hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 2,
+                             lambda j: ((-1) ** (j + 1)) / (2.0 * j))
     out = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
     return out if np.ndim(t) else float(out[0])
 
@@ -357,43 +352,39 @@ def test_xi_memory_is_head_blocks_plus_points(chi3, traced_peak):
     assert peak <= 16 * (4 * gp._HEAD_CELLS + 32 * t.size)
 
 
-# the four Hurwitz tails, by coefficient (c, s) = coef(j): the phase and log|Gamma| of
-# `_log_gamma_grid`, gw_dphase_dt's and the mixed derivative's
+# the four Hurwitz tails, by coefficient c(j) and first order s_1: the phase and log|Gamma|
+# of `_log_gamma_grid`, gw_dphase_dt's and the mixed derivative's
 _TAIL_COEFS = {
-    "phase": lambda j: (((-1) ** (j + 1)) / (2 * j + 1), 2 * j + 1),
-    "log-modulus": lambda j: (((-1) ** (j + 1)) / (2.0 * j), 2 * j),
-    "dphase": lambda j: ((-1) ** (j + 1), 2 * j + 1),
-    "mixed": lambda j: ((-1) ** j * (2 * j + 1), 2 * j + 2),
+    "phase": (lambda j: ((-1) ** (j + 1)) / (2 * j + 1), 3),
+    "log-modulus": (lambda j: ((-1) ** (j + 1)) / (2.0 * j), 2),
+    "dphase": (lambda j: (-1) ** (j + 1), 3),
+    "mixed": (lambda j: (-1) ** j * (2 * j + 1), 4),
 }
-# (vmax, w, pw scale): v = 0 takes one term (order 1), r = vmax/w = 1e-6 stops before its
-# order of 3, r just under 1/4 runs to the full order of 16, and r = 0.025 is a
-# prefactor-sized tail
-_TAIL_CASES = {"v=0": (0.0, 65.5, 1.0), "early-break": (1.0, 1e6 + 1.5, 1.0),
-               "full-order": (999.9, 4000.75, 1e6), "typical": (5.0, 200.5, 1.0)}
+# (vmax, w, pw scale, terms taken): v = 0 takes one term, r = vmax/w = 1e-6 two, r just
+# under 1/4 the largest count of 15, and r = 0.025, a prefactor-sized tail, six
+_TAIL_CASES = {"v=0": (0.0, 65.5, 1.0, 1), "tiny-ratio": (1.0, 1e6 + 1.5, 1.0, 2),
+               "full-order": (999.9, 4000.75, 1e6, 15), "typical": (5.0, 200.5, 1.0, 6)}
 
 
 @pytest.mark.parametrize("family", _TAIL_COEFS)
 @pytest.mark.parametrize("case", _TAIL_CASES)
 def test_hurwitz_tail_bit_identical_to_per_term_loop(family, case):
-    coef, (vmax, w, scale) = _TAIL_COEFS[family], _TAIL_CASES[case]
-    c1, s1 = coef(1)
+    (coef, s1), (vmax, w, scale, order) = _TAIL_COEFS[family], _TAIL_CASES[case]
+    assert gp._tail_order(vmax, w) == order
     for v in (vmax, -vmax, 0.5 * vmax, np.array([]), np.array([vmax]),
               vmax * np.array([-1.0, -0.3, 0.0, 0.7, 1.0])):
         pw = scale * (v if family == "phase" else 1.0 + 0.0 * v)
         # the start cancels the first term, so the later ones are not lost beside it; each
         # call adds to its own copy of the start, and both count the terms they take
-        start = lambda: 0.37 - c1 * float(hurwitz_zeta(s1, w)) * (pw * (v * v))
+        start = lambda: 0.37 - coef(1) * float(hurwitz_zeta(s1, w)) * (pw * (v * v))
         terms, got_terms = [], []
-        ref = _ref_hurwitz_tail(start(), pw, v, vmax, w, lambda j: terms.append(j) or coef(j))
-        got = gp._hurwitz_tail(start(), pw, v, vmax, w,
+        ref = _ref_hurwitz_tail(start(), pw, v, vmax, w, s1, lambda j: terms.append(j) or coef(j))
+        got = gp._hurwitz_tail(start(), pw, v, vmax, w, s1,
                                lambda j: got_terms.append(j) or coef(j))
         assert _same_bytes(got, ref), (v, got, ref)
         assert type(got) is (float if np.ndim(v) == 0 else np.ndarray)
-        assert max(got_terms) == len(terms)
-    # the last array holds vmax, so the loop took the case's number of terms
-    order = gp._tail_order(vmax, w)
-    assert {"v=0": order == len(terms) == 1, "early-break": len(terms) < order,
-            "full-order": len(terms) == order == 16}.get(case, True), (order, terms)
+        # every call takes the rule's count, whatever v holds
+        assert got_terms == terms == list(range(1, order + 1))
 
 
 @pytest.mark.parametrize("t", [0.3, 10.0, 300.0, 3000.0])

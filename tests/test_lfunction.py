@@ -194,6 +194,22 @@ def test_zero_scan_grid_within_point_budget(chi3, monkeypatch):
         lf._uniform_grid(0.0, 5.0, 1.0)
 
 
+def test_heads_refused_past_row_budget_before_allocating(chi3, monkeypatch, traced_peak):
+    # a head of more than _MAX_HEAD_ROWS rows raises before any row array is built: at a
+    # budget of 1000 rows, t = 1e5 would build L and Gamma heads of about 1e5 and 2e5 rows
+    t = np.array([1.0e5, 1.0e5 + 0.5])
+    assert gammaphase._column_blocks(2, gammaphase._MAX_HEAD_ROWS) == [slice(0, 2)]
+    with pytest.raises(ResourceLimitError):
+        gammaphase._column_blocks(2, gammaphase._MAX_HEAD_ROWS + 1)
+    monkeypatch.setattr(gammaphase, "_MAX_HEAD_ROWS", 1000)
+    for f in (lambda: lf.l_on_grid(chi3, 0.0, t), lambda: lf.xi_on_grid(chi3, 0.0, t),
+              lambda: gammaphase.gamma_phase(t, 0.0, 1)):
+        def refused():
+            with pytest.raises(ResourceLimitError):
+                f()
+        assert traced_peak(refused) <= 64 * 1024
+
+
 def test_normalizer_phase_takes_one_gauss_sum_per_character(monkeypatch):
     # a zero scan calls eta once for the grid and once per bisection level; tau(chi) once
     chi = enumerate_characters(13)[1]
