@@ -222,11 +222,19 @@ def _divisors(q: int) -> list[int]:
     return sorted(divs)
 
 
+# the table holds several (phi(q), q) int64 arrays, about 16 B per cell at its peak
+_MAX_CHARACTER_CELLS = 1 << 24
+
+
 @lru_cache(maxsize=None)
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, ordered by exponent tuple (principal first)."""
     if q < 1:
         raise DomainError("modulus must be a positive integer")
+    cells = euler_phi(q) * q
+    if cells > _MAX_CHARACTER_CELLS:
+        raise ResourceLimitError(f"the character table mod {q} has {cells} cells, "
+                                 f"over the {_MAX_CHARACTER_CELLS}-cell budget")
     orders, dlog = _unit_group(q)
     m = math.lcm(*orders)
     tuples = list(product(*map(range, orders)))

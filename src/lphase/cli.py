@@ -1,10 +1,10 @@
 """Command-line interface: deterministic CSV scans and the verification suite.
 
 Every command writes CSV with provenance comment lines (prefixed ``#``)
-recording the package version and all effective parameters, then a header
-row, then data rows with floats in 12-significant-digit scientific
-notation.  No timestamps are written, so identical invocations produce
-byte-identical files.
+recording the package version, the command and its effective parameters
+(in ``_PROVENANCE`` order), then a header row, then data rows with floats in
+12-significant-digit scientific notation.  No timestamps are written, so
+identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 verification failure.
 """
@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +24,11 @@ from .arith import SPoint
 from .errors import DomainError, ResourceLimitError, SingularityError, TruncationError
 
 _P_MAX_DEFAULT = 10 ** 6
+# the parameters a CSV records, in this order: those a command parses, with the values it
+# resolves itself (the selected character's index, the default k_max) in their place;
+# --out, --match-phase and --allow-large are not recorded
+_PROVENANCE = ("q", "chi_index", "alpha", "t", "eps", "p_star", "p_max", "t_min", "t_max",
+               "t_step", "gw_terms", "k_max", "criteria")
 
 
 class _UsageError(Exception):
@@ -41,17 +46,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str | None, command: str, params: dict, header: list[str],
-               rows: list[list]) -> None:
-    lines = [f"# lphase {__version__}", f"# command: {command}"]
-    lines += [f"# {k}={v}" for k, v in params.items()]
+def _write_csv(args, header: list[str], rows: list[list], **resolved) -> None:
+    params = {**vars(args), **resolved}
+    lines = [f"# lphase {__version__}", f"# command: {args.command}"]
+    lines += [f"# {k}={params[k]}" for k in _PROVENANCE if k in params]
     lines.append(",".join(header))
     lines += [",".join(_fmt(x) for x in row) for row in rows]
     text = "\n".join(lines) + "\n"
-    if path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
@@ -92,8 +97,6 @@ def _table(args) -> tuple[arith.PrimeTable, ep.WindowParams]:
     cap = arith._DEFAULT_P_BUDGET
     if args.p_max > cap and not args.allow_large:
         raise _UsageError(f"--p-max {args.p_max} exceeds the cap {cap}; pass --allow-large")
-    if args.p_max < 2:
-        raise _UsageError("--p-max must be at least 2")
     return (arith.sieve_primes(args.p_max, p_budget=args.p_max),
             ep.WindowParams(p_star=args.p_star, p_max=args.p_max))
 
@@ -136,7 +139,7 @@ def _cmd_characters(args) -> int:
         row = [c.index, c.conductor, c.parity, int(c.is_principal), int(c.is_primitive)]
         row += [names[r] for r in c.k.tolist()]
         rows.append(row)
-    _write_csv(args.out, "characters", {"q": args.q}, header, rows)
+    _write_csv(args, header, rows)
     return 0
 
 
@@ -146,9 +149,8 @@ def _cmd_gauss(args) -> int:
         tau = arith.gauss_sum(c)
         rows.append([c.index, int(c.is_primitive), tau.real, tau.imag,
                      abs(tau) ** 2, args.q - abs(tau) ** 2])
-    _write_csv(args.out, "gauss", {"q": args.q},
-               ["chi_index", "is_primitive", "tau_re", "tau_im", "abs_tau_sq", "q_minus_abs_tau_sq"],
-               rows)
+    _write_csv(args, ["chi_index", "is_primitive", "tau_re", "tau_im", "abs_tau_sq",
+                      "q_minus_abs_tau_sq"], rows)
     return 0
 
 
@@ -160,25 +162,18 @@ def _cmd_figure_mixed(args) -> int:
             row.append(gp.mixed_second_derivative(t, alpha, n_terms=args.gw_terms))
         row += [(2 * a - 1) / (4.0 * t * t) for a in (0, 1, 2)]
         rows.append(row)
-    _write_csv(args.out, "figure-mixed",
-               {"t_min": args.t_min, "t_max": args.t_max, "t_step": args.t_step,
-                "gw_terms": args.gw_terms},
-               ["t", "mixed_alpha0", "mixed_alpha1", "mixed_alpha2",
-                "ref_alpha0", "ref_alpha1", "ref_alpha2"], rows)
+    _write_csv(args, ["t", "mixed_alpha0", "mixed_alpha1", "mixed_alpha2",
+                      "ref_alpha0", "ref_alpha1", "ref_alpha2"], rows)
     return 0
 
 
-def _cmd_figure_prefactor(args, alpha: int, name: str) -> int:
-    params = gp.PrefactorParams.for_alpha(alpha, args.q)
+def _cmd_figure_prefactor(args) -> int:
+    params = gp.PrefactorParams.for_alpha(args.alpha, args.q)
     rows = []
     for t in _t_grid(args).tolist():
         val = gp.prefactor_dphase_dt(SPoint(args.eps, t), params, args.gw_terms)
         rows.append([t, val, gp._level(t, args.q)])
-    _write_csv(args.out, name,
-               {"q": args.q, "alpha": alpha, "eps": args.eps,
-                "t_min": args.t_min, "t_max": args.t_max, "t_step": args.t_step,
-                "gw_terms": args.gw_terms},
-               ["t", "prefactor_dphase_dt", "asymptote_log_sqrt"], rows)
+    _write_csv(args, ["t", "prefactor_dphase_dt", "asymptote_log_sqrt"], rows)
     return 0
 
 
@@ -188,11 +183,8 @@ def _cmd_figure_symmetries(args) -> int:
     grid = _t_grid(args)
     sc = ep.scan(chi, args.eps, grid, table, window)
     rows = [[t, v, -gp._level(t, args.q)] for t, v in zip(sc.t_grid.tolist(), sc.values.tolist())]
-    _write_csv(args.out, "figure-symmetries",
-               {"q": args.q, "chi_index": chi.index, "eps": args.eps,
-                "p_star": args.p_star, "p_max": args.p_max,
-                "t_min": args.t_min, "t_max": args.t_max, "t_step": args.t_step},
-               ["t", "windowed_ratio_exact", "minus_log_sqrt_level"], rows)
+    _write_csv(args, ["t", "windowed_ratio_exact", "minus_log_sqrt_level"], rows,
+               chi_index=chi.index)
     return 0
 
 
@@ -201,8 +193,7 @@ def _cmd_table_odd(args) -> int:
     for q in (3, 4, 5, 7, 8, 9):
         t = gp.find_t_cross(gp.PrefactorParams.for_alpha(1, q), n_terms=args.gw_terms)
         rows.append([q, "always-positive" if t is None else t])
-    _write_csv(args.out, "table-odd", {"gw_terms": args.gw_terms},
-               ["q", "t_cross"], rows)
+    _write_csv(args, ["q", "t_cross"], rows)
     return 0
 
 
@@ -212,11 +203,9 @@ def _cmd_scan_zeros(args) -> int:
     rows = [[("" if r.t_zero is None else r.t_zero), r.bracket[0], r.bracket[1],
              r.tol, r.sign_before, r.sign_after, int(r.suspected_multiple)]
             for r in records]
-    _write_csv(args.out, "scan-zeros",
-               {"q": args.q, "chi_index": chi.index, "t_min": args.t_min,
-                "t_max": args.t_max, "t_step": args.t_step},
-               ["t_zero", "bracket_lo", "bracket_hi", "tol",
-                "sign_before", "sign_after", "suspected_multiple"], rows)
+    _write_csv(args, ["t_zero", "bracket_lo", "bracket_hi", "tol",
+                      "sign_before", "sign_after", "suspected_multiple"], rows,
+               chi_index=chi.index)
     return 0
 
 
@@ -225,11 +214,9 @@ def _cmd_level_check(args) -> int:
     table, window = _table(args)
     res = ep.level_check(args.t, args.eps, chi, table, window)
     target = -gp._level(args.t, args.q)
-    _write_csv(args.out, "level-check",
-               {"q": args.q, "chi_index": chi.index, "t": args.t, "eps": args.eps,
-                "p_star": args.p_star, "p_max": args.p_max},
-               ["t", "eps", "windowed_ratio", "lhs", "xi_phase_dt", "defect", "target_level"],
-               [[res.t, res.eps, res.windowed, res.lhs, res.xi_phase_dt, res.defect, target]])
+    _write_csv(args, ["t", "eps", "windowed_ratio", "lhs", "xi_phase_dt", "defect", "target_level"],
+               [[res.t, res.eps, res.windowed, res.lhs, res.xi_phase_dt, res.defect, target]],
+               chi_index=chi.index)
     return 0
 
 
@@ -243,11 +230,9 @@ def _cmd_ledger(args) -> int:
     rows = [[e.k, e.h, e.x_up, e.x_down, e.x_up_next,
              e.o_plus_sum, e.o_minus_sum, e.o_plus_li, e.o_minus_li]
             for e in led.entries]
-    _write_csv(args.out, "ledger",
-               {"q": args.q, "chi_index": chi.index, "t": args.t, "eps": args.eps,
-                "p_star": args.p_star, "p_max": args.p_max, "k_max": k_max},
-               ["k", "h", "x_up", "x_down", "x_up_next",
-                "o_plus_sum", "o_minus_sum", "o_plus_li", "o_minus_li"], rows)
+    _write_csv(args, ["k", "h", "x_up", "x_down", "x_up_next",
+                      "o_plus_sum", "o_minus_sum", "o_plus_li", "o_minus_li"], rows,
+               chi_index=chi.index, k_max=k_max)
     return 0
 
 
@@ -265,10 +250,10 @@ def _cmd_verify(args) -> int:
             raise _UsageError(f"--criteria contains unknown ids: {sorted(set(ids) - known)}")
     results = verify.run_acceptance(ids)
     if args.out:
-        _write_csv(args.out, "verify", {"criteria": args.criteria or "all"},
-                   ["criterion", "passed", "elapsed_s", "title", "detail"],
-                   [[r.cid, int(r.passed), r.elapsed, r.title, r.detail.replace(",", ";")]
-                    for r in results])
+        _write_csv(args, ["criterion", "passed", "elapsed_s", "title", "detail"],
+                   [[r.cid, int(r.passed), r.elapsed, r.title.replace(",", ";"),
+                     r.detail.replace(",", ";")] for r in results],
+                   criteria=args.criteria or "all")
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -321,8 +306,9 @@ def build_parser() -> _Parser:
     p.add_argument("--gw-terms", type=int, default=2 * 10 ** 5)
 
     for name, alpha, q, parity in (("figure-q3", 1, 3, "odd"), ("figure-q5", 0, 5, "even")):
-        p = command(name, partial(_cmd_figure_prefactor, alpha=alpha, name=name),
-                    f"{parity} prefactor-phase derivative curve", default=q)
+        p = command(name, _cmd_figure_prefactor, f"{parity} prefactor-phase derivative curve",
+                    default=q)
+        p.set_defaults(alpha=alpha)
         p.add_argument("--eps", type=_finite, default=0.0)
         _add_grid_opts(p, 0.05, 10.0, 0.05)
         p.add_argument("--gw-terms", type=int, default=2 * 10 ** 5)

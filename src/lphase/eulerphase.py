@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
-from .errors import DegenerateInputError, DomainError, TruncationError
+from .errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
 from .gammaphase import _LEAF, _level, _ordered_sum, _x_minus_arctan
 
 __all__ = [
@@ -68,6 +68,7 @@ __all__ = [
 
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
 _SPIKE_MADS = 6.0  # spike threshold in median absolute deviations above the median
+_MAX_LEDGER_ENTRIES = 10 ** 5  # each entry takes two Li quadratures and two prime sums
 # Li intervals [a, b] in u = log y are cut into panels with max(|z|, 1/a) (b - a) <= _GL_SPAN,
 # each integrated by the 20 Gauss-Legendre nodes and weights on [-1, 1] below (`_li_integral`):
 # numpy's leggauss(20) to the last bit, stored, since its LAPACK call costs peak RSS
@@ -384,20 +385,25 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
         )
     lnps = math.log(window.p_star)
     phi_q = euler_phi(chi.q)
-    classes = np.flatnonzero(chi.k >= 0).tolist()
+    # per class, the first k whose falling boundary exceeds 2 (intervals fully below 2 are empty)
+    first = {h: int(math.floor((t * math.log(2.0) - math.pi / 2.0 - chi.angle(h))
+                               / (2.0 * math.pi))) + 1
+             for h in np.flatnonzero(chi.k >= 0).tolist()}
+    count = sum(max(0, k_max - k + 1) for k in first.values())
+    if count > _MAX_LEDGER_ENTRIES:
+        raise ResourceLimitError(f"a ledger of {count} entries is over the "
+                                 f"{_MAX_LEDGER_ENTRIES}-entry budget; lower k_max")
     # every interval ends at or below the last rising boundary
     p, lp, angles = _prime_data(chi, primes, p_max=math.floor(max(
-        oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in classes)))
+        oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in first)))
     a = lp * t - angles
     cos_a = _sin_cos(a, a, np.empty_like(a), np.empty_like(a))[1]
     vals = cos_a * _window_table(lp, lnps)[0] / p ** (0.5 + eps)  # the kernel's cosine terms
     res = p.astype(np.int64) % chi.q  # chi.q, not primes.q: the table may be sieved mod another q
     entries = []
-    for h in classes:
+    for h, k in first.items():
         th = chi.angle(h)
         pc, vc = p[res == h], vals[res == h]
-        # first k whose falling boundary exceeds 2 (intervals fully below 2 are empty)
-        k = int(math.floor((t * math.log(2.0) - math.pi / 2.0 - th) / (2.0 * math.pi))) + 1
         for kk in range(k, k_max + 1):
             x_up, x_down = oscillation_boundaries(kk, h, t, chi)
             x_next = oscillation_boundaries(kk + 1, h, t, chi)[0]

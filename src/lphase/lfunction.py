@@ -171,7 +171,7 @@ def l_eval(s: SPoint, chi: DirichletCharacter) -> LValue:
 
 
 def l_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.ndarray:
-    """Vectorized L(1/2+eps+it, chi) over a t grid (non-principal only)."""
+    """Vectorized L(1/2+eps+it, chi) over a t grid; the principal character only for eps > 1/2."""
     if chi.is_principal and eps <= 0.5:
         raise DomainError("principal character inside the strip has a pole-bearing L")
     s = 0.5 + eps + 1j * np.asarray(t_grid, dtype=np.float64)

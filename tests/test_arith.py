@@ -143,6 +143,17 @@ def test_bad_modulus_rejected():
         arith.enumerate_characters(0)
 
 
+def test_character_table_refused_past_cell_budget(monkeypatch):
+    with pytest.raises(ResourceLimitError):
+        arith.enumerate_characters(10 ** 6)  # 4e11 cells
+    build = arith.enumerate_characters.__wrapped__  # past the cache
+    monkeypatch.setattr(arith, "_MAX_CHARACTER_CELLS", 42)  # phi(7) * 7
+    assert len(build(7)) == 6
+    monkeypatch.setattr(arith, "_unit_group", None)  # refused before the unit group is built
+    with pytest.raises(ResourceLimitError, match="110 cells"):
+        build(11)
+
+
 # --------------------------------------------------------------------------
 # Gauss sums and reduced phase sums
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from lphase import cli
+from lphase import arith, cli, eulerphase as ep
 from lphase.cli import main
 
 
@@ -92,7 +92,12 @@ def test_level_check_nonpositive_t_is_a_domain_error(capsys):
 def test_ledger_rows(capsys):
     assert main(["ledger", "--q", "3", "--chi-index", "1", "--t", "10",
                  "--p-star", "100000", "--p-max", "100000"]) == 0
-    lines = [l for l in _lines(capsys) if not l.startswith(("#", "k,"))]
+    lines = _lines(capsys)
+    # the provenance records the k_max the command resolved, not the parsed None
+    k_max = ep.max_k_for_bound(10.0, arith.enumerate_characters(3)[1], 1e5)
+    assert lines[1:9] == ["# command: ledger", "# q=3", "# chi_index=1", "# t=10.0",
+                          "# eps=0.0", "# p_star=100000.0", "# p_max=100000", f"# k_max={k_max}"]
+    lines = [l for l in lines if not l.startswith(("#", "k,"))]
     assert len(lines) >= 20
     for line in lines:
         parts = line.split(",")
@@ -114,6 +119,17 @@ def test_figure_q3_runs(capsys):
     assert len(lines) == 5
 
 
+def test_every_parsed_name_is_recorded_or_declared_unrecorded():
+    # a new option joins cli._PROVENANCE, and so every CSV's provenance lines, or this set
+    unrecorded = {"command", "out", "match_phase", "allow_large", "fn"}  # command: own line
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        required = [x for a in p._actions if a.required for x in (a.option_strings[0], "1")]
+        parsed = set(vars(parser.parse_args([name, *required])))
+        assert parsed - unrecorded <= set(cli._PROVENANCE), name
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["characters"]) == 1                       # missing --q
     assert main(["characters", "--q", "0"]) == 1           # domain error
@@ -133,11 +149,29 @@ def test_unbounded_t_grids_exit_1(capsys):
     assert err.count("lphase: error: t grid") == 2 and "Traceback" not in err
 
 
+def test_oversized_tables_exit_1(capsys):
+    # 4e11 character cells and 4.2e6 ledger entries are counted and refused, not built
+    assert main(["characters", "--q", "1000000"]) == 1
+    assert main(["ledger", "--q", "3", "--chi-index", "1", "--t", "1000000",
+                 "--p-max", "1000000", "--p-star", "1000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("lphase: error:") == 2 and "Traceback" not in err
+
+
 def test_verify_single_passing_criterion(capsys, tmp_path):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--criteria", "2", "--out", str(out)]) == 0
     assert "PASS criterion  2" in capsys.readouterr().out
     assert out.read_text().count("\n") >= 3
+
+
+def test_verify_rows_have_one_field_per_column(tmp_path):
+    # criterion 3's title holds commas, escaped like every detail's
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--criteria", "3", "--out", str(out)]) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "criterion,passed,elapsed_s,title,detail"
+    assert len(lines) == 2 and all(len(l.split(",")) == 5 for l in lines)
 
 
 def test_verify_exits_2_on_failure(capsys):

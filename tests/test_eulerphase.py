@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lphase import arith, eulerphase as ep, lfunction as lf
 from lphase.arith import SPoint, enumerate_characters, sieve_primes
-from lphase.errors import DegenerateInputError, DomainError, TruncationError
+from lphase.errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +319,16 @@ def test_ledger_truncation_error(chi3, primes_1e6_q3):
     with pytest.raises(TruncationError) as err:
         ep.build_oscillation_ledger(10.0, 0.0, chi3, primes_1e6_q3, w, largest + 1)
     assert err.value.largest_valid == largest
+
+
+def test_ledger_refused_past_entry_budget(chi3, primes_1e6_q3, monkeypatch):
+    n = len(_ledger(chi3, primes_1e6_q3).entries)
+    monkeypatch.setattr(ep, "_MAX_LEDGER_ENTRIES", n)
+    assert len(_ledger(chi3, primes_1e6_q3).entries) == n
+    monkeypatch.setattr(ep, "_MAX_LEDGER_ENTRIES", n - 1)
+    monkeypatch.setattr(ep, "_prime_data", None)  # counted before any prime is prepared
+    with pytest.raises(ResourceLimitError, match=f"of {n} entries"):
+        _ledger(chi3, primes_1e6_q3)
 
 
 def test_mass_ratios(chi3, primes_1e6_q3):
