@@ -71,9 +71,12 @@ class SPoint:
 # --------------------------------------------------------------------------
 
 def _factorize(q: int) -> list[tuple[int, int]]:
+    # once p*p exceeds the cofactor n, n is 1 or a prime: stop there, so smooth q is cheap
     out = []
     n = q
     for p in range(2, isqrt(q) + 1):
+        if p * p > n:
+            break
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -231,6 +234,9 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, ordered by exponent tuple (principal first)."""
     if q < 1:
         raise DomainError("modulus must be a positive integer")
+    if q > _MAX_CHARACTER_CELLS:  # phi(q) >= 1, so at least q cells: refused before factorising
+        raise ResourceLimitError(f"the character table mod {q} has at least {q} cells, "
+                                 f"over the {_MAX_CHARACTER_CELLS}-cell budget")
     cells = euler_phi(q) * q
     if cells > _MAX_CHARACTER_CELLS:
         raise ResourceLimitError(f"the character table mod {q} has {cells} cells, "
@@ -279,11 +285,22 @@ def _sum_exp_i(angles: list[float]) -> complex:
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum over n of chi(n) exp(2*pi*i*n/q), in double precision."""
-    q, m, ks = chi.q, chi.m, chi.k.tolist()
-    # chi(n) e(n/q) = e((r*q + n*m) / (m*q)) with r = k[n], reduced mod 1 exactly
-    return _sum_exp_i([2.0 * math.pi * (((ks[n % q] * q + n * m) % (m * q)) / (m * q))
-                       for n in range(1, q + 1) if ks[n % q] >= 0])
+    """tau(chi) = sum over n of chi(n) exp(2*pi*i*n/q), in double precision.
+
+    chi(n) e(n/q) = e((r*q + n*m) / (m*q)) with r = k[n]: the angle of each
+    term n = 1..q with r >= 0 is 2*pi * (((r*q + n*m) mod m*q) / (m*q)), the
+    turn reduced mod 1 in exact integer arithmetic, then one correctly rounded
+    division.  The cell budget keeps q <= 2^24, so m*q < 2^48: int64 does not
+    wrap and the conversions to float64 are exact.  The row is formed with
+    numpy; cos and sin come from `math`, per element, and each part is summed
+    with math.fsum, so the bits do not depend on numpy's vectorised
+    transcendentals.
+    """
+    q, m = chi.q, chi.m
+    n = np.arange(1, q + 1)
+    r = chi.k[n % q]
+    n, r = n[r >= 0], r[r >= 0]
+    return _sum_exp_i((2.0 * math.pi * (((r * q + n * m) % (m * q)) / (m * q))).tolist())
 
 
 def phase_sum_reduced(chi: DirichletCharacter) -> complex:

@@ -3,8 +3,11 @@
 Every command writes CSV with provenance comment lines (prefixed ``#``)
 recording the package version, the command and its effective parameters
 (in ``_PROVENANCE`` order), then a header row, then data rows with floats in
-12-significant-digit scientific notation.  No timestamps are written, so
-identical invocations produce byte-identical files.
+12-significant-digit scientific notation.  Each command hands ``_write_csv``
+its data lines already joined: the character table joins each row from one
+precomputed table of turn names, and the other commands join their
+mixed-type rows cell by cell through ``_fmt`` (``_joined``).  No timestamps
+are written, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 verification failure.
 """
@@ -46,12 +49,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(args, header: list[str], rows: list[list], **resolved) -> None:
+def _joined(rows: list[list]) -> list[str]:
+    return [",".join(map(_fmt, row)) for row in rows]
+
+
+def _write_csv(args, header: list[str], data: list[str], **resolved) -> None:
+    """Write the provenance lines, the header and the data lines, which come already joined."""
     params = {**vars(args), **resolved}
     lines = [f"# lphase {__version__}", f"# command: {args.command}"]
     lines += [f"# {k}={params[k]}" for k in _PROVENANCE if k in params]
     lines.append(",".join(header))
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    lines += data
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -70,8 +78,12 @@ def _resolve_character(args) -> arith.DirichletCharacter:
                 wanted[int(n_str)] = Fraction(frac)
             except (ValueError, ZeroDivisionError) as exc:
                 raise _UsageError(f"--match-phase expects n=num/den, got {spec!r} ({exc})")
+        # chi(n) has turn F = num/den iff its log index r = k[n] is not -1 (chi(n) != 0)
+        # and r/m = F, tested as r * den == num * m on Python ints
+        m = chars[0].m
         hits = [c for c in chars
-                if all(c.phase_turns[n % args.q] == r for n, r in wanted.items())]
+                if all((r := int(c.k[n % args.q])) >= 0 and r * F.denominator == F.numerator * m
+                       for n, F in wanted.items())]
         if len(hits) != 1:
             raise _UsageError(
                 f"--match-phase selects {len(hits)} characters mod {args.q}; "
@@ -134,11 +146,8 @@ def _cmd_characters(args) -> int:
     names = _turn_names(chars[0].m)
     header = ["chi_index", "conductor", "parity", "is_principal", "is_primitive"]
     header += [f"angle_turns_n{n}" for n in range(args.q)]
-    rows = []
-    for c in chars:
-        row = [c.index, c.conductor, c.parity, int(c.is_principal), int(c.is_primitive)]
-        row += [names[r] for r in c.k.tolist()]
-        rows.append(row)
+    rows = [f"{c.index},{c.conductor},{c.parity},{int(c.is_principal)},{int(c.is_primitive)},"
+            + ",".join(map(names.__getitem__, c.k.tolist())) for c in chars]
     _write_csv(args, header, rows)
     return 0
 
@@ -150,7 +159,7 @@ def _cmd_gauss(args) -> int:
         rows.append([c.index, int(c.is_primitive), tau.real, tau.imag,
                      abs(tau) ** 2, args.q - abs(tau) ** 2])
     _write_csv(args, ["chi_index", "is_primitive", "tau_re", "tau_im", "abs_tau_sq",
-                      "q_minus_abs_tau_sq"], rows)
+                      "q_minus_abs_tau_sq"], _joined(rows))
     return 0
 
 
@@ -163,7 +172,7 @@ def _cmd_figure_mixed(args) -> int:
         row += [(2 * a - 1) / (4.0 * t * t) for a in (0, 1, 2)]
         rows.append(row)
     _write_csv(args, ["t", "mixed_alpha0", "mixed_alpha1", "mixed_alpha2",
-                      "ref_alpha0", "ref_alpha1", "ref_alpha2"], rows)
+                      "ref_alpha0", "ref_alpha1", "ref_alpha2"], _joined(rows))
     return 0
 
 
@@ -173,7 +182,7 @@ def _cmd_figure_prefactor(args) -> int:
     for t in _t_grid(args).tolist():
         val = gp.prefactor_dphase_dt(SPoint(args.eps, t), params, args.gw_terms)
         rows.append([t, val, gp._level(t, args.q)])
-    _write_csv(args, ["t", "prefactor_dphase_dt", "asymptote_log_sqrt"], rows)
+    _write_csv(args, ["t", "prefactor_dphase_dt", "asymptote_log_sqrt"], _joined(rows))
     return 0
 
 
@@ -183,7 +192,7 @@ def _cmd_figure_symmetries(args) -> int:
     grid = _t_grid(args)
     sc = ep.scan(chi, args.eps, grid, table, window)
     rows = [[t, v, -gp._level(t, args.q)] for t, v in zip(sc.t_grid.tolist(), sc.values.tolist())]
-    _write_csv(args, ["t", "windowed_ratio_exact", "minus_log_sqrt_level"], rows,
+    _write_csv(args, ["t", "windowed_ratio_exact", "minus_log_sqrt_level"], _joined(rows),
                chi_index=chi.index)
     return 0
 
@@ -193,7 +202,7 @@ def _cmd_table_odd(args) -> int:
     for q in (3, 4, 5, 7, 8, 9):
         t = gp.find_t_cross(gp.PrefactorParams.for_alpha(1, q), n_terms=args.gw_terms)
         rows.append([q, "always-positive" if t is None else t])
-    _write_csv(args, ["q", "t_cross"], rows)
+    _write_csv(args, ["q", "t_cross"], _joined(rows))
     return 0
 
 
@@ -204,7 +213,7 @@ def _cmd_scan_zeros(args) -> int:
              r.tol, r.sign_before, r.sign_after, int(r.suspected_multiple)]
             for r in records]
     _write_csv(args, ["t_zero", "bracket_lo", "bracket_hi", "tol",
-                      "sign_before", "sign_after", "suspected_multiple"], rows,
+                      "sign_before", "sign_after", "suspected_multiple"], _joined(rows),
                chi_index=chi.index)
     return 0
 
@@ -213,10 +222,10 @@ def _cmd_level_check(args) -> int:
     chi = _primitive_character(args)
     table, window = _table(args)
     res = ep.level_check(args.t, args.eps, chi, table, window)
-    target = -gp._level(args.t, args.q)
+    row = [res.t, res.eps, res.windowed, res.lhs, res.xi_phase_dt, res.defect,
+           -gp._level(args.t, args.q)]
     _write_csv(args, ["t", "eps", "windowed_ratio", "lhs", "xi_phase_dt", "defect", "target_level"],
-               [[res.t, res.eps, res.windowed, res.lhs, res.xi_phase_dt, res.defect, target]],
-               chi_index=chi.index)
+               _joined([row]), chi_index=chi.index)
     return 0
 
 
@@ -231,7 +240,7 @@ def _cmd_ledger(args) -> int:
              e.o_plus_sum, e.o_minus_sum, e.o_plus_li, e.o_minus_li]
             for e in led.entries]
     _write_csv(args, ["k", "h", "x_up", "x_down", "x_up_next",
-                      "o_plus_sum", "o_minus_sum", "o_plus_li", "o_minus_li"], rows,
+                      "o_plus_sum", "o_minus_sum", "o_plus_li", "o_minus_li"], _joined(rows),
                chi_index=chi.index, k_max=k_max)
     return 0
 
@@ -251,8 +260,8 @@ def _cmd_verify(args) -> int:
     results = verify.run_acceptance(ids)
     if args.out:
         _write_csv(args, ["criterion", "passed", "elapsed_s", "title", "detail"],
-                   [[r.cid, int(r.passed), r.elapsed, r.title.replace(",", ";"),
-                     r.detail.replace(",", ";")] for r in results],
+                   _joined([[r.cid, int(r.passed), r.elapsed, r.title.replace(",", ";"),
+                             r.detail.replace(",", ";")] for r in results]),
                    criteria=args.criteria or "all")
     return 0 if all(r.passed for r in results) else 2
 

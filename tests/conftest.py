@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -73,6 +74,19 @@ def ref_mixed():
             raise NumericalInstabilityError("ladder")
         return (16.0 * r2 - r1) / 15.0
     return mixed
+
+
+@pytest.fixture(scope="session")
+def gauss_comprehension():
+    """tau(chi) by a per-residue comprehension over the Python-int log indices: each angle
+    2*pi * (((k[n]*q + n*m) mod m*q) / (m*q)), the quotient of two Python ints, and cos
+    and sin from `math`, each part summed with math.fsum."""
+    def tau(chi) -> complex:
+        q, m, ks = chi.q, chi.m, chi.k.tolist()
+        angles = [2.0 * math.pi * (((ks[n % q] * q + n * m) % (m * q)) / (m * q))
+                  for n in range(1, q + 1) if ks[n % q] >= 0]
+        return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
+    return tau
 
 
 @pytest.fixture

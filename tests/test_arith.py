@@ -154,6 +154,37 @@ def test_character_table_refused_past_cell_budget(monkeypatch):
         build(11)
 
 
+def test_huge_modulus_refused_before_factorising(monkeypatch):
+    # phi(q) >= 1, so a modulus over the cell budget is refused on q alone: 2^61 - 1 is
+    # prime and trial division to its square root would take about 1.5e9 steps
+    def factorize(q):
+        raise AssertionError(f"factorised {q}")
+
+    monkeypatch.setattr(arith, "_factorize", factorize)
+    with pytest.raises(ResourceLimitError, match="at least 2305843009213693951 cells"):
+        arith.enumerate_characters(2 ** 61 - 1)
+
+
+def _full_trial_division(q):
+    # every p up to isqrt(q), whatever the cofactor left
+    out, n = [], q
+    for p in range(2, math.isqrt(q) + 1):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def test_factorize_matches_full_trial_division():
+    for q in [*range(1, 5001), 10 ** 12, 2 ** 40, 630]:
+        assert arith._factorize(q) == _full_trial_division(q), q
+
+
 # --------------------------------------------------------------------------
 # Gauss sums and reduced phase sums
 # --------------------------------------------------------------------------
@@ -169,6 +200,14 @@ def test_gauss_sum_small_cases(chi3):
     assert arith.gauss_sum(arith.enumerate_characters(1)[0]) == pytest.approx(1.0)
     tau = arith.gauss_sum(chi3)
     assert abs(tau - 1j * math.sqrt(3)) < 1e-12  # hand oracle: e^(2pi i/3) - e^(4pi i/3)
+
+
+@pytest.mark.parametrize("q", [397, 401, 409, 512, 570, 630])
+def test_gauss_sum_bit_identical_to_integer_comprehension(q, gauss_comprehension):
+    # bit for bit, signed zeros included
+    for chi in arith.enumerate_characters(q):
+        tau, ref = arith.gauss_sum(chi), gauss_comprehension(chi)
+        assert (tau.real.hex(), tau.imag.hex()) == (ref.real.hex(), ref.imag.hex()), chi.index
 
 
 def test_phase_sum_reduced():

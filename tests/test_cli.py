@@ -1,10 +1,12 @@
 """CLI surface: CSV output, determinism, selectors, exit codes."""
 
 import argparse
+import math
+from fractions import Fraction
 
 import pytest
 
-from lphase import arith, cli, eulerphase as ep
+from lphase import __version__, arith, cli, eulerphase as ep
 from lphase.cli import main
 
 
@@ -61,6 +63,60 @@ def test_match_phase_ambiguous(capsys):
                "--p-star", "100", "--p-max", "100"])
     assert rc == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", [5, 12, 409])
+def test_match_phase_selects_by_the_phase_turns_rule(q):
+    # the selection the exact Fraction turns make, vanishing cells (None) never matching
+    chars = arith.enumerate_characters(q)
+    specs = [["1=0"], ["2=1/2"], ["2=1/4"], [f"{q - 1}=1/2"], ["2=-1/2"], [f"{q}=-1/{chars[0].m}"],
+             ["0=0"], ["2=1"], ["2=5/4"], ["3=0", f"{q + 2}=1/2"], ["-1=1/2", "2=3/4"]]
+    u = next(n for n in range(2, q) if math.gcd(n, q) == 1)
+    specs += [[f"{u}={c.phase_turns[u]}", f"{q - 1}={c.phase_turns[q - 1]}"] for c in chars[:4]]
+    for spec in specs:
+        wanted = {int(n): Fraction(f) for n, f in (x.split("=") for x in spec)}
+        hits = [c.index for c in chars
+                if all(c.phase_turns[n % q] == f for n, f in wanted.items())]
+        args = argparse.Namespace(q=q, match_phase=spec, chi_index=None)
+        if len(hits) == 1:
+            assert cli._resolve_character(args).index == hits[0], spec
+        else:
+            with pytest.raises(cli._UsageError, match=rf"selects {len(hits)} characters"):
+                cli._resolve_character(args)
+
+
+def _per_cell_csv(command, q, rows):
+    # provenance, header and rows, each cell by the per-cell rule: floats in 12-digit
+    # scientific notation, everything else by str
+    cells = lambda row: ",".join(f"{x:.11e}" if isinstance(x, float) else str(x) for x in row)
+    header = {"characters": ["chi_index", "conductor", "parity", "is_principal", "is_primitive",
+                             *(f"angle_turns_n{n}" for n in range(q))],
+              "gauss": ["chi_index", "is_primitive", "tau_re", "tau_im", "abs_tau_sq",
+                        "q_minus_abs_tau_sq"]}[command]
+    lines = [f"# lphase {__version__}", f"# command: {command}", f"# q={q}", ",".join(header)]
+    return "\n".join(lines + [cells(row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("q", [409, 570])
+def test_characters_and_gauss_csv_match_per_cell_oracle(q, tmp_path, gauss_comprehension):
+    chars = arith.enumerate_characters(q)
+    table = [[c.index, c.conductor, c.parity, int(c.is_principal), int(c.is_primitive),
+              *("" if f is None else str(f) for f in c.phase_turns)] for c in chars]
+    gauss = [[c.index, int(c.is_primitive), t.real, t.imag, abs(t) ** 2, q - abs(t) ** 2]
+             for c, t in ((c, gauss_comprehension(c)) for c in chars)]
+    for command, rows in (("characters", table), ("gauss", gauss)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--q", str(q), "--out", str(out)]) == 0
+        assert out.read_text() == _per_cell_csv(command, q, rows), command
+
+
+def test_huge_modulus_exits_1_before_factorising(monkeypatch, capsys):
+    def factorize(q):
+        raise AssertionError(f"factorised {q}")
+
+    monkeypatch.setattr(arith, "_factorize", factorize)
+    assert main(["characters", "--q", "2305843009213693951"]) == 1
+    assert "over the 16777216-cell budget" in capsys.readouterr().err
 
 
 def test_scan_zeros_finds_first_zero(tmp_path):
