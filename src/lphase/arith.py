@@ -27,7 +27,6 @@ from itertools import product
 from math import gcd, isqrt
 
 import numpy as np
-from scipy.special import expi
 
 from .errors import DomainError, ResourceLimitError
 
@@ -377,11 +376,30 @@ def sieve_primes(p_max: int, q: int = 1, *, p_budget: int = _DEFAULT_P_BUDGET) -
 # logarithmic integral and prime counting
 # --------------------------------------------------------------------------
 
+_EI_BITS = 96  # fixed-point bits of Ei's series sum
+
+
+def _ei(u: float) -> float:
+    # Ei(u) for 0 < u <= log(1.8e308) by its positive power series gamma + log u +
+    # sum_k u^k/(k k!), terms k = 1..K with K = u + 9 sqrt(u) + 20 fixed by u: the dropped
+    # ones are a Poisson tail past nine standard deviations, below 1e-17 of the sum.  The
+    # sum runs in exact integers scaled by 2^_EI_BITS, so its ~K chained products each
+    # round once at that scale, not at the 53rd bit, where their rounding would reach 6e-15
+    num, den = u.as_integer_ratio()
+    power, total = 1 << _EI_BITS, 0
+    for k in range(1, int(u + 9.0 * math.sqrt(u)) + 21):
+        power = power * num // (den * k)
+        total += power // k
+    return float(np.euler_gamma) + math.log(u) + total / (1 << _EI_BITS)
+
+
 def li(x: float) -> float:
     """Logarithmic integral from 2: integral of dy/log(y) over [2, x] = Ei(log x) - Ei(log 2)."""
-    if x < 2.0:
-        raise DomainError("li(x) requires x >= 2")
-    return float(expi(math.log(x)) - expi(math.log(2.0)))
+    if not x >= 2.0:
+        raise DomainError(f"li(x) requires x >= 2, got {x}")
+    if x == math.inf:
+        return math.inf
+    return _ei(math.log(x)) - _ei(math.log(2.0))
 
 
 def pnt_class_ratio(x: float, q: int, table: PrimeTable | None = None) -> dict[int, float]:

@@ -15,8 +15,11 @@ rest of the sum is a digamma difference plus a geometric Hurwitz-zeta series (`_
 `_log_gamma_grid` adds it to an n0-row head matrix, giving the limit, and log|Gamma| from
 the same head, to near machine precision.  The N-term sums add their first min(N, n0)
 terms as one sum in numpy's pairwise order over leaves of 8192 terms and the rest as the
-difference of two tails, in O(min(N, |t|)).  The limit of the t-derivative is Re psi(z)/2
-from scipy's complex digamma.  The route is valid for all t.
+difference of two tails, in O(min(N, |t|)).  The limit of the t-derivative is Re psi(z)/2.
+The route is valid for all t.  Its special functions are float64 kernels on the Bernoulli
+table, with no scipy: the tails' Hurwitz zeta (`_hurwitz_zeta`) and digamma gap
+(`_psi_gap`), both memoized, complex digamma (`_digamma`) and log Gamma(1+a)
+(`_log_gamma_1p`).
 
 Asymptotic route ("stirling"): ln Gamma(z+1) with z = (2*eps+2*alpha-3)/4 +
 i*t/2, expanded through a fixed Bernoulli series (the B_2 and B_4 terms; the
@@ -39,9 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, gammaln, zeta as hurwitz_zeta_real
 
 from .arith import SPoint
 from .errors import DomainError, NumericalInstabilityError, ResourceLimitError, SingularityError
@@ -84,6 +87,11 @@ BERNOULLI = [
     Fraction(-236364091, 2730), Fraction(8553103, 6),
 ]
 _STIRLING_K = 3  # the asymptotic route keeps Bernoulli terms k = 1..K-1; term K bounds the rest
+_N_BERN = 11  # Euler-Maclaurin Bernoulli corrections of every Hurwitz zeta (here and `_l_values`)
+_PSI_COEF = [float(BERNOULLI[k - 1]) / (2 * k) for k in range(7, 0, -1)]  # B_2k/(2k), k = 7..1
+_PSI_RE_MIN = 16.0  # digamma's recurrence lifts Re z to at least this before its series
+_LGAMMA_ORDER = 60  # Taylor terms of log Gamma(2+y), |y| <= 1: the next is below 2^-60
+_MEMO_SIZE = 1024  # entries of each tail memo; a prefactor pass asks for about 260 distinct ones
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,94 @@ class PrefactorParams:
     @classmethod
     def for_alpha(cls, alpha: int, q: int | None = None) -> "PrefactorParams":
         return cls(q=1 if alpha == 2 or q is None else q, alpha=alpha)
+
+
+# --------------------------------------------------------------------------
+# special functions on the Bernoulli table
+# --------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _zeta_coefs(s: int) -> tuple[float, ...]:
+    # B_2k (s)_(2k-1) / (2k)! for k = _N_BERN..1, Horner's order, each the exact rational
+    # correctly rounded (Python's integer true division rounds correctly)
+    out, poch = [], s
+    for k, b in enumerate(BERNOULLI[:_N_BERN], 1):
+        out.append(b.numerator * poch / (b.denominator * math.factorial(2 * k)))
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
+    return tuple(reversed(out))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _hurwitz_zeta(s1: int, count: int, w: float) -> tuple[float, ...]:
+    """zeta(s, w) for the count integers s = s1, s1+2, ..., each >= 2, at w >= 65.
+
+    Euler-Maclaurin with no head terms and _N_BERN Bernoulli corrections, no stop test:
+    zeta(s, w) = w^(1-s) [1/(s-1) + (1/2 + sum_k c_k(s) w^(2-2k) / w) / w], c_k from
+    `_zeta_coefs`.  At w >= 65 the first dropped term is below 1e-23 of the value for the
+    tails' s <= 33 (1e-18 for s <= 60), and w^(1-s) stays a normal float wherever the value
+    does.  Memoized: a prefactor pass asks for about 260 distinct tuples 2,000 times.
+    """
+    x2, out = 1.0 / (w * w), []
+    for s in range(s1, s1 + 2 * count, 2):
+        series = 0.0
+        for c in _zeta_coefs(s):
+            series = series * x2 + c
+        out.append(w ** (1 - s) * ((series / w + 0.5) / w + 1.0 / (s - 1)))
+    return tuple(out)
+
+
+def _digamma(z):
+    """psi(z) for Re z > 0: the recurrence psi(z) = psi(z+1) - 1/z lifts Re z to _PSI_RE_MIN,
+    then psi(z) = log z - 1/(2z) - sum_{k=1..7} B_2k / (2k z^(2k)), whose next term is below
+    3e-20 there, added in Cephes' order (scipy's real `digamma` gives the same bits at
+    z >= 16).  A Python float takes plain `math`; an array, real or complex, takes numpy,
+    shifted as often as its least real part needs, the smallest recurrence terms first."""
+    if isinstance(z, float):
+        log, low = math.log, z
+    else:
+        z = np.asarray(z)
+        log, low = np.log, float(np.min(z.real, initial=_PSI_RE_MIN))
+    shift = max(0, math.ceil(_PSI_RE_MIN - low))
+    out = 0.0
+    for k in reversed(range(shift)):  # the smallest terms first
+        out = out - 1.0 / (z + k)
+    z = z + shift
+    r, series = 1.0 / (z * z), 0.0
+    for c in _PSI_COEF:
+        series = series * r + c
+    return ((log(z) - 0.5 / z) - r * series) + out
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _psi_gap(m: int, w: float) -> float:
+    # psi(w) - psi(m+1), w = m+1+a: the harmonic part of every tail past m terms; memoized,
+    # as a prefactor pass asks for about 180 distinct gaps 1,800 times
+    return _digamma(w) - _digamma(m + 1.0)
+
+
+@lru_cache(maxsize=None)
+def _lgamma_coefs() -> tuple[float, ...]:
+    # Taylor coefficients of log Gamma(2+y) in Horner's order: (-1)^k (zeta(k) - 1)/k for
+    # k = _LGAMMA_ORDER..2, zeta(k) - 1 as the exact sum of its terms n = 2..64 and
+    # zeta(k, 65), then 1 - gamma for k = 1
+    out = [1.0 - EULER_GAMMA]
+    for k in range(2, _LGAMMA_ORDER + 1):
+        tail = math.fsum([n ** -k for n in range(2, 65)] + [_hurwitz_zeta(k, 1, 65.0)[0]])
+        out.append((-1) ** k * tail / k)
+    return tuple(reversed(out))
+
+
+def _log_gamma_1p(a: float) -> float:
+    """log Gamma(1+a) for a > 0: log Gamma(1+a) = log a + log Gamma(a) brings a into (0, 2],
+    then the Taylor series of log Gamma(2+y) at y = a - 1 in Horner form."""
+    out = 0.0
+    while a > 2.0:
+        out += math.log(a)
+        a -= 1.0
+    y, series = a - 1.0, 0.0
+    for c in _lgamma_coefs():
+        series = series * y + c
+    return out + y * series
 
 
 # --------------------------------------------------------------------------
@@ -210,12 +306,12 @@ def _tail_order(vmax: float, w: float) -> int:
     return int(math.ceil(-18.0 * math.log(10) / (2.0 * math.log(r))))
 
 
-def _hurwitz_tail(tail, pw, v, vmax: float, w: float, s1: float, coef):
+def _hurwitz_tail(tail, pw, v, vmax: float, w: float, s1: int, coef):
     # add coef(j) * zeta(s1 + 2(j-1), w) * pw * v^(2j) for j = 1.._tail_order(vmax, w), with
-    # all the zeta values from one ufunc call; tail, pw and v are scalars or arrays alike
-    zetas = hurwitz_zeta_real(np.arange(s1, s1 + 2 * _tail_order(vmax, w), 2.0), w)
+    # all the zeta values from one memoized `_hurwitz_zeta` tuple; tail, pw and v are
+    # scalars or arrays alike
     v2 = v * v
-    for j, z in enumerate(zetas.tolist(), 1):
+    for j, z in enumerate(_hurwitz_zeta(s1, _tail_order(vmax, w), w), 1):
         pw = pw * v2
         tail += coef(j) * z * pw
     return tail
@@ -230,7 +326,7 @@ def _gw_tail(v, vmax: float, m: int, a: float):
     """Sum over n > m >= n0 of the phase summands v/n - arctan(v/(n+a)), w = m+1+a:
     v (psi(w) - psi(m+1)) + sum_j (-1)^(j+1) v^(2j+1)/(2j+1) zeta(2j+1, w)."""
     w = m + 1.0 + a
-    return _hurwitz_tail(v * float(digamma(w) - digamma(m + 1.0)), v, v, vmax, w, 3,
+    return _hurwitz_tail(v * _psi_gap(m, w), v, v, vmax, w, 3,
                          lambda j: ((-1) ** (j + 1)) / (2 * j + 1))
 
 
@@ -278,7 +374,7 @@ def _log_gamma_grid(t, eps: float, alpha: int) -> tuple[np.ndarray, np.ndarray]:
         head_phase[b] = np.sum(v[None, b] * a / nna + _x_minus_arctan(x), axis=0)
     tail = _hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 2,
                          lambda j: ((-1) ** (j + 1)) / (2.0 * j))
-    log_abs = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head_abs - tail
+    log_abs = _log_gamma_1p(a) - 0.5 * np.log(a * a + v * v) - head_abs - tail
     return log_abs, -EULER_GAMMA * v - np.arctan(v / a) + head_phase + _gw_tail(v, vmax, n0, a)
 
 
@@ -307,7 +403,7 @@ def gw_dphase_dt(s: SPoint, alpha: int, n_terms: int = GW_DEFAULT_TERMS) -> floa
 
     def tail(m: int) -> float:  # (psi(w) - psi(m+1))/2 + sum_j (-1)^(j+1) v^(2j)/2 zeta(2j+1, w)
         w = m + 1.0 + a
-        return 0.5 * _hurwitz_tail(float(digamma(w) - digamma(m + 1.0)), 1.0, v, abs(v), w, 3,
+        return 0.5 * _hurwitz_tail(_psi_gap(m, w), 1.0, v, abs(v), w, 3,
                                    lambda j: (-1) ** (j + 1))
 
     return _gw_sum(-EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v)), n_terms, v, terms, tail)
@@ -324,7 +420,7 @@ def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
 
     def tail(m: int) -> float:  # sum_j (-1)^j (2j+1) v^(2j)/4 zeta(2j+2, w)
         w = m + 1.0 + a
-        return 0.25 * _hurwitz_tail(float(hurwitz_zeta_real(2.0, w)), 1.0, v, abs(v), w, 4,
+        return 0.25 * _hurwitz_tail(_hurwitz_zeta(2, 1, w)[0], 1.0, v, abs(v), w, 4,
                                     lambda j: (-1) ** j * (2 * j + 1))
 
     return _gw_sum((a * a - v * v) / (4.0 * (a * a + v * v) ** 2), n_terms, v, terms, tail)
@@ -333,7 +429,7 @@ def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
 def gamma_dphase_dt(t, eps: float, alpha: int) -> np.ndarray | float:
     """Limit of `gw_dphase_dt`, vectorized over t: Re psi((s+alpha)/2) / 2."""
     a, _ = _ab(SPoint(eps, 0.0), alpha)
-    out = 0.5 * digamma(a + 0.5j * np.asarray(t, dtype=np.float64)).real
+    out = 0.5 * _digamma(a + 0.5j * np.asarray(t, dtype=np.float64)).real
     return out if np.ndim(t) else float(out)
 
 

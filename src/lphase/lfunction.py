@@ -44,6 +44,7 @@ from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
 from .gammaphase import (
     BERNOULLI,
     PrefactorParams,
+    _N_BERN,
     _bisect,
     _column_blocks,
     _log_gamma_grid,
@@ -75,9 +76,8 @@ __all__ = [
 # Euler-Maclaurin L-values
 # --------------------------------------------------------------------------
 
-# B_{2k} / (2k)! for k = 1, 2, ...
+# B_{2k} / (2k)! for k = 1, 2, ...; the first _N_BERN are kept and the next is the estimate
 _BERN_FACT = [float(b) / math.factorial(2 * (k + 1)) for k, b in enumerate(BERNOULLI)]
-_N_BERN = 11  # Euler-Maclaurin Bernoulli corrections kept; the next one is the estimate
 _L_TOL = 1e-10  # the largest remainder estimate l_eval accepts, from its one head size
 
 

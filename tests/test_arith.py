@@ -447,6 +447,12 @@ def test_li_values():
         arith.li(1.5)
 
 
+def test_li_refuses_nan_and_keeps_inf():
+    with pytest.raises(DomainError):
+        arith.li(math.nan)
+    assert arith.li(math.inf) == math.inf
+
+
 def test_pnt_class_ratios():
     r4 = arith.pnt_class_ratio(1e6, 4)
     assert set(r4) == {1, 3}

@@ -6,7 +6,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import digamma, gammaln, zeta as hurwitz_zeta
 
 from lphase import arith, gammaphase as gp, lfunction as lf
 from lphase.arith import SPoint
@@ -224,7 +223,7 @@ def test_gw_sums_memory_is_one_leaf(t, n_terms, traced_peak):
     # so neither an n0-row nor an N-row array is ever built
     s = SPoint(0.1, t)
     for f in (gp.gw_log_gamma_phase, gp.gw_dphase_dt, gp._gw_mixed):
-        f(s, 1, 10 ** 3)  # scipy's first-call set-up stays outside the trace
+        f(s, 1, 10 ** 3)  # the kernels' one-time coefficient tables are built outside the trace
         assert traced_peak(lambda: f(s, 1, n_terms)) <= 4 * gp._LEAF * 8 + 64 * 1024
 
 
@@ -259,7 +258,7 @@ def _ref_hurwitz_tail(tail, pw, v, vmax, w, s1, coef):
         order += 1
     for j in range(1, order + 1):
         pw = pw * (v * v)
-        tail += coef(j) * float(hurwitz_zeta(s1 + 2 * (j - 1), w)) * pw
+        tail += coef(j) * gp._hurwitz_zeta(s1 + 2 * (j - 1), 1, w)[0] * pw
     return tail
 
 
@@ -267,7 +266,7 @@ def _ref_gamma_phase(t, eps, alpha):
     a, v, vmax, n, w = _ref_head_grid(t, eps, alpha)
     x = v[None, :] / (n + a)
     head = np.sum(v[None, :] * a / (n * (n + a)) + _ref_x_minus_arctan(x), axis=0)
-    tail = _ref_hurwitz_tail(v * float(digamma(w) - digamma(len(n) + 1.0)), v, v, vmax, w, 3,
+    tail = _ref_hurwitz_tail(v * (gp._digamma(w) - gp._digamma(len(n) + 1.0)), v, v, vmax, w, 3,
                              lambda j: ((-1) ** (j + 1)) / (2 * j + 1))
     out = -gp.EULER_GAMMA * v - np.arctan(v / a) + head + tail
     return out if np.ndim(t) else float(out[0])
@@ -279,7 +278,7 @@ def _ref_gamma_log_abs(t, eps, alpha):
     head = 0.5 * np.sum(np.log1p(x * x), axis=0)
     tail = _ref_hurwitz_tail(np.zeros_like(v), np.ones_like(v), v, vmax, w, 2,
                              lambda j: ((-1) ** (j + 1)) / (2.0 * j))
-    out = float(gammaln(1.0 + a)) - 0.5 * np.log(a * a + v * v) - head - tail
+    out = gp._log_gamma_1p(a) - 0.5 * np.log(a * a + v * v) - head - tail
     return out if np.ndim(t) else float(out[0])
 
 
@@ -347,7 +346,7 @@ def test_xi_memory_is_head_blocks_plus_points(chi3, traced_peak):
     # the rest of xi holds about 32 complex values per point (L's (2, points) class arrays
     # for chi mod 3, the Gamma tails, xi itself)
     t = np.arange(0.5, 200.0001, 0.05)
-    lf.xi_on_grid(chi3, 0.0, t[:2])  # scipy's first-call set-up stays outside the trace
+    lf.xi_on_grid(chi3, 0.0, t[:2])  # the one-time log Gamma(1+a) table stays outside the trace
     peak = traced_peak(lambda: lf.xi_on_grid(chi3, 0.0, t))
     assert peak <= 16 * (4 * gp._HEAD_CELLS + 32 * t.size)
 
@@ -376,7 +375,7 @@ def test_hurwitz_tail_bit_identical_to_per_term_loop(family, case):
         pw = scale * (v if family == "phase" else 1.0 + 0.0 * v)
         # the start cancels the first term, so the later ones are not lost beside it; each
         # call adds to its own copy of the start, and both count the terms they take
-        start = lambda: 0.37 - coef(1) * float(hurwitz_zeta(s1, w)) * (pw * (v * v))
+        start = lambda: 0.37 - coef(1) * gp._hurwitz_zeta(s1, 1, w)[0] * (pw * (v * v))
         terms, got_terms = [], []
         ref = _ref_hurwitz_tail(start(), pw, v, vmax, w, s1, lambda j: terms.append(j) or coef(j))
         got = gp._hurwitz_tail(start(), pw, v, vmax, w, s1,
