@@ -71,21 +71,23 @@ _SPIKE_MADS = 6.0  # spike threshold in median absolute deviations above the med
 _MAX_LEDGER_ENTRIES = 10 ** 5  # each entry takes two Li quadratures and two prime sums
 # Li intervals [a, b] in u = log y are cut into panels with max(|z|, 1/a) (b - a) <= _GL_SPAN,
 # each integrated by the 20 Gauss-Legendre nodes and weights on [-1, 1] below (`_li_integral`):
-# numpy's leggauss(20) to the last bit, stored, since its LAPACK call costs peak RSS
+# the roots of P_20 and their weights 2 / ((1 - x^2) P_20'(x)^2), each correctly rounded
+# from a 50-digit Newton solve (mpmath); numpy's leggauss(20) misses the weights by up to
+# 353 ulps.  Stored, since computing them costs a LAPACK call or mpmath at import
 _GL_SPAN = 2.0
 _GL_NODES = np.array([
-    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.9931285991850949, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
     -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
     -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
     0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
-    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.9931285991850949,
 ])
 _GL_WEIGHTS = np.array([
-    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
-    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
-    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
-    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
-    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893,
+    0.017614007139152118, 0.04060142980038694, 0.06267204833410907, 0.08327674157670475,
+    0.10193011981724044, 0.11819453196151841, 0.13168863844917664, 0.14209610931838204,
+    0.14917298647260374, 0.15275338713072584, 0.15275338713072584, 0.14917298647260374,
+    0.14209610931838204, 0.13168863844917664, 0.11819453196151841, 0.10193011981724044,
+    0.08327674157670475, 0.06267204833410907, 0.04060142980038694, 0.017614007139152118,
 ])
 
 

@@ -15,12 +15,13 @@ The completed function
 takes its Gamma modulus and phase from one call of the product-route kernel
 `gammaphase._log_gamma_grid` (one head matrix for both).  The rotation
     eta = exp(i/2 * angle(i^alpha sqrt(q) / tau(chi))) * xi
-is real on the critical line for primitive characters; its sign changes
-locate the zeros, and the quantity (eta')^2 - eta*eta'' equals the
-eps-derivative of the angular momentum of xi at eps = 0.  Every t-derivative samples
-one five-point stencil (`_SHIFTS`, Richardson in its step).  A zero scan samples eta on
-a grid that ends at t_hi, finds sign changes, hits and dips by array operations, then
-bisects every sign-change bracket in lockstep, one eta call per level for all of them.
+is real on the critical line for primitive characters, with the zeros and signs of Hardy's
+Z = eta / |G|, G = (q/pi)^((s+alpha)/2) Gamma((s+alpha)/2); the sign changes of Z locate the
+zeros.  The quantity (eta')^2 - eta*eta'' equals the eps-derivative of the angular momentum
+of xi at eps = 0.  Every t-derivative samples one five-point stencil (`_SHIFTS`, Richardson
+in its step).  A zero scan samples Z, which does not underflow where eta does, in one call
+on a grid that ends at t_hi, finds sign changes, hits and dips by array operations, then
+bisects every sign-change bracket in lockstep, one Z call per level for all of them.
 """
 
 from __future__ import annotations
@@ -220,6 +221,17 @@ def eta_on_grid(chi: DirichletCharacter, eps: float,
     return rot * xi_on_grid(chi, eps, t_grid), half
 
 
+def _z_on_grid(chi: DirichletCharacter, t_grid: np.ndarray) -> np.ndarray:
+    """Hardy's Z = Re(exp(i(theta + t/2 log(q/pi) + h)) L(1/2+it)) over a t grid, theta the
+    Gamma phase and h = `normalizer_phase`: eta / |G| with |G| > 0, so sign(Z) = sign(eta).
+    exp(log|G|) is never formed, so Z keeps its size where eta's e^(-pi t/4) decay underflows."""
+    half = normalizer_phase(chi)  # first: refuses a non-primitive chi before any head is built
+    t = np.asarray(t_grid, dtype=np.float64)
+    phase = _log_gamma_grid(t, 0.0, chi.parity)[1]  # before L, as in xi_on_grid
+    lvals = l_on_grid(chi, 0.0, t)
+    return (np.exp(1j * (phase + 0.5 * t * math.log(chi.q / math.pi) + half)) * lvals).real
+
+
 # --------------------------------------------------------------------------
 # angular momentum and its eps-derivative
 # --------------------------------------------------------------------------
@@ -274,11 +286,11 @@ def angular_momentum(s: SPoint, chi: DirichletCharacter) -> float:
 
 
 def xi_phase_dt(chi: DirichletCharacter, eps: float, t: float) -> float:
-    """Numerical d/dt of the phase of xi, via Im(xi'/xi) with Richardson."""
-    x = xi_on_grid(chi, eps, t + _DT * _SHIFTS[[0, 1, 3, 4]])
-    xc = xi_on_grid(chi, eps, np.array([t]))[0]
-    _, deriv, _ = _five_point([x[0], x[1], xc, x[2], x[3]], _DT)
-    return float((deriv / xc).imag)
+    """Numerical d/dt of the phase of xi, Im(xi'/xi), from the `_stencil` samples of xi at t
+    (one single-point xi call per shift), combined by `_five_point`."""
+    xc, deriv, _ = _five_point(_stencil(lambda u: xi_on_grid(chi, eps, u), np.array([t]), _DT),
+                               _DT)
+    return float((deriv / xc)[0].imag)
 
 
 @dataclass(frozen=True)
@@ -293,6 +305,7 @@ class EpsSlopeResult:
 
 def angular_momentum_eps_slope(t: float, chi: DirichletCharacter) -> EpsSlopeResult:
     """(eta')^2 - eta*eta'' at eps=0, with the finite-difference eps route alongside."""
+    # one five-point eta batch, not `_stencil`: criterion 8's recorded line pins its bits
     y, dp, dpp = _five_point(eta_on_grid(chi, 0.0, t + _DT * _SHIFTS)[0].real, _DT)
     y = float(y)
     value = dp * dp - y * dpp
@@ -384,44 +397,42 @@ def _uniform_grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
 
 def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
                        grid_step: float) -> list[ZeroRecord]:
-    """Sign-change zeros of eta on [t_lo, t_hi], bisected to width <= _ZERO_TOL = 1e-8.
+    """Sign-change zeros of Hardy's Z (those of eta) on [t_lo, t_hi], bisected to width
+    <= _ZERO_TOL = 1e-8.
 
-    eta is sampled on the grid t_lo, t_lo + grid_step, ... in one call (a grid of more
-    than _GRID_POINTS points raises ResourceLimitError); when the grid stops short of
-    t_hi, eta(t_hi) is taken in a call of its own (so the grid keeps its batch) and
-    closes the scan.  Every sign-change bracket is then refined in lockstep by
-    `_bisect`: one eta call per level evaluates the midpoints of all still-open brackets,
-    so a scan makes about 2 + log2(grid_step / _ZERO_TOL) eta calls, however many zeros it
-    finds.  A batch never holds more points than the grid call.  A reported t_zero
-    depends only on the sequence of sign decisions, not on the eta values: a midpoint's
-    eta inside a batch differs from its single-point value by rounding, which can flip a
-    decision only where |eta| is at rounding level, within about 1e-13 of the zero, and
-    the result then still lies within _ZERO_TOL of it, which each ZeroRecord reports as tol.
+    Z (`_z_on_grid`, which has eta's signs but not its e^(-pi t/4) decay) is sampled in one
+    call on the grid t_lo, t_lo + grid_step, ... cut below t_hi and closed by t_hi itself (a
+    grid of more than _GRID_POINTS points raises ResourceLimitError).  Every sign-change
+    bracket is then refined in lockstep by `_bisect`: one Z call per level evaluates the
+    midpoints of all still-open brackets, so a scan makes at most
+    1 + ceil(log2(grid_step / _ZERO_TOL)) Z calls, however many zeros it finds.  A batch never
+    holds more points than the grid call.  A reported t_zero depends only on the sequence of
+    sign decisions, not on the Z values: a midpoint's Z inside a batch differs from its
+    single-point value by rounding, which can flip a decision only where |Z| is at rounding
+    level, within about 1e-13 of the zero, and the result then still lies within _ZERO_TOL
+    of it, which each ZeroRecord reports as tol.
 
-    Nonzero grid dips of |eta| below 1e-8 of the largest |eta| within 10 grid points, without
+    Nonzero grid dips of |Z| below 1e-8 of the largest |Z| within 10 grid points, without
     a sign change, are recorded as suspected multiple zeros and left unrefined.  Negative t
     is allowed (used to confirm the +/-t pairing of real-character zeros).
     """
-    grid = _uniform_grid(t_lo, t_hi, grid_step)
-    vals = eta_on_grid(chi, 0.0, grid)[0].real
-    if grid[-1] < t_hi:
-        grid = np.append(grid, t_hi)
-        vals = np.append(vals, eta_on_grid(chi, 0.0, np.array([float(t_hi)]))[0].real)
+    g = _uniform_grid(t_lo, t_hi, grid_step)
+    grid = np.append(g[g < t_hi], t_hi)
+    vals = _z_on_grid(chi, grid)
 
     ts = grid.tolist()
     sign = np.where(np.signbit(vals), -1, 1).tolist()  # math.copysign(1, v) for every v
     # exact grid hits; the scan's last point has no sign after it
     records = [ZeroRecord(ts[i], (ts[i], ts[i]), 0.0, 0, sign[i + 1] if i + 1 < len(ts) else 0)
                for i in np.flatnonzero(vals == 0.0).tolist()]
-    # signs are compared, not multiplied: |eta| ~ 1e-170 near t = 500 squares to 0
+    # signs are compared, not multiplied: two small values can square to 0
     lo, hi = vals[:-1], vals[1:]
     i0 = np.flatnonzero((lo < 0.0) & (hi > 0.0) | (hi < 0.0) & (lo > 0.0))
-    t_zeros = _bisect(lambda t: eta_on_grid(chi, 0.0, t)[0].real,
-                      grid[i0], grid[i0 + 1], vals[i0], _ZERO_TOL)
+    t_zeros = _bisect(lambda t: _z_on_grid(chi, t), grid[i0], grid[i0 + 1], vals[i0], _ZERO_TOL)
     records += [ZeroRecord(t_zero, (ts[i], ts[i + 1]), _ZERO_TOL, sign[i], sign[i + 1])
                 for i, t_zero in zip(i0.tolist(), t_zeros.tolist())]
 
-    # nonzero dips against the largest |eta| within 10 grid points; zero padding is exact
+    # nonzero dips against the largest |Z| within 10 grid points; zero padding is exact
     a, sg = np.abs(vals), np.sign(vals)
     mid, scale = a[1:-1], sliding_window_view(np.pad(a, 10), 21).max(axis=1)[1:-1]
     dips = np.flatnonzero((0.0 < mid) & (mid < 1e-8 * scale) & (mid <= a[:-2]) & (mid <= a[2:])
@@ -429,8 +440,7 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     records += [ZeroRecord(None, (ts[i - 1], ts[i + 1]), grid_step, sign[i - 1], sign[i + 1],
                            suspected_multiple=True) for i in dips.tolist()]
     records.sort(key=lambda r: r.bracket[0])
-    # the grid can end past t_hi; a zero bisected out there is not reported
-    return [r for r in records if r.t_zero is None or t_lo <= r.t_zero <= t_hi]
+    return records
 
 
 _SUFFICIENT_TERMS = 2 * 10 ** 5  # product-route terms of both sufficient-condition derivatives

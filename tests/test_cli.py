@@ -130,6 +130,18 @@ def test_scan_zeros_finds_first_zero(tmp_path):
     assert float(rows[0].split(",")[0]) == pytest.approx(8.039737, abs=1e-5)
 
 
+def test_scan_zeros_past_eta_underflow(tmp_path):
+    # eta underflows to +-0 near t = 1000 for the odd chi mod 3; the scan samples Z, so it
+    # writes the one zero on [1000, 1001], bisected, and no exact hits
+    out = tmp_path / "zeros.csv"
+    assert main(["scan-zeros", "--q", "3", "--chi-index", "1", "--t-min", "1000",
+                 "--t-max", "1001", "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().splitlines()
+            if not l.startswith("#") and not l.startswith("t_zero")]
+    assert len(rows) == 1 and float(rows[0][3]) == 1e-8
+    assert float(rows[0][0]) == pytest.approx(1000.219446, abs=1e-5)
+
+
 def test_level_check_row(capsys):
     assert main(["level-check", "--q", "3", "--chi-index", "1", "--t", "22",
                  "--eps", "0", "--p-star", "100000", "--p-max", "100000"]) == 0

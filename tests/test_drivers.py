@@ -74,7 +74,8 @@ def _ref_ang_mom(s, chi, dt=1e-3):
 
 
 def _ref_xi_phase_dt(chi, eps, t, dt=1e-3):
-    x = lf.xi_on_grid(chi, eps, np.array([t - dt, t - dt / 2, t + dt / 2, t + dt]))
+    x = [lf.xi_on_grid(chi, eps, np.array([u]))[0]
+         for u in (t - dt, t - dt / 2, t + dt / 2, t + dt)]
     xc = lf.xi_on_grid(chi, eps, np.array([t]))[0]
     d_h = (x[3] - x[0]) / (2.0 * dt)
     d_h2 = (x[2] - x[1]) / dt
@@ -109,8 +110,9 @@ def _ref_eps_slope_grid(chi, t, dt=1e-3):
 
 def _ref_zeros(chi, t_lo, t_hi, grid_step, tol=1e-8):
     grid = np.arange(t_lo, t_hi + grid_step / 2.0, grid_step)
-    vals = lf.eta_on_grid(chi, 0.0, grid)[0].real
-    f = lambda t: float(lf.eta_on_grid(chi, 0.0, np.array([t]))[0][0].real)
+    grid = np.append(grid[grid < t_hi], t_hi)
+    vals = lf._z_on_grid(chi, grid)
+    f = lambda t: float(lf._z_on_grid(chi, np.array([t]))[0])
     records = []
     for i in range(len(grid) - 1):
         a, b = float(grid[i]), float(grid[i + 1])
@@ -270,22 +272,22 @@ def test_zero_scan_bit_identical(chi, monkeypatch):
         assert got == _ref_zeros(chi, t_lo, t_hi, step, tol)
 
 
-# mid: |eta| at the grid point 2.0 over the largest |eta| within 9, 10 and 11 grid points is
+# mid: |Z| at the grid point 2.0 over the largest |Z| within 9, 10 and 11 grid points is
 # 1.57e-8, 1.33e-8 and 0.74e-8 in the first case (no dip) and 1.08e-8, 0.90e-8 and 0.87e-8
 # in the second (a dip), so a window one point too wide or too narrow changes the records
 @pytest.mark.parametrize("t_lo, t_hi, step, mid, n_dips", ((0.0, 4.0, 0.0625, 4.4e-5, 2),
                                                            (-0.5, 4.25, 0.125, 1.35e-4, 3)))
 def test_zero_scan_suspected_multiples_bit_identical(t_lo, t_hi, step, mid, n_dips, monkeypatch):
-    # a stand-in eta with touching zeros 1e-6 off the grid points 0.125 and 3.875 (within 10
+    # a stand-in Z with touching zeros 1e-6 off the grid points 0.125 and 3.875 (within 10
     # points of either end, so their windows are clipped) and `mid` off 2.0, a simple zero at
     # 1.3 and an exact hit at 2.5; both grids end exactly at t_hi, which is no zero, so the
     # reference loop sees every hit
-    def fake(chi, eps, t):
+    def fake(chi, t):
         t = np.asarray(t)
         return ((t - 0.125 - 1e-6) ** 2 * (t - 2.0 - mid) ** 2 * (t - 3.875 + 1e-6) ** 2
-                * (t - 1.3) * (t - 2.5) + 0j, 0.0)
+                * (t - 1.3) * (t - 2.5))
 
-    monkeypatch.setattr(lf, "eta_on_grid", fake)
+    monkeypatch.setattr(lf, "_z_on_grid", fake)
     assert np.arange(t_lo, t_hi + step / 2.0, step)[-1] == t_hi
     got = lf.find_zeros_on_line(CHARS[0], t_lo, t_hi, step)
     ref = _ref_zeros(CHARS[0], t_lo, t_hi, step)
@@ -300,10 +302,10 @@ def test_zero_scan_suspected_multiples_bit_identical(t_lo, t_hi, step, mid, n_di
 def test_zero_scan_touching_zero_on_a_grid_point_is_one_hit(monkeypatch):
     # a touching zero exactly on the grid point 2.0 is reported once, as an exact hit, and
     # not also as a suspected multiple zero bracketing it; 3.3 is a simple zero
-    def fake(chi, eps, t):
-        return (np.asarray(t) - 2.0) ** 2 * (np.asarray(t) - 3.3) + 0j, 0.0
+    def fake(chi, t):
+        return (np.asarray(t) - 2.0) ** 2 * (np.asarray(t) - 3.3)
 
-    monkeypatch.setattr(lf, "eta_on_grid", fake)
+    monkeypatch.setattr(lf, "_z_on_grid", fake)
     got = lf.find_zeros_on_line(CHARS[0], 0.0, 4.0, 0.25)
     assert got == _ref_zeros(CHARS[0], 0.0, 4.0, 0.25)
     assert got[0] == lf.ZeroRecord(2.0, (2.0, 2.0), 0.0, 0, -1)

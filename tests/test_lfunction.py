@@ -211,7 +211,7 @@ def test_heads_refused_past_row_budget_before_allocating(chi3, monkeypatch, trac
 
 
 def test_normalizer_phase_takes_one_gauss_sum_per_character(monkeypatch):
-    # a zero scan calls eta once for the grid and once per bisection level; tau(chi) once
+    # a zero scan calls Z once for the grid and once per bisection level; tau(chi) once
     chi = enumerate_characters(13)[1]
     calls = []
     monkeypatch.setattr(lf, "gauss_sum", lambda c: calls.append(c) or arith.gauss_sum(c))
@@ -341,24 +341,25 @@ def test_zero_scan_q4(chi4):
 
 
 def test_zero_scan_reports_no_zero_past_t_hi(chi3):
-    # step 0.3 from 0 ends the grid at 8.1, past t_hi = 8; the first zero 8.0397 lies between
+    # step 0.3 from 0 would reach 8.1, past t_hi = 8; the grid stops at 7.8 and is closed by
+    # t_hi, so the first zero 8.0397 lies outside every bracket
     assert lf.find_zeros_on_line(chi3, 0.0, 8.0, 0.3) == []
     zeros = [r.t_zero for r in lf.find_zeros_on_line(chi3, 0.0, 8.1, 0.3)]
     assert zeros == pytest.approx([8.039737], abs=1e-5)
 
 
 def test_zero_scan_reaches_t_hi(chi3):
-    # step 0.5 from 0 ends the grid at 8.0, short of t_hi = 8.2; the first zero 8.0397 lies between
+    # step 0.5 from 0 reaches 8.0, short of t_hi = 8.2, which closes the grid; the first zero
+    # 8.0397 lies in the last bracket
     records = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5)
     assert [r.bracket for r in records] == [(8.0, 8.2)]
     assert records[0].t_zero == pytest.approx(8.039737, abs=1e-5)
 
 
 def test_zero_scan_exact_zero_at_t_hi(monkeypatch, chi3):
-    # a stand-in eta with exact zeros at t = 1 (a grid point), 3.3 and t_hi = 8.2 (the tail point)
-    fake = lambda chi, eps, t: ((np.asarray(t) - 1.0) * (np.asarray(t) - 3.3)
-                                * (np.asarray(t) - 8.2) + 0j, 0.0)
-    monkeypatch.setattr(lf, "eta_on_grid", fake)
+    # a stand-in Z with exact zeros at t = 1 (a grid point), 3.3 and t_hi = 8.2 (the last point)
+    fake = lambda chi, t: (np.asarray(t) - 1.0) * (np.asarray(t) - 3.3) * (np.asarray(t) - 8.2)
+    monkeypatch.setattr(lf, "_z_on_grid", fake)
     monkeypatch.setattr(lf, "_ZERO_TOL", 1e-10)
     grid_hit, bisected, tail_hit = lf.find_zeros_on_line(chi3, 0.0, 8.2, 0.5)
     assert grid_hit == lf.ZeroRecord(1.0, (1.0, 1.0), 0.0, 0, 1)
@@ -367,19 +368,19 @@ def test_zero_scan_exact_zero_at_t_hi(monkeypatch, chi3):
 
 
 def test_zero_scan_eta_calls_do_not_grow_with_zeros(monkeypatch):
-    # the grid call, the tail call and one call per bisection level, however many zeros
+    # the grid call and one Z call per bisection level, however many zeros
     chi = enumerate_characters(13)[1]
     calls = []
-    eta = lf.eta_on_grid
-    monkeypatch.setattr(lf, "eta_on_grid", lambda *a: calls.append(a) or eta(*a))
+    z = lf._z_on_grid
+    monkeypatch.setattr(lf, "_z_on_grid", lambda *a: calls.append(a) or z(*a))
     step = 0.05
     zeros = lf.find_zeros_on_line(chi, 0.0, 30.0, step)
     assert len(zeros) >= 10
-    assert len(calls) <= 2 + math.ceil(math.log2(step / lf._ZERO_TOL))
+    assert len(calls) <= 1 + math.ceil(math.log2(step / lf._ZERO_TOL))
 
 
 def test_first_q3_zero_independent_of_scan_range(chi3):
-    # the midpoints share an eta batch with every other bracket of the scan; the bits do not move
+    # the midpoints share a Z batch with every other bracket of the scan; the bits do not move
     firsts = [lf.find_zeros_on_line(chi3, lo, hi, 0.05)[0] for lo, hi in
               ((7.9, 8.2), (0.0, 40.0), (0.0, 100.0))]
     assert {r.bracket for r in firsts} == {(8.0, 8.05)}
@@ -419,6 +420,56 @@ def test_zero_scan_counts_every_sign_change_at_large_t(chi3):
     assert changes == 4 and len(zeros) == changes
     for t in zeros:
         assert abs(mp.dirichlet(mp.mpc(0.5, t), [0, 1, -1])) < 1e-7
+
+
+def _mpmath_z(chi):
+    """Hardy's Z(t) = Re(exp(i(Im log Gamma((s+alpha)/2) + t/2 log(q/pi) + h)) L(s)) at
+    s = 1/2 + it and mpmath's working precision, L from Hurwitz zeta values (not
+    mp.dirichlet) and h half the angle of i^alpha sqrt(q) / tau(chi)."""
+    q, a = chi.q, chi.parity
+    vals = [mp.expjpi(mp.mpf(2 * k) / chi.m) if k >= 0 else mp.mpc(0) for k in chi.k.tolist()]
+    tau = mp.fsum(v * mp.expjpi(mp.mpf(2 * n) / q) for n, v in enumerate(vals))
+    h = mp.arg(mp.j ** a * mp.sqrt(q) / tau) / 2
+
+    def z(t):
+        s = mp.mpf(0.5) + mp.j * t
+        lval = mp.power(q, -s) * mp.fsum(v * mp.zeta(s, mp.mpf(r) / q)
+                                         for r, v in enumerate(vals) if r and v != 0)
+        theta = mp.im(mp.loggamma((s + a) / 2)) + t / 2 * mp.log(q / mp.pi) + h
+        return mp.re(mp.expj(theta) * lval)
+    return z
+
+
+def test_zero_scan_past_eta_underflow(chi3):
+    # eta is +-0 on [1000, 1005] (e^(-pi t/4) ~ 1e-341); the scan samples Z, so it reports
+    # the four bisected zeros, each a sign change of a 30-digit Z at t_zero +- 1e-6
+    records = lf.find_zeros_on_line(chi3, 1000.0, 1005.0, 0.05)
+    assert [r.tol for r in records] == [lf._ZERO_TOL] * 4
+    z = _mpmath_z(chi3)
+    with mp.workdps(30):
+        for r, want in zip(records, (1000.219446, 1002.066424, 1003.259355, 1003.711969)):
+            assert r.t_zero == pytest.approx(want, abs=1e-6)
+            assert mp.sign(z(mp.mpf(r.t_zero) - mp.mpf("1e-6"))) == r.sign_before
+            assert mp.sign(z(mp.mpf(r.t_zero) + mp.mpf("1e-6"))) == r.sign_after == -r.sign_before
+
+
+@pytest.mark.parametrize("q, index", ((3, 1), (5, 1), (5, 2), (13, 1)))
+def test_xi_phase_dt_against_mpmath(q, index):
+    # d/dt arg xi = Re(L'/L) + Re psi((s+alpha)/2)/2 + log(q/pi)/2 at s = 1/2+eps+it, with L
+    # and L' from 40-digit Hurwitz zeta values
+    chi = enumerate_characters(q)[index]
+    vals = [mp.expjpi(mp.mpf(2 * k) / chi.m) if k >= 0 else mp.mpc(0) for k in chi.k.tolist()]
+    with mp.workdps(40):
+        for eps in (0.0, 0.15, -0.2, 0.3):
+            for t in (0.7, 3.3, 8.04, 14.1, 37.3, 99.5):
+                s = mp.mpf(0.5 + eps) + mp.j * mp.mpf(t)
+                terms = [(v, mp.mpf(r) / q) for r, v in enumerate(vals) if r and v != 0]
+                lval = mp.fsum(v * mp.zeta(s, w) for v, w in terms)
+                dlog_l = mp.fsum(v * mp.zeta(s, w, 1) for v, w in terms) / lval - mp.log(q)
+                want = float(mp.re(dlog_l) + mp.re(mp.digamma((s + chi.parity) / 2)) / 2
+                             + mp.log(q / mp.pi) / 2)
+                got = lf.xi_phase_dt(chi, eps, t)
+                assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (eps, t, got, want)
 
 
 # --------------------------------------------------------------------------
