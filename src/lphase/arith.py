@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_characters",
     "primitive_inducer",
     "gauss_sum",
-    "phase_sum_reduced",
     "euler_phi",
     "sieve_primes",
     "li",
@@ -176,9 +175,6 @@ class DirichletCharacter:
     def phase_turns(self) -> tuple[Fraction | None, ...]:
         return tuple(None if r < 0 else Fraction(r, self.m) for r in self.k.tolist())
 
-    def turn(self, n: int) -> Fraction | None:
-        return self.phase_turns[n % self.q]
-
     def value(self, n: int) -> complex:
         r = int(self.k[n % self.q])
         if r < 0:
@@ -278,11 +274,6 @@ def primitive_inducer(chi: DirichletCharacter) -> DirichletCharacter:
     raise RuntimeError("inducing character not found")  # unreachable
 
 
-def _sum_exp_i(angles: list[float]) -> complex:
-    """Sum of exp(i*a) over the angles, each part summed with math.fsum."""
-    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
-
-
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum over n of chi(n) exp(2*pi*i*n/q), in double precision.
 
@@ -299,12 +290,8 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     n = np.arange(1, q + 1)
     r = chi.k[n % q]
     n, r = n[r >= 0], r[r >= 0]
-    return _sum_exp_i((2.0 * math.pi * (((r * q + n * m) % (m * q)) / (m * q))).tolist())
-
-
-def phase_sum_reduced(chi: DirichletCharacter) -> complex:
-    """Sum of exp(i*angle(chi(h))) over reduced residues h (zero unless principal)."""
-    return _sum_exp_i([2.0 * math.pi * (r / chi.m) for r in chi.k.tolist() if r >= 0])
+    angles = (2.0 * math.pi * (((r * q + n * m) % (m * q)) / (m * q))).tolist()
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
 # --------------------------------------------------------------------------

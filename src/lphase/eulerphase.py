@@ -59,15 +59,12 @@ __all__ = [
     "oscillation_boundaries",
     "max_k_for_bound",
     "build_oscillation_ledger",
-    "ledger_signed_sum",
     "oscillation_mass_ratios",
     "level_check",
     "scan",
-    "spike_strips",
 ]
 
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
-_SPIKE_MADS = 6.0  # spike threshold in median absolute deviations above the median
 _MAX_LEDGER_ENTRIES = 10 ** 5  # each entry takes two Li quadratures and two prime sums
 # Li intervals [a, b] in u = log y are cut into panels with max(|z|, 1/a) (b - a) <= _GL_SPAN,
 # each integrated by the 20 Gauss-Legendre nodes and weights on [-1, 1] below (`_li_integral`):
@@ -112,10 +109,6 @@ class WindowParams:
     @property
     def half_width(self) -> float:
         return math.pi / math.log(self.p_star)
-
-    @property
-    def delta_t(self) -> float:
-        return 2.0 * math.pi / math.log(self.p_star)
 
 
 @dataclass
@@ -421,18 +414,6 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
                              k_max=k_max, entries=tuple(entries))
 
 
-def ledger_signed_sum(ledger: OscillationLedger) -> float:
-    """Reassemble the cosine estimator over the covered primes from the ledger.
-
-    Pure regrouping identity: summing 2*(minus - plus) prime masses in (k, h)
-    order reproduces `windowed_ratio_approx` restricted to the covered range.
-    """
-    total = 0.0
-    for e in ledger.entries:
-        total += 2.0 * (e.o_minus_sum - e.o_plus_sum)
-    return total
-
-
 @dataclass(frozen=True)
 class MassRatios:
     mixed: float   # plus masses at eps'' over minus masses at eps'
@@ -457,7 +438,7 @@ def oscillation_mass_ratios(ledger_ref: OscillationLedger,
 
 
 # --------------------------------------------------------------------------
-# level check, scans, spikes
+# level check and scans
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -495,28 +476,4 @@ def scan(chi: DirichletCharacter, eps: float, t_grid: np.ndarray, primes: PrimeT
     f = _kernel(estimator, eps, chi, primes, window)
     out.values[:] = [f(t) for t in t_grid.tolist()]
     return out
-
-
-def spike_strips(scan_result: PhaseScan) -> list[tuple[float, float]]:
-    """Excluded t strips around estimator excursions.
-
-    A grid point is flagged when |value| exceeds median + 6 * MAD of
-    |values|; each flag contributes a strip of half-width 2*pi/log(p_star),
-    and overlapping strips are merged.
-    """
-    absvals = np.abs(scan_result.values)
-    if absvals.size == 0:  # np.median warns on an empty array
-        return []
-    med = float(np.median(absvals))
-    mad = float(np.median(np.abs(absvals - med)))
-    flagged = scan_result.t_grid[absvals > med + _SPIKE_MADS * mad]
-    w = scan_result.window.delta_t
-    strips: list[tuple[float, float]] = []
-    for t in np.sort(flagged):
-        lo, hi = float(t - w), float(t + w)
-        if strips and lo <= strips[-1][1]:
-            strips[-1] = (strips[-1][0], hi)
-        else:
-            strips.append((lo, hi))
-    return strips
 

@@ -15,11 +15,10 @@ rest of the sum is a digamma difference plus a geometric Hurwitz-zeta series (`_
 `_log_gamma_grid` adds it to an n0-row head matrix, giving the limit, and log|Gamma| from
 the same head, to near machine precision.  The N-term sums add their first min(N, n0)
 terms as one sum in numpy's pairwise order over leaves of 8192 terms and the rest as the
-difference of two tails, in O(min(N, |t|)).  The limit of the t-derivative is Re psi(z)/2.
-The route is valid for all t.  Its special functions are float64 kernels on the Bernoulli
-table, with no scipy: the tails' Hurwitz zeta (`_hurwitz_zeta`) and digamma gap
-(`_psi_gap`), both memoized, complex digamma (`_digamma`) and log Gamma(1+a)
-(`_log_gamma_1p`).
+difference of two tails, in O(min(N, |t|)).  The route is valid for all t.  Its special
+functions are float64 kernels on the Bernoulli table, with no scipy: the tails' Hurwitz
+zeta (`_hurwitz_zeta`) and digamma gap (`_psi_gap`), both memoized, complex digamma
+(`_digamma`) and log Gamma(1+a) (`_log_gamma_1p`).
 
 Asymptotic route ("stirling"): ln Gamma(z+1) with z = (2*eps+2*alpha-3)/4 +
 i*t/2, expanded through a fixed Bernoulli series (the B_2 and B_4 terms; the
@@ -56,17 +55,11 @@ __all__ = [
     "gamma_phase",
     "gamma_log_abs",
     "gw_dphase_dt",
-    "gamma_dphase_dt",
     "prefactor_dphase_dt",
     "stirling_phase_main",
-    "stirling_phase_main_dt",
     "stirling_phase_correction",
-    "stirling_phase_correction_quadratic",
-    "stirling_phase_correction_dt",
     "stirling_phase_bernoulli",
-    "stirling_phase_bernoulli_dt",
     "stirling_phase",
-    "stirling_dphase_dt",
     "mixed_second_derivative",
     "find_t_cross",
 ]
@@ -112,10 +105,6 @@ class PrefactorParams:
             raise DomainError("alpha = 2 encodes the zeta case and requires q = 1")
         if self.q < 1:
             raise DomainError("modulus must be a positive integer")
-
-    @classmethod
-    def for_character(cls, chi) -> "PrefactorParams":
-        return cls(q=chi.q, alpha=chi.parity)
 
     @classmethod
     def for_alpha(cls, alpha: int, q: int | None = None) -> "PrefactorParams":
@@ -426,13 +415,6 @@ def _gw_mixed(s: SPoint, alpha: int, n_terms: int) -> float:
     return _gw_sum((a * a - v * v) / (4.0 * (a * a + v * v) ** 2), n_terms, v, terms, tail)
 
 
-def gamma_dphase_dt(t, eps: float, alpha: int) -> np.ndarray | float:
-    """Limit of `gw_dphase_dt`, vectorized over t: Re psi((s+alpha)/2) / 2."""
-    a, _ = _ab(SPoint(eps, 0.0), alpha)
-    out = 0.5 * _digamma(a + 0.5j * np.asarray(t, dtype=np.float64)).real
-    return out if np.ndim(t) else float(out)
-
-
 def prefactor_dphase_dt(s: SPoint, params: PrefactorParams,
                         n_terms: int = GW_DEFAULT_TERMS) -> float:
     """t-derivative of the full prefactor phase: log(q/pi)/2 plus the Gamma part."""
@@ -465,38 +447,14 @@ def _level(t: float, q: int) -> float:
     return 0.5 * math.log(abs(t) * q / (2.0 * math.pi)) if t != 0 else math.nan
 
 
-def stirling_phase_main_dt(t: float, params: PrefactorParams) -> float:
-    """d/dt of the growing part: log sqrt(t*q/(2*pi))."""
-    _require_positive_t(t)
-    return _level(t, params.q)
-
-
-def _correction_u(t: float, eps: float, alpha: int) -> tuple[float, float]:
-    # y = eps + alpha and u = (2y - 3)/(2t), the variables of the vanishing part
+def stirling_phase_correction(t: float, eps: float, alpha: int) -> float:
+    """Phase part that vanishes as t -> oo (exact closed form in y = eps + alpha and
+    u = (2y - 3)/(2t))."""
     if t == 0.0:
         raise DomainError("correction term is undefined at t = 0")
     y = eps + alpha
-    return y, (2.0 * y - 3.0) / (2.0 * t)
-
-
-def stirling_phase_correction(t: float, eps: float, alpha: int) -> float:
-    """Phase part that vanishes as t -> oo (exact closed form)."""
-    y, u = _correction_u(t, eps, alpha)
+    u = (2.0 * y - 3.0) / (2.0 * t)
     return (t / 4.0) * math.log1p(u * u) - ((2.0 * y - 1.0) / 4.0) * math.atan(u)
-
-
-def stirling_phase_correction_quadratic(t: float, eps: float, alpha: int) -> float:
-    """Large-t quadratic approximation of the vanishing part."""
-    y, u = _correction_u(t, eps, alpha)
-    return (t / 4.0) * u * u - ((2.0 * y - 1.0) / 4.0) * u
-
-
-def stirling_phase_correction_dt(t: float, eps: float, alpha: int) -> float:
-    """Analytic t-derivative of the vanishing part."""
-    y, u = _correction_u(t, eps, alpha)
-    one = 1.0 + u * u
-    return (0.25 * math.log1p(u * u) - u * u / (2.0 * one)
-            + (2.0 * y - 1.0) * u / (4.0 * t * one))
 
 
 def stirling_phase_bernoulli(t: float, eps: float, alpha: int) -> tuple[float, float]:
@@ -517,39 +475,16 @@ def stirling_phase_bernoulli(t: float, eps: float, alpha: int) -> tuple[float, f
     return val, bound
 
 
-def stirling_phase_bernoulli_dt(t: float, eps: float, alpha: int) -> float:
-    """Analytic t-derivative of the Bernoulli phase terms."""
-    _require_positive_t(t)
-    z = _stirling_z(t, eps, alpha)
-    fprime = 0.0 + 0.0j
-    for k in range(1, _STIRLING_K):
-        b = float(BERNOULLI[k - 1])
-        fprime += -b / (2 * k) * z ** (-2 * k)
-    return 0.5 * fprime.real
-
-
-def _check_stirling_t(t: float) -> None:
+def stirling_phase(t: float, eps: float, params: PrefactorParams) -> tuple[float, float]:
+    """(Total prefactor phase, its Bernoulli remainder bound) by the asymptotic route; t >= 0.5."""
     if t < T_STIRLING_MIN:
         raise DomainError(
             f"asymptotic route is unreliable below t = {T_STIRLING_MIN}; use the product route"
         )
-
-
-def stirling_phase(t: float, eps: float, params: PrefactorParams) -> tuple[float, float]:
-    """(Total prefactor phase, its Bernoulli remainder bound) by the asymptotic route; t >= 0.5."""
-    _check_stirling_t(t)
     bern, bound = stirling_phase_bernoulli(t, eps, params.alpha)
     total = (stirling_phase_main(t, eps, params)
              + stirling_phase_correction(t, eps, params.alpha) + bern)
     return total, bound
-
-
-def stirling_dphase_dt(t: float, eps: float, params: PrefactorParams) -> float:
-    """t-derivative of the total prefactor phase by the asymptotic route."""
-    _check_stirling_t(t)
-    return (stirling_phase_main_dt(t, params)
-            + stirling_phase_correction_dt(t, eps, params.alpha)
-            + stirling_phase_bernoulli_dt(t, eps, params.alpha))
 
 
 # --------------------------------------------------------------------------

@@ -42,23 +42,13 @@ from .arith import (
     primitive_inducer,
 )
 from .errors import DomainError, NumericalInstabilityError, ResourceLimitError
-from .gammaphase import (
-    BERNOULLI,
-    PrefactorParams,
-    _N_BERN,
-    _bisect,
-    _column_blocks,
-    _log_gamma_grid,
-    mixed_second_derivative,
-    prefactor_dphase_dt,
-)
+from .gammaphase import BERNOULLI, _N_BERN, _bisect, _column_blocks, _log_gamma_grid
 
 __all__ = [
     "LValue",
     "ZeroRecord",
     "l_eval",
     "l_on_grid",
-    "xi_eval",
     "xi_on_grid",
     "normalizer_phase",
     "eta_on_grid",
@@ -69,7 +59,6 @@ __all__ = [
     "eps_slope_on_grid",
     "reduction_identities",
     "find_zeros_on_line",
-    "sufficient_condition_check",
 ]
 
 
@@ -199,10 +188,6 @@ def xi_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.nd
     lnqpi = math.log(chi.q / math.pi)
     log_mod = log_abs + (0.5 + eps + alpha) / 2.0 * lnqpi
     return np.exp(log_mod + 1j * (phase + 0.5 * t * lnqpi)) * lvals
-
-
-def xi_eval(s: SPoint, chi: DirichletCharacter) -> complex:
-    return complex(xi_on_grid(chi, s.eps, np.array([s.t]))[0])
 
 
 @lru_cache
@@ -383,9 +368,9 @@ _GRID_POINTS = 10 ** 6  # most points of a t grid; 250 times the largest grid in
 
 
 def _uniform_grid(t_lo: float, t_hi: float, step: float) -> np.ndarray:
-    # np.arange(t_lo, t_hi + step/2, step) for t_lo < t_hi and step > 0, written so that a NaN
-    # fails too; refused past _GRID_POINTS points before allocating
-    if not (t_lo < t_hi and step > 0):
+    # np.arange(t_lo, t_hi + step/2, step) for finite t_lo < t_hi and step > 0, written so
+    # that a NaN fails too; refused past _GRID_POINTS points before allocating
+    if not (t_lo < t_hi and step > 0 and all(map(math.isfinite, (t_lo, t_hi, step)))):
         raise DomainError(f"a t grid needs t_min < t_max and a positive step, got "
                           f"[{t_lo}, {t_hi}] at step {step}")
     stop = t_hi + step / 2.0
@@ -442,20 +427,3 @@ def find_zeros_on_line(chi: DirichletCharacter, t_lo: float, t_hi: float,
     records.sort(key=lambda r: r.bracket[0])
     return records
 
-
-_SUFFICIENT_TERMS = 2 * 10 ** 5  # product-route terms of both sufficient-condition derivatives
-
-
-def sufficient_condition_check(chi: DirichletCharacter, t: float) -> bool:
-    """Both odd-character positivity conditions at (t, eps=0).
-
-    True when the prefactor-phase t-derivative and its eps-derivative are
-    simultaneously positive, so the positivity argument applies locally.
-    """
-    _require_primitive(chi)
-    if chi.parity != 1:
-        raise DomainError("the sufficient condition applies to odd characters")
-    params = PrefactorParams.for_character(chi)
-    if prefactor_dphase_dt(SPoint(0.0, t), params, _SUFFICIENT_TERMS) <= 0.0:
-        return False
-    return mixed_second_derivative(t, 1, n_terms=_SUFFICIENT_TERMS) > 0.0

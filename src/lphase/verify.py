@@ -6,11 +6,20 @@ CriterionResult; `run_acceptance` executes a selection and reports one
 PASS/FAIL line per criterion.  The same functions back the pytest
 acceptance module and the ``lphase verify`` command.
 
-Three reference brackets (the mixed-derivative crossing window, the
-sufficient-condition crossings for q = 3 and q = 4, and the t = 20 level
-bracket) come from tabulated readings that carry coarse-step bias; exact
-evaluation lands just outside them.  The checks are implemented as stated
-and report FAIL honestly rather than widening the brackets.
+Three criteria fail against their tabulated brackets.  The checks are
+implemented as stated and report FAIL rather than widening the brackets:
+
+- Criteria 4 and 5 print the roots of closed forms, and the brackets exclude
+  those roots.  As N -> oo the alpha = 0 mixed derivative is
+  Re psi'(1/4 + it/2)/4, whose root 0.5887966 lies outside (0.585, 0.588).
+  The odd prefactor-phase t-derivative is Re psi(3/4 + it/2)/2 + log(q/pi)/2,
+  whose roots for q = 3 and 4, 2.1062054 and 1.5638816, lie outside 2.0 and
+  1.5 +/- 0.05.  Each printed crossing is within its bisection's width of the
+  root (tests/test_acceptance.py checks them against mpmath).
+- Criterion 11's target -1.128 is the L side: the change of arg L over the
+  window t +/- pi/log p* divided by its width.  The windowed ratio is the same
+  change for the partial Euler product at eps = 0, and at p_max = 1e6 it reads
+  -1.5267.  ROADMAP.md's State gives the readings at the other cutoffs.
 """
 
 from __future__ import annotations

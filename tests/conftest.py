@@ -51,15 +51,10 @@ def rng():
 
 @pytest.fixture(scope="session")
 def ref_mixed():
-    """mixed(t, alpha, route, n_terms): the eps-difference Richardson ladder of the
-    prefactor-phase t-derivative, written out, on the product ("gw", n_terms terms) or
-    the asymptotic ("stirling") route."""
-    def mixed(t, alpha, route, n_terms=10 ** 5):
-        if route == "gw":
-            f = lambda e: gp.gw_dphase_dt(SPoint(e, t), alpha, n_terms)
-        else:
-            params = gp.PrefactorParams.for_alpha(alpha)
-            f = lambda e: gp.stirling_dphase_dt(t, e, params)
+    """mixed(t, alpha, n_terms): the eps-difference Richardson ladder of the product route's
+    n_terms-term prefactor-phase t-derivative, written out."""
+    def mixed(t, alpha, n_terms=10 ** 5):
+        f = lambda e: gp.gw_dphase_dt(SPoint(e, t), alpha, n_terms)
         h = max(1e-5, 1e-4 * t)
         d = []
         scale = 1.0

@@ -57,7 +57,7 @@ def test_mod8_brute_force_all_sign_maps_arise():
 
 
 def test_multiplicativity_exact_random_pairs(rng):
-    # every pair of units on the integer log-index (exact), and random pairs on turn()
+    # every pair of units on the integer log-index (exact), and random pairs one at a time
     for q in range(1, 51):
         units = np.array([n for n in range(1, q + 1) if gcd(n, q) == 1]) % q
         prod = np.multiply.outer(units, units) % q
@@ -65,14 +65,15 @@ def test_multiplicativity_exact_random_pairs(rng):
             k, ku = chi.k, chi.k[units]
             assert np.array_equal(k[prod], (ku[:, None] + ku[None, :]) % chi.m)
             for a, b in rng.choice(units, size=(20, 2)).tolist():
-                assert chi.turn(a * b % q) == (chi.turn(a) + chi.turn(b)) % 1
+                assert k[a * b % q] == (k[a] + k[b]) % chi.m
 
 
 def test_periodicity_and_modulus():
     for q in (5, 8, 12):
         for chi in arith.enumerate_characters(q):
             for n in range(1, 2 * q):
-                assert chi.turn(n + q) == chi.turn(n)
+                assert chi.value(n + q) == chi.value(n)
+                assert (chi.k[n % q] >= 0) == (gcd(n, q) == 1)
                 if gcd(n, q) == 1:
                     assert abs(abs(chi.value(n)) - 1.0) < 1e-15
                 else:
@@ -82,9 +83,9 @@ def test_periodicity_and_modulus():
 def test_parity_matches_value_at_minus_one():
     for q in (3, 4, 5, 7, 8, 9, 12, 15):
         for chi in arith.enumerate_characters(q):
-            turn = chi.turn(q - 1)
-            assert turn in (Fraction(0), Fraction(1, 2))
-            assert chi.parity == (0 if turn == 0 else 1)
+            k = int(chi.k[q - 1])  # chi(-1) = +-1: k is 0 or m/2
+            assert 2 * k % chi.m == 0
+            assert chi.parity == (0 if k == 0 else 1)
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def _conductor_oracle(chi):
             if gcd(m, q) != 1:
                 continue
             for n in range(m, q + 1, d):
-                if gcd(n, q) == 1 and chi.turn(m) != chi.turn(n):
+                if gcd(n, q) == 1 and chi.k[m % q] != chi.k[n % q]:
                     ok = False
                     break
             if not ok:
@@ -134,8 +135,8 @@ def test_q9_character_induced_from_mod3():
     assert len(induced) == 1 and not induced[0].is_primitive
     psi = arith.primitive_inducer(induced[0])
     assert psi.q == 3 and psi.parity == 1
-    for n in (1, 2, 4, 5, 7, 8):
-        assert psi.turn(n) == induced[0].turn(n)
+    for n in (1, 2, 4, 5, 7, 8):  # equal turns k/m, compared across the two exponents m
+        assert psi.k[n % 3] * induced[0].m == induced[0].k[n] * psi.m
 
 
 def test_bad_modulus_rejected():
@@ -208,18 +209,6 @@ def test_gauss_sum_bit_identical_to_integer_comprehension(q, gauss_comprehension
     for chi in arith.enumerate_characters(q):
         tau, ref = arith.gauss_sum(chi), gauss_comprehension(chi)
         assert (tau.real.hex(), tau.imag.hex()) == (ref.real.hex(), ref.imag.hex()), chi.index
-
-
-def test_phase_sum_reduced():
-    chars5 = arith.enumerate_characters(5)
-    assert abs(arith.phase_sum_reduced(chars5[2])) < 1e-12  # 1 - 1 - 1 + 1
-    for q in range(1, 31):
-        for chi in arith.enumerate_characters(q):
-            s = arith.phase_sum_reduced(chi)
-            if chi.is_principal:
-                assert s == pytest.approx(arith.euler_phi(q))
-            else:
-                assert abs(s) < 1e-12
 
 
 def test_conjugate_character(chi5_odd):

@@ -104,27 +104,31 @@ def test_gw_dphase_large_t_asymptote():
     assert abs(val - 0.5 * math.log(t * q / (2 * math.pi))) < 1e-3
 
 
+def _dphase_dt_limit(t, eps, alpha):
+    # the limit of gw_dphase_dt, Re psi((s+alpha)/2) / 2, from the complex digamma kernel
+    return 0.5 * gp._digamma((0.5 + eps + alpha) / 2.0 + 0.5j * np.asarray(t)).real
+
+
 def test_gw_dphase_matches_digamma():
     for t, eps, alpha in ((3.0, 0.0, 1), (11.0, -0.2, 0), (27.0, 0.2, 2)):
         ref = float(0.5 * mp.re(mp.digamma((0.5 + eps + alpha + 1j * t) / 2)))
         got = gp.gw_dphase_dt(SPoint(eps, t), alpha, 10 ** 6)
         assert got == pytest.approx(ref, abs=3e-6)
-        lim = gp.gamma_dphase_dt(t, eps, alpha)
+        lim = _dphase_dt_limit(t, eps, alpha)
         assert lim == pytest.approx(ref, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2])
 @pytest.mark.parametrize("eps", [-0.3, 0.0, 0.4])
 def test_gamma_dphase_dt_matches_digamma_oracle(alpha, eps):
+    # the Gamma phase's t-derivative in the limit N -> oo, over an array of t
     t = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(-50.0, 2000.0, 83)])
-    got = gp.gamma_dphase_dt(t, eps, alpha)
+    got = _dphase_dt_limit(t, eps, alpha)
     assert got.dtype == np.float64 and got.shape == t.shape
     with mp.workdps(40):
         ref = [float(mp.re(mp.digamma(mp.mpc(0.5 + eps + alpha, tt) / 2)) / 2) for tt in t]
     for tt, g, r in zip(t, got, ref, strict=True):
         assert abs(g - r) <= 5e-15 * max(1.0, abs(r)), tt
-    assert type(gp.gamma_dphase_dt(float(t[5]), eps, alpha)) is float
-    assert gp.gamma_dphase_dt(float(t[5]), eps, alpha) == got[5]
 
 
 # one-block np.sum formulas of the product route: the reference the blocked
@@ -463,9 +467,8 @@ def test_main_term_derivative_against_finite_difference():
     t, h = 10.0, 1e-5
     fd = (gp.stirling_phase_main(t + h, 0.0, params)
           - gp.stirling_phase_main(t - h, 0.0, params)) / (2 * h)
-    assert abs(fd - gp.stirling_phase_main_dt(t, params)) < 1e-8
-    assert gp.stirling_phase_main_dt(t, params) == pytest.approx(
-        0.5 * math.log(t * 5 / (2 * math.pi)), abs=1e-15)
+    assert abs(fd - gp._level(t, 5)) < 1e-8
+    assert gp._level(t, 5) == pytest.approx(0.5 * math.log(t * 5 / (2 * math.pi)), abs=1e-15)
 
 
 def test_main_term_linear_in_eps_plus_alpha():
@@ -488,39 +491,10 @@ def test_correction_vanishes_at_large_t():
     assert vals[2] < 2e-4  # decays like 1/(4t)
 
 
-def test_correction_quadratic_mixed_derivative_three_cases():
-    # central differences of the quadratic form give the pure 1/(4t^2) pattern
-    t, h = 10.0, 1e-4
-    for alpha, ref in ((2, 0.0075), (1, 0.0025), (0, -0.0025)):
-        def dt_of(eps):
-            g = 1e-6
-            return (gp.stirling_phase_correction_quadratic(t + g, eps, alpha)
-                    - gp.stirling_phase_correction_quadratic(t - g, eps, alpha)) / (2 * g)
-        mixed = (dt_of(h) - dt_of(-h)) / (2 * h)
-        assert mixed == pytest.approx(ref, abs=1e-6)
-
-
-def test_correction_dt_analytic_vs_finite_difference():
-    for t, eps, alpha in ((3.0, 0.1, 1), (0.7, -0.1, 0), (25.0, 0.0, 2)):
-        h = 1e-6 * max(t, 1.0)
-        fd = (gp.stirling_phase_correction(t + h, eps, alpha)
-              - gp.stirling_phase_correction(t - h, eps, alpha)) / (2 * h)
-        assert fd == pytest.approx(gp.stirling_phase_correction_dt(t, eps, alpha),
-                                   abs=1e-9)
-
-
 def test_bernoulli_leading_behavior():
     val, bound = gp.stirling_phase_bernoulli(100.0, 0.0, 1)
     assert val == pytest.approx(-1.0 / 600.0, rel=0.02)
     assert bound > 0
-
-
-def test_bernoulli_mixed_derivative_negligible():
-    for t in (5.0, 10.0, 20.0):
-        h = 1e-4
-        fd = (gp.stirling_phase_bernoulli_dt(t, h, 1)
-              - gp.stirling_phase_bernoulli_dt(t, -h, 1)) / (2 * h)
-        assert abs(fd) < 0.1 / (4 * t * t)
 
 
 def test_bernoulli_bound_decreasing_in_t():
@@ -533,8 +507,6 @@ def test_stirling_route_refuses_small_t():
     params = gp.PrefactorParams.for_alpha(1, 3)
     with pytest.raises(DomainError):
         gp.stirling_phase(0.3, 0.0, params)
-    with pytest.raises(DomainError):
-        gp.stirling_dphase_dt(0.2, 0.0, params)
 
 
 def test_route_agreement_sample_point():
@@ -565,13 +537,11 @@ def test_route_agreement_band():
 # mixed second derivative
 # --------------------------------------------------------------------------
 
-def test_mixed_derivative_three_cases_both_routes(ref_mixed):
+def test_mixed_derivative_three_cases_both_routes():
+    # 3/(4t^2), 1/(4t^2), -1/(4t^2) at t = 10; the trigamma oracle test below is the second route
     for alpha, num in ((2, 3.0), (1, 1.0), (0, -1.0)):
-        ref = num / 400.0
-        stirl = ref_mixed(10.0, alpha, "stirling")
         prod = gp.mixed_second_derivative(10.0, alpha, n_terms=10 ** 5)
-        assert stirl == pytest.approx(ref, rel=0.02)
-        assert prod == pytest.approx(stirl, abs=2e-5)
+        assert prod == pytest.approx(num / 400.0, rel=0.02)
 
 
 def test_mixed_derivative_matches_trigamma_oracle():
@@ -593,7 +563,7 @@ def test_mixed_derivative_within_ladder_tolerance(ref_mixed):
     # 0.5888, where the value is 1e-5 and the absolute term carries the bound
     for alpha in (0, 1, 2):
         for t in (0.55, 0.5888, 0.6, 1.0, 3.7, 10.0, 20.0, 50.0, 99.5):
-            ref = ref_mixed(t, alpha, "gw", 10 ** 5)
+            ref = ref_mixed(t, alpha, 10 ** 5)
             got = gp.mixed_second_derivative(t, alpha, 10 ** 5)
             assert abs(got - ref) <= 1e-6 * abs(ref) + 1e-10
 

@@ -149,7 +149,7 @@ def test_stored_gauss_legendre_rule():
     (q, t, p_max) for q in (3, 5) for t in (5.0, 10.0) for p_max in (10 ** 5, 10 ** 6)])
 def test_class_li_combination_against_oracle(q, t, p_max):
     # each class's term of the combination over [2, p_max]; the terms cancel to 0 over the
-    # classes (`arith.phase_sum_reduced`), so each is checked on its own
+    # classes (the character values sum to 0 over the units), so each is checked on its own
     chi = _CHARS[q]
     lnps = math.log(float(p_max))
     pieces = math.ceil(t * math.log(p_max / 2.0) / math.pi)  # one per half-turn
