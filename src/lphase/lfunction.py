@@ -6,6 +6,9 @@ by one Euler-Maclaurin pass over all unit classes (head sums, integral and
 half terms, Bernoulli corrections, explicit remainder estimate); zeta(s) is
 L(s, chi mod 1).  This is accurate to ~1e-13 relative over the desk-scale
 window |t| <= 100 and is valid throughout the strip for non-principal characters.
+The class rows do not depend on the character, so a tuple of characters of one
+modulus takes one pass per grid, which gives one row per character with the bits
+of a call with that character alone.
 The head sums run over column blocks of at most `gammaphase._HEAD_CELLS` cells,
 as the Gamma head does, so a grid needs memory for one block plus
 O(classes x points), never a whole (head, points) matrix.
@@ -13,7 +16,9 @@ O(classes x points), never a whole (head, points) matrix.
 The completed function
     xi(s, chi) = (q/pi)^((s+alpha)/2) Gamma((s+alpha)/2) L(s, chi)
 takes its Gamma modulus and phase from one call of the product-route kernel
-`gammaphase._log_gamma_grid` (one head matrix for both).  The rotation
+`gammaphase._log_gamma_grid` (one head matrix for both), once per parity present
+when xi, eta, the angular momentum or the eps-slope is taken for such a tuple.
+The rotation
     eta = exp(i/2 * angle(i^alpha sqrt(q) / tau(chi))) * xi
 is real on the critical line for primitive characters, with the zeros and signs of Hardy's
 Z = eta / |G|, G = (q/pi)^((s+alpha)/2) Gamma((s+alpha)/2); the sign changes of Z locate the
@@ -75,21 +80,44 @@ def _em_head(t_max: float) -> int:
     return max(24, int(t_max) + 40)
 
 
-def _l_values(chi: DirichletCharacter, svals: np.ndarray) -> tuple[np.ndarray, float]:
-    """L(s, chi) over complex s, and a remainder estimate, in one Euler-Maclaurin pass.
+def _one_modulus(chi) -> tuple[DirichletCharacter, ...]:
+    """chi as a tuple of characters: one character, or a non-empty tuple of one modulus."""
+    chis = chi if isinstance(chi, tuple) else (chi,)
+    if not chis or len({c.q for c in chis}) > 1:
+        raise DomainError("a tuple of characters needs at least one, all of one modulus")
+    return chis
 
-    Each unit class r gets zeta(s, r/q): a head sum over n < n_head, one class at a time
-    in the column blocks of `gammaphase._column_blocks`, written into a (classes, points)
-    array (each column is summed as in the whole (n_head, points) matrix), then integral,
-    half and Bernoulli terms at w = n_head + r/q as (classes, points) arrays; the pole
-    series and the Pochhammer ladder are built once.  A non-principal character drops the
-    pole 1/(s-1) from every class, keeping s = 1 finite; the dropped parts sum to zero.
-    A class's estimate is its first dropped Bernoulli term times |s+2K+1| / (sigma+2K+1),
-    maximized over s; the classes' estimates are summed and scaled by q^(-sigma).
+
+def _rows(chi, rows):
+    """rows as given for a tuple of characters, its row 0 for one character."""
+    return rows if isinstance(chi, tuple) else rows[0]
+
+
+def _l_values(chis: tuple[DirichletCharacter, ...],
+              svals: np.ndarray) -> tuple[np.ndarray, float]:
+    """L(s, chi) over complex s, one row per character of one modulus, and one remainder
+    estimate, in one Euler-Maclaurin pass.
+
+    Each unit class r gets zeta(s, r/q) once for all the characters: a head sum over
+    n < n_head, one class at a time in the column blocks of `gammaphase._column_blocks`,
+    written into a (classes, points) array (each column is summed as in the whole
+    (n_head, points) matrix), then integral, half and Bernoulli terms at w = n_head + r/q as
+    (classes, points) arrays; the pole series and the Pochhammer ladder are built once.  The
+    class rows are summed in ascending class order as total += (chi(r) per character, a
+    column) x (class row r), so each row has the bits of a call with its character alone.
+    A non-principal character drops the pole 1/(s-1) from every class, keeping s = 1 finite;
+    the dropped parts sum to zero.  A principal character keeps the pole, so it is evaluated
+    alone.  A class's estimate is its first dropped Bernoulli term times
+    |s+2K+1| / (sigma+2K+1), maximized over s; the classes' estimates are summed and scaled
+    by q^(-sigma), the same for every character.
     """
+    chis = _one_modulus(chis)
+    chi = chis[0]
+    if len(chis) > 1 and any(c.is_principal for c in chis):
+        raise DomainError("a principal character keeps the pole, so it is evaluated alone")
     s = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
     if not s.size:
-        return s, 0.0
+        return np.zeros((len(chis), 0), dtype=np.complex128), 0.0
     nh = _em_head(float(np.max(np.abs(s.imag))))
     q = chi.q
     units = [r for r in range(1, q + 1) if chi.k[r % q] >= 0]  # r = q only for q = 1 (a = 1)
@@ -123,12 +151,15 @@ def _l_values(chi: DirichletCharacter, svals: np.ndarray) -> tuple[np.ndarray, f
     next_term = np.abs(_BERN_FACT[_N_BERN] * poch * w_pow)
     sigma = float(np.min(s.real))
     inflate = (np.max(np.abs(s)) + 2 * _N_BERN + 1) / max(sigma + 2 * _N_BERN + 1, 1.0)
-    total = np.zeros_like(s)
-    for r, z in zip(units, out):  # classes in ascending order
-        total += chi.value(r) * z
+    # every product below is of 2-D operands: at one point numpy can round a (1, 1) x (1,)
+    # product differently from the (1,) x (1,) one of the single-character code
+    values = np.array([[c.value(r) for c in chis] for r in units])[:, :, None]
+    total = np.zeros((len(chis), s.size), dtype=np.complex128)
+    for column, z in zip(values, out[:, None, :]):  # classes in ascending order
+        total += column * z
     err = sum(float(e) * inflate for e in np.max(next_term, axis=1))
     scale = np.exp(-s * math.log(q)) if q > 1 else np.ones_like(s)
-    return scale * total, err * float(q) ** -sigma
+    return scale[None, :] * total, err * float(q) ** -sigma
 
 
 @dataclass(frozen=True)
@@ -154,56 +185,64 @@ def l_eval(s: SPoint, chi: DirichletCharacter) -> LValue:
     elif s.eps <= -0.5:
         raise DomainError("L-series evaluation requires Re(s) > 0")
 
-    vals, err = _l_values(chi, np.array([s.s]))
+    vals, err = _l_values((chi,), np.array([s.s]))
     if err > _L_TOL:
         raise NumericalInstabilityError(f"L remainder estimate {err:.3e} exceeds tol = {_L_TOL:.3e}")
-    return LValue(s=s, chi=chi, value=complex(vals[0]), abs_err_estimate=float(err))
+    return LValue(s=s, chi=chi, value=complex(vals[0, 0]), abs_err_estimate=float(err))
 
 
 def l_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.ndarray:
-    """Vectorized L(1/2+eps+it, chi) over a t grid; the principal character only for eps > 1/2."""
+    """Vectorized L(1/2+eps+it, chi) over a t grid, row 0 of `_l_values((chi,), s)`; the
+    principal character only for eps > 1/2."""
     if chi.is_principal and eps <= 0.5:
         raise DomainError("principal character inside the strip has a pole-bearing L")
     s = 0.5 + eps + 1j * np.asarray(t_grid, dtype=np.float64)
-    vals, _ = _l_values(chi, s)
-    return vals
+    return _l_values((chi,), s)[0][0]
 
 
 # --------------------------------------------------------------------------
 # completed function and its real rotation
 # --------------------------------------------------------------------------
 
-def _require_primitive(chi: DirichletCharacter) -> None:
-    if chi.is_principal or not chi.is_primitive:
+def _primitive(chi) -> tuple[DirichletCharacter, ...]:
+    """`_one_modulus(chi)`, each a primitive non-principal character (else DomainError)."""
+    chis = _one_modulus(chi)
+    if any(c.is_principal or not c.is_primitive for c in chis):
         raise DomainError("completed function requires a primitive non-principal character")
+    return chis
 
 
-def xi_on_grid(chi: DirichletCharacter, eps: float, t_grid: np.ndarray) -> np.ndarray:
-    """xi(1/2+eps+it, chi) over a t grid; entire in s."""
-    _require_primitive(chi)
+def xi_on_grid(chi, eps: float, t_grid: np.ndarray) -> np.ndarray:
+    """xi(1/2+eps+it, chi) over a t grid; entire in s.  chi is one primitive character, or a
+    tuple of them of one modulus, which gives one row per character from one `_l_values`
+    pass and one Gamma head per parity present."""
+    chis = _primitive(chi)
     t = np.asarray(t_grid, dtype=np.float64)
-    alpha = chi.parity
-    log_abs, phase = _log_gamma_grid(t, eps, alpha)  # first: its head refuses a smaller |t|
-    lvals = l_on_grid(chi, eps, t)
-    lnqpi = math.log(chi.q / math.pi)
-    log_mod = log_abs + (0.5 + eps + alpha) / 2.0 * lnqpi
-    return np.exp(log_mod + 1j * (phase + 0.5 * t * lnqpi)) * lvals
+    lnqpi = math.log(chis[0].q / math.pi)
+    factor = {}
+    for alpha in sorted({c.parity for c in chis}):  # first: a Gamma head refuses a smaller |t|
+        log_abs, phase = _log_gamma_grid(t, eps, alpha)
+        log_mod = log_abs + (0.5 + eps + alpha) / 2.0 * lnqpi
+        factor[alpha] = np.exp(log_mod + 1j * (phase + 0.5 * t * lnqpi))
+    lvals, _ = _l_values(chis, 0.5 + eps + 1j * t)
+    return _rows(chi, np.array([factor[c.parity] for c in chis]) * lvals)
 
 
 @lru_cache
 def normalizer_phase(chi: DirichletCharacter) -> float:
     """Half the principal-value angle of i^alpha sqrt(q) / tau(chi), cached per character."""
-    _require_primitive(chi)
+    _primitive(chi)
     w = (1j ** chi.parity) * math.sqrt(chi.q) / gauss_sum(chi)
     return 0.5 * math.atan2(w.imag, w.real)
 
 
-def eta_on_grid(chi: DirichletCharacter, eps: float,
-                t_grid: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rotated completion eta over a t grid; real up to noise when eps = 0."""
-    half = normalizer_phase(chi)
-    rot = complex(math.cos(half), math.sin(half))
-    return rot * xi_on_grid(chi, eps, t_grid), half
+def eta_on_grid(chi, eps: float, t_grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rotated completion eta over a t grid, and its `normalizer_phase`; real up to noise when
+    eps = 0.  A tuple of characters (as in `xi_on_grid`) gives a row and a phase for each."""
+    chis = _primitive(chi)
+    halves = tuple(normalizer_phase(c) for c in chis)
+    rot = np.array([[complex(math.cos(h), math.sin(h))] for h in halves])
+    return _rows(chi, rot * xi_on_grid(chis, eps, t_grid)), _rows(chi, halves)
 
 
 def _z_on_grid(chi: DirichletCharacter, t_grid: np.ndarray) -> np.ndarray:
@@ -244,18 +283,18 @@ def _five_point(y, h: float):
     return y[2], dp, dpp
 
 
-def _ang_mom_ladder(chi: DirichletCharacter, eps: float, t: np.ndarray):
+def _ang_mom_ladder(chi, eps: float, t: np.ndarray):
     """Re xi * d_t Im xi - Im xi * d_t Re xi at steps _DT and _DT/2, and
-    |xi(t)|^2 + |xi(t+_DT)|^2 as its scale."""
+    |xi(t)|^2 + |xi(t+_DT)|^2 as its scale; rows per character for a tuple (`xi_on_grid`)."""
     xm, xm2, xc, xp2, xp = _stencil(lambda u: xi_on_grid(chi, eps, u), t, _DT)
     det = lambda lo, hi, h: (xc.real * ((hi.imag - lo.imag) / (2.0 * h))
                              - xc.imag * ((hi.real - lo.real) / (2.0 * h)))
     return det(xm, xp, _DT), det(xm2, xp2, _DT / 2), np.abs(xc) ** 2 + np.abs(xp) ** 2
 
 
-def angular_momentum_on_grid(chi: DirichletCharacter, eps: float,
-                             t_grid: np.ndarray) -> np.ndarray:
-    """Re xi * d_t Im xi - Im xi * d_t Re xi over a grid (Richardson in the t step)."""
+def angular_momentum_on_grid(chi, eps: float, t_grid: np.ndarray) -> np.ndarray:
+    """Re xi * d_t Im xi - Im xi * d_t Re xi over a grid (Richardson in the t step); one row
+    per character for a tuple of characters (`xi_on_grid`)."""
     l_h, l_h2, _ = _ang_mom_ladder(chi, eps, np.asarray(t_grid, dtype=np.float64))
     return _richardson(l_h, l_h2)
 
@@ -299,8 +338,9 @@ def angular_momentum_eps_slope(t: float, chi: DirichletCharacter) -> EpsSlopeRes
     return EpsSlopeResult(t=t, value=value, cross_check=(lm_d - lm_0) / _EPS_STEP, eta=y)
 
 
-def eps_slope_on_grid(chi: DirichletCharacter, t_grid: np.ndarray) -> np.ndarray:
-    """(eta')^2 - eta*eta'' on a grid (vectorized, fixed stencil)."""
+def eps_slope_on_grid(chi, t_grid: np.ndarray) -> np.ndarray:
+    """(eta')^2 - eta*eta'' on a grid (vectorized, fixed stencil); one row per character for a
+    tuple of characters (`xi_on_grid`)."""
     y, dp, dpp = _five_point(_stencil(lambda u: eta_on_grid(chi, 0.0, u)[0].real,
                                       np.asarray(t_grid, dtype=np.float64), _DT), _DT)
     return dp * dp - y * dpp

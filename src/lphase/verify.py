@@ -172,12 +172,13 @@ def _c6_route_agreement(c: _Check) -> None:
 def _c7_eta_realness_and_level(c: _Check) -> None:
     grid = np.arange(0.5, 20.0001, 0.1)
     for q in (3, 4, 5, 7):
-        for chi in _odd_primitive(q):
-            eta, _ = lf.eta_on_grid(chi, 0.0, grid)
+        chis = tuple(_odd_primitive(q))  # one Hurwitz pass and one Gamma head per modulus
+        etas, _ = lf.eta_on_grid(chis, 0.0, grid)
+        lms = lf.angular_momentum_on_grid(chis, 0.0, grid)
+        for chi, eta, lm in zip(chis, etas, lms):
             realness = float(np.max(np.abs(eta.imag) / np.maximum(np.abs(eta), 1e-12)))
             c.expect(f"q={q} chi{chi.index}: max |Im eta|/|eta| = {realness:.2e} < 1e-7",
                      realness < 1e-7)
-            lm = lf.angular_momentum_on_grid(chi, 0.0, grid)
             ratio = float(np.max(np.abs(lm) / (np.abs(eta) ** 2 * (1.0 + np.log(grid)))))
             c.expect(f"q={q} chi{chi.index}: max |L|/(|xi|^2 (1+log t)) = {ratio:.2e} < 1e-6",
                      ratio < 1e-6)
@@ -198,8 +199,8 @@ def _c8_slope_identity(c: _Check) -> None:
 def _c9_positivity(c: _Check) -> None:
     grid = np.arange(0.5, 30.0001, 0.05)
     for q in (3, 4, 5, 7, 8, 9):
-        for chi in _odd_primitive(q):
-            vals = lf.eps_slope_on_grid(chi, grid)
+        chis = tuple(_odd_primitive(q))
+        for chi, vals in zip(chis, lf.eps_slope_on_grid(chis, grid)):
             mn = float(np.min(vals))
             c.expect(f"q={q} chi{chi.index}: min (eta')^2 - eta*eta'' = {mn:.3e} > 0", mn > 0.0)
 

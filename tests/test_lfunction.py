@@ -101,19 +101,23 @@ def test_l_values_against_mpmath(chi3, chi5_odd):
         assert abs(got - ref) < 1e-12 * (1 + abs(ref))
 
 
-@pytest.mark.parametrize("run, dtype", [
-    (lambda chi, t: gammaphase.gamma_phase(t, 0.0, chi.parity), np.float64),
-    (lambda chi, t: gammaphase.gamma_log_abs(t, 0.0, chi.parity), np.float64),
-    (lambda chi, t: lf.l_on_grid(chi, 0.0, t), np.complex128),
-    (lambda chi, t: lf.xi_on_grid(chi, 0.0, t), np.complex128),
-    (lambda chi, t: lf.eta_on_grid(chi, 0.0, t)[0], np.complex128),
-    (lambda chi, t: lf.eps_slope_on_grid(chi, t), np.float64),
-    (lambda chi, t: lf.angular_momentum_on_grid(chi, 0.0, t), np.float64),
+@pytest.mark.parametrize("run, dtype, rows", [
+    (lambda chi, t: gammaphase.gamma_phase(t, 0.0, chi.parity), np.float64, False),
+    (lambda chi, t: gammaphase.gamma_log_abs(t, 0.0, chi.parity), np.float64, False),
+    (lambda chi, t: lf.l_on_grid(chi, 0.0, t), np.complex128, False),
+    (lambda chi, t: lf.xi_on_grid(chi, 0.0, t), np.complex128, True),
+    (lambda chi, t: lf.eta_on_grid(chi, 0.0, t)[0], np.complex128, True),
+    (lambda chi, t: lf.eps_slope_on_grid(chi, t), np.float64, True),
+    (lambda chi, t: lf.angular_momentum_on_grid(chi, 0.0, t), np.float64, True),
 ], ids=["gamma_phase", "gamma_log_abs", "l_on_grid", "xi_on_grid",
         "eta_on_grid", "eps_slope_on_grid", "angular_momentum_on_grid"])
-def test_empty_grid_gives_empty_result(run, dtype, chi5_odd):
+def test_empty_grid_gives_empty_result(run, dtype, rows, chi5_odd):
     out = run(chi5_odd, np.array([]))
     assert out.shape == (0,) and out.dtype == dtype
+    if rows:  # a tuple of characters (both parities mod 5) gives one empty row each
+        chis = tuple(c for c in enumerate_characters(5) if not c.is_principal)
+        out = run(chis, np.array([]))
+        assert out.shape == (3, 0) and out.dtype == dtype
 
 
 # --------------------------------------------------------------------------
@@ -159,7 +163,7 @@ def test_xi_real_axis_symmetry(chi5_real):
     assert abs(a - b.conjugate()) < 1e-12 * abs(a)
 
 
-def test_xi_requires_primitive():
+def test_xi_requires_primitive(monkeypatch):
     calls = [lambda chi: _xi(SPoint(0.0, 1.0), chi),
              lambda chi: lf.eta_on_grid(chi, 0.0, np.array([1.0])),
              lambda chi: lf.eps_slope_on_grid(chi, np.array([1.0])),
@@ -170,6 +174,59 @@ def test_xi_requires_primitive():
             call(enumerate_characters(3)[0])
         with pytest.raises(DomainError):
             call(enumerate_characters(9)[3])  # induced, not primitive
+
+    # a tuple is one modulus, not empty, and (for xi and eta) primitive non-principal only;
+    # it is refused before any head is built
+    def no_head(*args):
+        raise AssertionError("a head was built for a refused tuple")
+    monkeypatch.setattr(lf, "_log_gamma_grid", no_head)
+    monkeypatch.setattr(lf, "_column_blocks", no_head)
+    chi5, chi9 = enumerate_characters(5), enumerate_characters(9)
+    empty, mixed = (), (chi5[1], enumerate_characters(7)[1])
+    principal, induced = (chi5[1], chi5[0]), (chi9[1], chi9[3])
+    t = np.array([1.0, 2.0])
+    calls = [lambda c: lf.xi_on_grid(c, 0.0, t), lambda c: lf.eta_on_grid(c, 0.0, t),
+             lambda c: lf.eps_slope_on_grid(c, t), lambda c: lf.angular_momentum_on_grid(c, 0.0, t)]
+    for call in calls:
+        for chis in (empty, mixed, principal, induced):
+            with pytest.raises(DomainError):
+                call(chis)
+    # the L kernel takes an induced character, and a principal one alone (l_eval, eps > 1/2)
+    for chis in (empty, mixed, principal):
+        with pytest.raises(DomainError):
+            lf._l_values(chis, 2.0 + 1j * t)
+
+
+_C7_GRID, _C9_GRID = np.arange(0.5, 20.0001, 0.1), np.arange(0.5, 30.0001, 0.05)
+
+
+@pytest.mark.parametrize("q_range", [range(3, 17), range(17, 31)], ids=["q3-16", "q17-30"])
+def test_character_tuple_rows_are_single_calls(q_range):
+    # every primitive non-principal chi with q <= 30, grouped by modulus and parity, on the
+    # grids of criteria 7 and 9 and on one point: each row has the single call's bytes
+    runs = [(lambda c, t: lf.xi_on_grid(c, 0.0, t), (_C7_GRID,)),
+            (lambda c, t: lf.eta_on_grid(c, 0.0, t)[0], (_C7_GRID,)),
+            (lambda c, t: lf.angular_momentum_on_grid(c, 0.0, t), (_C7_GRID,)),
+            (lambda c, t: lf.eps_slope_on_grid(c, t), (_C9_GRID,))]
+    point = np.array([14.25])
+    for q in q_range:
+        prim = [c for c in enumerate_characters(q) if c.is_primitive and not c.is_principal]
+        for chis in {tuple(c for c in prim if c.parity == p) for p in (0, 1)} - {()}:
+            for run, grids in runs:
+                for t in grids + (point,):
+                    rows = run(chis, t)
+                    assert rows.shape == (len(chis), t.size)
+                    for chi, row in zip(chis, rows, strict=True):
+                        assert row.tobytes() == run(chi, t).tobytes()
+            # criterion 8 reads the single-point angular momentum: the grouped ladder's bytes
+            rows = lf.angular_momentum_on_grid(chis, 1e-4, point)
+            for chi, row in zip(chis, rows, strict=True):
+                got = lf.angular_momentum(SPoint(1e-4, float(point[0])), chi)
+                assert np.array([got]).tobytes() == row.tobytes()
+    # both parities in one tuple: each row takes its own parity's Gamma head
+    chis = tuple(c for c in enumerate_characters(q_range[0]) if c.is_primitive)
+    for chi, row in zip(chis, lf.xi_on_grid(chis, 0.2, _C7_GRID), strict=True):
+        assert row.tobytes() == lf.xi_on_grid(chi, 0.2, _C7_GRID).tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 `_ref_hurwitz_zeta` and `_ref_l_values` keep the earlier code verbatim: one
 Euler-Maclaurin call per unit class, each with its own pole series, Pochhammer
-ladder and inflation factor.  The one-pass kernel must reproduce its values
-byte for byte and its remainder estimate as the same float.
+ladder and inflation factor, for one character.  The one-pass kernel takes a
+tuple of characters of one modulus; each of its rows must reproduce the
+reference's values for that character byte for byte, and its one remainder
+estimate must be the reference's, as the same float.
 """
 
 import math
@@ -68,6 +70,12 @@ def _ref_l_values(chi, svals, n_head=None):
     return scale * total, err * qfac
 
 
+def _ref_l_rows(chis, svals):
+    # `_l_values`' tuple call shape over the reference: one row per character
+    rows = [_ref_l_values(chi, svals) for chi in chis]
+    return np.array([v for v, _ in rows]), rows[0][1]
+
+
 def _ref_reduction_residuals(s, q):
     zeta_s = complex(_ref_hurwitz_zeta(np.array([s.s]), 1.0, lf._em_head(abs(s.t)))[0][0])
     q_primes = [p for p, _ in _factorize(q)] if q > 1 else []
@@ -105,31 +113,43 @@ def _same(got, ref):
     assert type(eg) is type(er) and eg == er
 
 
+def _same_rows(chis, s, **ref_kwargs):
+    vals, err = lf._l_values(chis, s)
+    assert vals.shape == (len(chis), s.size)
+    for chi, row in zip(chis, vals, strict=True):
+        _same((row, err), _ref_l_values(chi, s, **ref_kwargs))
+
+
 @pytest.mark.parametrize("q", MODULI)
 def test_l_values_match_per_class_loop(q, monkeypatch):
-    for chi in enumerate_characters(q):
-        # the principal character keeps the zeta pole, so it is checked right of the strip
-        epsilons = (0.75, 1.5) if chi.is_principal else (0.0, 0.2, -0.3, 0.75, 1.5)
+    chars = enumerate_characters(q)
+    # the principal character keeps the zeta pole: it goes alone, right of the strip; the
+    # others go as one tuple
+    groups = (tuple(c for c in chars if c.is_principal),
+              tuple(c for c in chars if not c.is_principal))
+    for chis in filter(None, groups):
+        epsilons = (0.75, 1.5) if chis[0].is_principal else (0.0, 0.2, -0.3, 0.75, 1.5)
         for eps in epsilons:
             for t in GRIDS:
-                if t.size in (2, 175) and eps != epsilons[chi.index % len(epsilons)]:
-                    continue  # these grids take one eps per character, in turn
+                some = chis
+                if t.size in (2, 175):  # these grids take one eps per character, in turn
+                    some = tuple(c for c in chis if eps == epsilons[c.index % len(epsilons)])
+                    if not some:
+                        continue
                 s = 0.5 + eps + 1j * t
-                _same(lf._l_values(chi, s), _ref_l_values(chi, s))
+                _same_rows(some, s)
                 if t.size == 5:
                     with monkeypatch.context() as m:
                         m.setattr(lf, "_em_head", lambda t_max: 57)
-                        _same(lf._l_values(chi, s), _ref_l_values(chi, s, n_head=57))
+                        _same_rows(some, s, n_head=57)
                 if t.size == 175:  # 64 cells: the reference's whole head in 2- and 3-column blocks
                     with monkeypatch.context() as m:
                         m.setattr(gp, "_HEAD_CELLS", 64)
-                        _same(lf._l_values(chi, s), _ref_l_values(chi, s))
-        if not chi.is_principal:  # at and near s = 1 the dropped pole takes its series
-            s = 1.0 + 1j * np.array([0.0, 5e-7, -3.0])
-            _same(lf._l_values(chi, s), _ref_l_values(chi, s))
-    chi = enumerate_characters(q)[-1]  # one character per modulus: far heads are large
-    s = (2.0 if chi.is_principal else 0.5) + 1j * FAR
-    _same(lf._l_values(chi, s), _ref_l_values(chi, s))
+                        _same_rows(some, s)
+        if not chis[0].is_principal:  # at and near s = 1 the dropped pole takes its series
+            _same_rows(chis, 1.0 + 1j * np.array([0.0, 5e-7, -3.0]))
+    chi = chars[-1]  # one character per modulus: far heads are large
+    _same_rows((chi,), (2.0 if chi.is_principal else 0.5) + 1j * FAR)
 
 
 @pytest.mark.parametrize("q", MODULI)
@@ -138,7 +158,7 @@ def test_l_eval_matches_per_class_loop(q, monkeypatch):
               SPoint(0.75, -14.1), SPoint(1.5, 3.0)]
     new = [lf.l_eval(p, chi) for chi in enumerate_characters(q) for p in points
            if not chi.is_principal or p.eps > 0.5]
-    monkeypatch.setattr(lf, "_l_values", _ref_l_values)
+    monkeypatch.setattr(lf, "_l_values", _ref_l_rows)
     old = [lf.l_eval(p, chi) for chi in enumerate_characters(q) for p in points
            if not chi.is_principal or p.eps > 0.5]
     for a, b in zip(new, old, strict=True):
@@ -151,13 +171,13 @@ def test_l_eval_matches_per_class_loop(q, monkeypatch):
                          ids=("s=2", "s=3", "s=1.2+3.3i"))
 def test_reduction_identities_match_per_class_loop(q, s, monkeypatch):
     got = [e.residual for e in lf.reduction_identities(s, q).entries]
-    monkeypatch.setattr(lf, "_l_values", _ref_l_values)
+    monkeypatch.setattr(lf, "_l_values", _ref_l_rows)
     assert got == _ref_reduction_residuals(s, q)
 
 
 def test_zeta_is_the_character_mod_one():
     # reduction_identities takes zeta(s) as L(s, chi mod 1), the former direct Hurwitz call
     for s in (2.0 + 0j, 3.0 + 0j, 1.2 + 3.3j):
-        got = lf._l_values(enumerate_characters(1)[0], np.array([s]))[0]
+        got = lf._l_values((enumerate_characters(1)[0],), np.array([s]))[0][0]
         ref = _ref_hurwitz_zeta(np.array([s]), 1.0, lf._em_head(abs(s.imag)))[0]
         assert got.tobytes() == ref.tobytes()
