@@ -334,7 +334,12 @@ def _simple_sieve(n: int) -> np.ndarray:
 
 
 def sieve_primes(p_max: int, q: int = 1, *, p_budget: int = _DEFAULT_P_BUDGET) -> PrimeTable:
-    """Segmented Eratosthenes sieve up to p_max (segments of _SEGMENT_SIZE), bound to modulus q."""
+    """Segmented Eratosthenes sieve up to p_max over odd numbers only, bound to modulus q.
+
+    The primes up to sqrt(p_max) come from `_simple_sieve`; past them each segment holds
+    _SEGMENT_SIZE consecutive odd numbers lo, lo + 2, ..., and each odd prime p strikes every
+    p-th cell from its first odd multiple at or past max(p^2, lo).
+    """
     if p_max < 2:
         raise DomainError("p_max must be at least 2")
     if q < 1:
@@ -344,18 +349,17 @@ def sieve_primes(p_max: int, q: int = 1, *, p_budget: int = _DEFAULT_P_BUDGET) -
             f"p_max={p_max} exceeds the configured budget {p_budget}"
         )
 
-    base = _simple_sieve(isqrt(p_max))
-    chunks = [base[base <= p_max]]
-    lo = isqrt(p_max) + 1
+    root = isqrt(p_max)
+    base = _simple_sieve(root)[1:].tolist()  # the odd primes up to the root
+    chunks = [np.array([2] + base, dtype=np.int64)]
+    lo = root + 1 | 1
     while lo <= p_max:
-        hi = min(lo + _SEGMENT_SIZE, p_max + 1)
-        seg = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo:: p] = False
-        chunks.append((np.nonzero(seg)[0] + lo).astype(np.int64))
-        lo = hi
+        n = min(_SEGMENT_SIZE, (p_max - lo) // 2 + 1)
+        seg = np.ones(n, dtype=bool)
+        for p in base:  # p times the least odd k >= p with p k >= lo
+            seg[(p * max(p, (lo + p - 1) // p | 1) - lo) // 2:: p] = False
+        chunks.append((2 * np.flatnonzero(seg) + lo).astype(np.int64))
+        lo += 2 * n
     return PrimeTable(p_max=p_max, q=q, primes=np.concatenate(chunks))
 
 

@@ -21,15 +21,17 @@ term).  Oscillation masses collect |cosine summand| between consecutive cosine
 zero-transitions in prime space, once by the ordered prime sum and once by the
 Li integral of the same integrand (composite Gauss-Legendre in log y); their ratios
 at two eps values drive the level-monotonicity checks.  Each call prepares its
-primes, p^(1/2+eps) and the window tables once; `scan` evaluates one kernel in t per grid.
-Preparation copies the runs of the prime table between the few primes that divide q
+primes, p^(1/2+eps) and the window tables once; `scan` makes one kernel call for its whole
+grid.  Preparation copies the runs of the prime table between the few primes that divide q
 straight into its arrays and fills the window tables leaf by leaf, so a prepared kernel
 holds five arrays over its primes and leaf-sized buffers.
 The two estimators, the residual and the Euler phase are modes of that kernel's one leaf:
-each value is one sum in numpy's pairwise order over leaves of 8192 primes
-(`gammaphase._ordered_sum`), so it depends only on its own t.  Every sine and cosine of a
-per-prime angle, in the kernel and the ledger, comes from one tan of the half angle
-(`_sin_cos`); see `_kernel`.
+each value is one sum in numpy's pairwise order over leaves of at most 8192 primes
+(`gammaphase._ordered_sum`), so it depends only on its own t.  A single-point call runs
+each leaf on one row; a scan runs it on a block of grid points at once (`_BLOCK`), one
+row per point, which keeps every value's bits.  Every cosine of a per-prime angle, in the
+kernel and the ledger, and every sine the kernel uses, comes from one tan of the half angle
+(`_cos`, `_sin_cos`); see `_kernel`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
-from .gammaphase import _LEAF, _level, _ordered_sum, _x_minus_arctan
+from .gammaphase import _BLOCK, _LEAF, _leaf_size, _level, _ordered_sum, _x_minus_arctan
 
 __all__ = [
     "WindowParams",
@@ -162,13 +164,19 @@ def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float
     return float(_kernel("euler_phase", s.eps, chi, primes, None)(s.t))
 
 
+def _cos(x, u, c, d):
+    # cos x into c from u = tan(x/2), left in u, and d = 1 + u*u, u may alias x: one
+    # vectorised tan costs about a tenth of np.sin plus np.cos, and sin and cos from it come
+    # out within a few ulps; u*u cannot overflow, since no double lies within 1e-19 of a
+    # pole of tan
+    np.tan(np.multiply(x, 0.5, u), u)
+    np.add(1.0, np.multiply(u, u, c), d)
+    return np.divide(np.subtract(1.0, c, c), d, c)
+
+
 def _sin_cos(x, s, c, d):
-    # sin x into s and cos x into c from u = tan(x/2), d scratch, s may alias x: one
-    # vectorised tan costs about a tenth of np.sin plus np.cos, and both come out within
-    # a few ulps; u*u cannot overflow, since no double lies within 1e-19 of a pole of tan
-    np.tan(np.multiply(x, 0.5, s), s)
-    np.add(1.0, np.multiply(s, s, c), d)
-    np.divide(np.subtract(1.0, c, c), d, c)
+    # sin x into s and cos x into c, d scratch, s may alias x (`_cos`)
+    _cos(x, s, c, d)
     return np.divide(np.add(s, s, s), d, s), c
 
 
@@ -183,14 +191,23 @@ def _window_table(lp, lnps):
     return sin_b, cos_b
 
 
+# leaf buffer rows of each `_kernel` mode: s, c, d; then u, v; then the residual's e, f
+_ROWS = {"euler_phase": 3, "cosine_approx": 3, "exact_arctan": 5, "residual": 7}
+
+
 def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
             window: WindowParams | None):
     """One of the Euler-product sums as a function of t, with its primes prepared once.
 
     A value is one ordered sum over ascending primes, computed in leaves of at most _LEAF
-    primes in preallocated buffers, and depends only on its own t.  The one leaf takes sin
-    and cos of A = log(p) t - theta from `_sin_cos` once per point; the windowed modes use
-    fixed sin B, cos B tables (`_window_table`, B = pi log p / log p*).  Modes:
+    primes, and depends only on its own t.  A float t takes one row of each leaf buffer; a
+    1-D array of t takes _BLOCK points a leaf as one (points, primes) array, whose rows
+    `_ordered_sum` reduces in the same order, so each point keeps the bits it has alone.
+    The buffers are allocated per evaluation, as wide as the largest leaf (`_leaf_size`),
+    and each mode has only the rows it uses (`_ROWS`).  The leaf takes cos, and for all but
+    the cosine mode sin, of A = log(p) t - theta from one tan of A/2 (`_cos`, `_sin_cos`);
+    the windowed modes use fixed sin B, cos B tables (`_window_table`, B = pi log p /
+    log p*).  Modes:
     "exact_arctan", the arctan increments x = sin/(p^sigma - cos) at A +- B, reached by
     angle addition; "cosine_approx", their leading terms cos A sin B / p^sigma (scale
     -log p*/pi against -log p*/2pi); "residual", the difference of the two as two rows
@@ -201,27 +218,31 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
     """
     _check_eps(eps)
     p, lp, th = _prime_data(chi, primes, p_max=None if window is None else window.p_max)
-    p_sigma, buf = np.power(p, 0.5 + eps, out=p), np.empty((7, _LEAF))
+    p_sigma = np.power(p, 0.5 + eps, out=p)
     scale = -1.0
     if window is not None:
         lnps = math.log(window.p_star)
         scale = -lnps / (math.pi if mode == "cosine_approx" else 2.0 * math.pi)
         sin_w, cos_w = _window_table(lp, lnps)
 
-    def leaf(t: float, lo: int, m: int) -> np.ndarray:
-        s, c, u, v, d, e, f = buf[:, :m]
-        i = slice(lo, lo + m)
-        _sin_cos(np.subtract(np.multiply(lp[i], t, s), th[i], s), s, c, d)
+    def leaf(buf: np.ndarray, t, lo: int, m: int) -> np.ndarray:
+        views, i = buf[..., :m], slice(lo, lo + m)
+        s, c, d = views[:3]
+        a = np.subtract(np.multiply(lp[i], t, s), th[i], s)
+        if mode == "cosine_approx":  # the leading term cos A sin B / p^sigma of each increment
+            _cos(a, s, c, d)
+            return np.divide(np.multiply(c, sin_w[i], c), p_sigma[i], c)
+        _sin_cos(a, s, c, d)
         if mode == "euler_phase":
             return np.arctan(np.divide(s, np.subtract(p_sigma[i], c, c), s), s)
-        if mode == "cosine_approx":  # the leading term cos A sin B / p^sigma of each increment
-            return np.divide(np.multiply(c, sin_w[i], c), p_sigma[i], c)
         # sin(A +- B) = s cos B +- c sin B, cos(A +- B) = c cos B -+ s sin B
+        u, v = views[3:5]
         np.multiply(s, sin_w[i], v)
         np.multiply(s, cos_w[i], s)
         np.multiply(c, sin_w[i], u)
         np.multiply(c, cos_w[i], c)
         if mode == "residual":  # cos(A +- B) itself: p^sigma minus the denominator cancels
+            e, f = views[5:]
             np.subtract(c, v, e)
             np.add(c, v, f)
         np.subtract(p_sigma[i], c, c)
@@ -235,9 +256,23 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
         # at A + B minus at A - B
         np.divide(np.subtract(np.multiply(v, e, e), np.multiply(s, f, f), f), p_sigma[i], f)
         np.subtract(_x_minus_arctan(s), _x_minus_arctan(v), e)
-        return buf[5:, :m]
+        return views[5:]
 
-    return lambda t: scale * _ordered_sum(partial(leaf, t), 0, lp.size)
+    rows, width = _ROWS[mode], _leaf_size(lp.size)
+
+    def values(t):
+        if np.ndim(t) == 0:
+            return scale * _ordered_sum(partial(leaf, np.empty((rows, width)), t), 0, lp.size)
+        t = np.reshape(t, (-1, 1))
+        buf = np.empty((rows, min(_BLOCK, t.size), width))
+        out = np.empty(t.size)  # a scan's estimator modes give one sum per point
+        for lo in range(0, t.size, _BLOCK):
+            tb = t[lo:lo + _BLOCK]
+            out[lo:lo + tb.size] = scale * _ordered_sum(
+                partial(leaf, buf[:, :tb.size], tb), 0, lp.size)
+        return out
+
+    return values
 
 
 def windowed_ratio_exact(t: float, eps: float, chi: DirichletCharacter,
@@ -392,7 +427,7 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
     p, lp, angles = _prime_data(chi, primes, p_max=math.floor(max(
         oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in first)))
     a = lp * t - angles
-    cos_a = _sin_cos(a, a, np.empty_like(a), np.empty_like(a))[1]
+    cos_a = _cos(a, a, np.empty_like(a), np.empty_like(a))
     vals = cos_a * _window_table(lp, lnps)[0] / p ** (0.5 + eps)  # the kernel's cosine terms
     res = p.astype(np.int64) % chi.q  # chi.q, not primes.q: the table may be sieved mod another q
     entries = []
@@ -467,13 +502,12 @@ def level_check(t: float, eps: float, chi: DirichletCharacter, primes: PrimeTabl
 
 def scan(chi: DirichletCharacter, eps: float, t_grid: np.ndarray, primes: PrimeTable,
          window: WindowParams, estimator: str = "exact_arctan") -> PhaseScan:
-    """Windowed estimator sampled over a t grid: one kernel, one ordered sum per point."""
+    """Windowed estimator sampled over a t grid: one kernel call, one ordered sum per point."""
     if estimator not in ("exact_arctan", "cosine_approx"):
         raise DomainError(f"unknown estimator {estimator!r}")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     out = PhaseScan(chi=chi, eps=eps, t_grid=t_grid, values=np.empty(t_grid.size),
                     estimator=estimator, window=window)  # checks the grid before any prime
-    f = _kernel(estimator, eps, chi, primes, window)
-    out.values[:] = [f(t) for t in t_grid.tolist()]
+    out.values[:] = _kernel(estimator, eps, chi, primes, window)(t_grid)
     return out
 

@@ -68,6 +68,7 @@ EULER_GAMMA = float(np.euler_gamma)
 GW_DEFAULT_TERMS = 10 ** 6
 T_STIRLING_MIN = 0.5
 _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB leaf buffers and temporaries fit cache
+_BLOCK = 4  # grid points per leaf of an Euler-product scan (`eulerphase._kernel`)
 _HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
 _MAX_HEAD_ROWS = 1 << 20  # most rows of a head (|t| ~ 5e5 for Gamma, 1e6 for L); 80 MiB traced
 _T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
@@ -242,6 +243,14 @@ def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
         return np.add.reduce(leaf(lo, m), axis=-1)
     m2 = m // 2 - (m // 2) % 8
     return _ordered_sum(leaf, lo, m2) + _ordered_sum(leaf, lo + m2, m - m2)
+
+
+def _leaf_size(m: int) -> int:
+    """The most summands `_ordered_sum` passes one leaf when it adds m: the larger half of
+    each split is the second."""
+    while m > _LEAF:
+        m -= m // 2 - (m // 2) % 8
+    return m
 
 
 def _gw_sum(total: float, n_terms: int, v: float, terms, tail) -> float:

@@ -360,6 +360,13 @@ def test_sieve_small():
     assert table.primes.tolist() == [2, 3, 5, 7]
 
 
+@pytest.mark.parametrize("p_max, want", [(2, [2]), (3, [2, 3]), (4, [2, 3])])
+def test_sieve_keeps_two_below_the_first_odd_segment(p_max, want):
+    # below p_max = 4 no base prime exists and the odd-only segments start past 2
+    got = arith.sieve_primes(p_max).primes
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def test_sieve_count_1e6_against_second_implementation(monkeypatch):
     monkeypatch.setattr(arith, "_SEGMENT_SIZE", 1 << 16)  # 15 segment edges below 1e6
     table = arith.sieve_primes(10 ** 6, 3)

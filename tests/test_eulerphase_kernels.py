@@ -198,6 +198,23 @@ def test_point_value_independent_of_grid(estimator):
         assert values[np.searchsorted(grid, t)].tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("p_max", (50_000, 10 ** 6))
+def test_scan_blocks_match_point_estimators(p_max):
+    # grids of 1, B - 1, B, B + 1 and 2B + 1 points and an empty one, B = _BLOCK points a
+    # leaf, at q = 12 (2 and 3 dropped): 5,131 primes, under one leaf, and 78,496, which
+    # take 16 leaves; each scan value has the bytes of its single-point estimator
+    chi, table = enumerate_characters(12)[3], sieve_primes(p_max)
+    window = ep.WindowParams(p_star=float(p_max), p_max=p_max)
+    b = gp._BLOCK
+    for estimator, f in (("exact_arctan", ep.windowed_ratio_exact),
+                         ("cosine_approx", ep.windowed_ratio_approx)):
+        for n in (0, 1, b - 1, b, b + 1, 2 * b + 1):
+            grid = np.linspace(-5.0, 25.0, n)
+            values = ep.scan(chi, 0.3, grid, table, window, estimator=estimator).values
+            points = [f(t, 0.3, chi, table, window) for t in grid.tolist()]
+            assert values.tobytes() == _bits(points)
+
+
 def _mp_arctan_sums(ts, epss, chi, table, window):
     """At 30 digits for every (t, eps), on the same primes and angles: windowed_ratio_exact,
     the residual's higher-order, coupled and total values, euler_phase over the table and
@@ -339,11 +356,16 @@ def test_prime_data_matches_masked_copies(q):
 
 
 def test_prepared_kernel_memory_is_five_prime_arrays(traced_peak):
-    # p^sigma, log p, the angles and the sin B, cos B tables, plus the (7, _LEAF) leaf buffer
-    # and _window_table's one leaf of scratch; the residues live only inside _prime_data
+    # p^sigma, log p, the angles and the sin B, cos B tables, plus the leaf buffer, as wide
+    # as the largest leaf (4,906 of the 78,497 primes): 5 rows for a point, and 5 rows of
+    # _BLOCK points for a scan; and _window_table's one leaf of scratch.  The residues live
+    # only inside _prime_data
     chi, table = enumerate_characters(3)[1], sieve_primes(10 ** 6, 3)
     table.log_primes  # the table's own cache, built once per table
     window = ep.WindowParams(p_star=1e6, p_max=10 ** 6)
     kept = ep._prime_data(chi, table, window.p_max)[0].size
     peak = traced_peak(lambda: ep.windowed_ratio_exact(22.0, 0.0, chi, table, window))
     assert peak <= 8 * (5 * kept + 8 * gp._LEAF) + (64 << 10)
+    grid = np.linspace(-15.0, 15.0, 301)
+    peak = traced_peak(lambda: ep.scan(chi, 0.0, grid, table, window))
+    assert peak <= 8 * (5 * kept + 5 * gp._BLOCK * gp._leaf_size(kept) + gp._LEAF) + (64 << 10)

@@ -340,8 +340,9 @@ def test_eps_slope_grid_positive(chi3):
 
 
 def _mpmath_eta(chi):
-    """eta(t) = exp(i half) xi(1/2 + it) at mpmath's working precision, with the character
-    values as mpc (mp.dirichlet with Python complex values has given a wrong result)."""
+    """eta(t) = exp(i half) xi(1/2 + it) at mpmath's working precision, with L from Hurwitz
+    zeta values and the character values as mpc (mp.dirichlet with Python complex values
+    has given a wrong result)."""
     q, a = chi.q, chi.parity
     vals = [mp.expjpi(mp.mpf(2 * k) / chi.m) if k >= 0 else mp.mpc(0) for k in chi.k.tolist()]
     tau = mp.fsum(v * mp.expjpi(mp.mpf(2 * n) / q) for n, v in enumerate(vals))
@@ -349,8 +350,31 @@ def _mpmath_eta(chi):
 
     def eta(t):
         s = mp.mpf(0.5) + mp.j * t
-        return rot * (q / mp.pi) ** ((s + a) / 2) * mp.gamma((s + a) / 2) * mp.dirichlet(s, vals)
+        lval = mp.power(q, -s) * mp.fsum(v * mp.zeta(s, mp.mpf(r) / q)
+                                         for r, v in enumerate(vals) if r and v != 0)
+        return rot * (q / mp.pi) ** ((s + a) / 2) * mp.gamma((s + a) / 2) * lval
     return eta
+
+
+def _mpmath_eps_slope(eta, t):
+    """(eta')^2 - eta*eta'' at t from mp.diff of eta at 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(t)
+        return float((mp.diff(eta, x, 1) ** 2 - eta(x) * mp.diff(eta, x, 2)).real)
+
+
+def test_eps_slope_on_grid_against_mpmath(chi3):
+    # the five-point stencils at small t, where their error is largest: on the five points
+    # alone (measured 6e-9 to 2.5e-7 relative) and inside the benchmark's 3,991-point grid
+    # on [0.5, 200], whose larger L head changes eta's rounding by about 1e-14 and the
+    # stencils' result by up to 2.4e-6 (errors 1.5e-6 at t = 0.5, 2.3e-6 at 0.55, 4.6e-7
+    # at 1, 7.2e-8 at 5 and 8.3e-9 at 10)
+    grid = np.arange(0.5, 200.0001, 0.05)
+    pick = [0, 1, 10, 90, 190]
+    eta = _mpmath_eta(chi3)
+    want = [_mpmath_eps_slope(eta, t) for t in grid[pick].tolist()]
+    for got in (lf.eps_slope_on_grid(chi3, grid[pick]), lf.eps_slope_on_grid(chi3, grid)[pick]):
+        assert np.all(np.abs(got - want) <= 5e-6 * np.abs(want)), (got, want)
 
 
 def test_eps_slope_against_mpmath_next_to_zeros(chi3, chi5_odd):
@@ -363,11 +387,9 @@ def test_eps_slope_against_mpmath_next_to_zeros(chi3, chi5_odd):
         assert len(zeros) == n_zeros
         eta = _mpmath_eta(chi)
         for t in [z + off for z in zeros for off in (0.0, 3e-5)]:
-            with mp.workdps(40):
-                x = mp.mpf(t)
-                want = (mp.diff(eta, x, 1) ** 2 - eta(x) * mp.diff(eta, x, 2)).real
+            want = _mpmath_eps_slope(eta, t)
             got = lf.angular_momentum_eps_slope(t, chi).value
-            assert abs(got - want) <= 3e-11 * abs(want), (chi.q, t, got, float(want))
+            assert abs(got - want) <= 3e-11 * abs(want), (chi.q, t, got, want)
 
 
 # --------------------------------------------------------------------------
