@@ -27,9 +27,9 @@ straight into its arrays and fills the window tables leaf by leaf, so a prepared
 holds five arrays over its primes and leaf-sized buffers.
 The two estimators, the residual and the Euler phase are modes of that kernel's one leaf:
 each value is one sum in numpy's pairwise order over leaves of at most 8192 primes
-(`gammaphase._ordered_sum`), so it depends only on its own t.  A single-point call runs
-each leaf on one row; a scan runs it on a block of grid points at once (`_BLOCK`), one
-row per point, which keeps every value's bits.  Every cosine of a per-prime angle, in the
+(`gammaphase._ordered_sum`), so it depends only on its own t.  Each leaf runs on a block
+of up to `_BLOCK` points at once, one row per point: a single-point call is a block of
+one, and every value keeps the bits it has alone.  Every cosine of a per-prime angle, in the
 kernel and the ledger, and every sine the kernel uses, comes from one tan of the half angle
 (`_cos`, `_sin_cos`); see `_kernel`.
 """
@@ -44,7 +44,7 @@ import numpy as np
 
 from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
-from .gammaphase import _BLOCK, _LEAF, _leaf_size, _level, _ordered_sum, _x_minus_arctan
+from .gammaphase import _LEAF, _leaf_size, _level, _ordered_sum, _x_minus_arctan
 
 __all__ = [
     "WindowParams",
@@ -161,7 +161,7 @@ def _check_eps(eps: float) -> None:
 
 def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float:
     """Euler-product phase partial sum at s, accumulated over ascending primes."""
-    return float(_kernel("euler_phase", s.eps, chi, primes, None)(s.t))
+    return float(_kernel("euler_phase", s.eps, chi, primes, None)([s.t])[0])
 
 
 def _cos(x, u, c, d):
@@ -193,6 +193,7 @@ def _window_table(lp, lnps):
 
 # leaf buffer rows of each `_kernel` mode: s, c, d; then u, v; then the residual's e, f
 _ROWS = {"euler_phase": 3, "cosine_approx": 3, "exact_arctan": 5, "residual": 7}
+_BLOCK = 4  # grid points per leaf of a scan
 
 
 def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
@@ -200,9 +201,10 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
     """One of the Euler-product sums as a function of t, with its primes prepared once.
 
     A value is one ordered sum over ascending primes, computed in leaves of at most _LEAF
-    primes, and depends only on its own t.  A float t takes one row of each leaf buffer; a
-    1-D array of t takes _BLOCK points a leaf as one (points, primes) array, whose rows
-    `_ordered_sum` reduces in the same order, so each point keeps the bits it has alone.
+    primes, and depends only on its own t.  The function takes a 1-D array of t and runs
+    each leaf on _BLOCK points as one (points, primes) array, whose rows `_ordered_sum`
+    reduces in the same order, so each point keeps the bits it has alone; a single point is
+    a block of one.
     The buffers are allocated per evaluation, as wide as the largest leaf (`_leaf_size`),
     and each mode has only the rows it uses (`_ROWS`).  The leaf takes cos, and for all but
     the cosine mode sin, of A = log(p) t - theta from one tan of A/2 (`_cos`, `_sin_cos`);
@@ -261,16 +263,11 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
     rows, width = _ROWS[mode], _leaf_size(lp.size)
 
     def values(t):
-        if np.ndim(t) == 0:
-            return scale * _ordered_sum(partial(leaf, np.empty((rows, width)), t), 0, lp.size)
         t = np.reshape(t, (-1, 1))
         buf = np.empty((rows, min(_BLOCK, t.size), width))
-        out = np.empty(t.size)  # a scan's estimator modes give one sum per point
-        for lo in range(0, t.size, _BLOCK):
-            tb = t[lo:lo + _BLOCK]
-            out[lo:lo + tb.size] = scale * _ordered_sum(
-                partial(leaf, buf[:, :tb.size], tb), 0, lp.size)
-        return out
+        sums = [_ordered_sum(partial(leaf, buf[:, :tb.size], tb), 0, lp.size)
+                for tb in (t[lo:lo + _BLOCK] for lo in range(0, t.size, _BLOCK))]
+        return scale * np.concatenate(sums, axis=-1) if sums else np.empty(0)
 
     return values
 
@@ -278,13 +275,13 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
 def windowed_ratio_exact(t: float, eps: float, chi: DirichletCharacter,
                          primes: PrimeTable, window: WindowParams) -> float:
     """Incremental phase ratio over [t - w, t + w], w = pi/log(p_star)."""
-    return float(_kernel("exact_arctan", eps, chi, primes, window)(t))
+    return float(_kernel("exact_arctan", eps, chi, primes, window)([t])[0])
 
 
 def windowed_ratio_approx(t: float, eps: float, chi: DirichletCharacter,
                           primes: PrimeTable, window: WindowParams) -> float:
     """Leading cosine approximation of the windowed ratio (no denominators)."""
-    return float(_kernel("cosine_approx", eps, chi, primes, window)(t))
+    return float(_kernel("cosine_approx", eps, chi, primes, window)([t])[0])
 
 
 @dataclass(frozen=True)
@@ -305,7 +302,7 @@ def estimator_residual(t: float, eps: float, chi: DirichletCharacter,
     so the residual is the ordered sum of the last two pieces evaluated at
     the window endpoints; both remain bounded as p_max grows for eps > 0.
     """
-    higher, coupled = _kernel("residual", eps, chi, primes, window)(t).tolist()
+    higher, coupled = _kernel("residual", eps, chi, primes, window)([t])[:, 0].tolist()
     return EstimatorResidual(total=higher + coupled, higher_order=higher, coupled=coupled)
 
 

@@ -68,7 +68,6 @@ EULER_GAMMA = float(np.euler_gamma)
 GW_DEFAULT_TERMS = 10 ** 6
 T_STIRLING_MIN = 0.5
 _LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB leaf buffers and temporaries fit cache
-_BLOCK = 4  # grid points per leaf of an Euler-product scan (`eulerphase._kernel`)
 _HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
 _MAX_HEAD_ROWS = 1 << 20  # most rows of a head (|t| ~ 5e5 for Gamma, 1e6 for L); 80 MiB traced
 _T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
@@ -236,21 +235,29 @@ def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
 
     `leaf(lo, m)` returns the m summands from index lo along its last axis, one row per
     sum; it is called only at leaves of at most _LEAF terms of numpy's pairwise split
-    (m//2 rounded down to a multiple of 8), which np.add.reduce finishes in the same order.
+    (`_split`), which np.add.reduce finishes in the same order.
     Module-level, so a call leaves no reference cycle behind.
     """
     if m <= _LEAF:
         return np.add.reduce(leaf(lo, m), axis=-1)
-    m2 = m // 2 - (m // 2) % 8
+    m2 = _split(m)
     return _ordered_sum(leaf, lo, m2) + _ordered_sum(leaf, lo + m2, m - m2)
 
 
+def _split(m: int) -> int:
+    # the first half of numpy's pairwise split of m > _LEAF summands: m//2 rounded down to a
+    # multiple of 8
+    return m // 2 - (m // 2) % 8
+
+
 def _leaf_size(m: int) -> int:
-    """The most summands `_ordered_sum` passes one leaf when it adds m: the larger half of
-    each split is the second."""
-    while m > _LEAF:
-        m -= m // 2 - (m // 2) % 8
-    return m
+    """The most summands `_ordered_sum` passes one leaf when it adds m.  Either half of a
+    split may hold it: a half of at most _LEAF terms is a leaf at once, while the other may
+    split again into narrower ones."""
+    if m <= _LEAF:
+        return m
+    m2 = _split(m)
+    return max(_leaf_size(m2), _leaf_size(m - m2))
 
 
 def _gw_sum(total: float, n_terms: int, v: float, terms, tail) -> float:

@@ -198,14 +198,15 @@ def test_point_value_independent_of_grid(estimator):
         assert values[np.searchsorted(grid, t)].tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("p_max", (50_000, 10 ** 6))
+@pytest.mark.parametrize("p_max", (50_000, 180_617, 10 ** 6))
 def test_scan_blocks_match_point_estimators(p_max):
     # grids of 1, B - 1, B, B + 1 and 2B + 1 points and an empty one, B = _BLOCK points a
-    # leaf, at q = 12 (2 and 3 dropped): 5,131 primes, under one leaf, and 78,496, which
-    # take 16 leaves; each scan value has the bytes of its single-point estimator
+    # leaf, at q = 12 (2 and 3 dropped): 5,131 primes, under one leaf; 16,390, whose widest
+    # leaf is the first half of the split; and 78,496, which take 16 leaves; each scan value
+    # has the bytes of its single-point estimator
     chi, table = enumerate_characters(12)[3], sieve_primes(p_max)
     window = ep.WindowParams(p_star=float(p_max), p_max=p_max)
-    b = gp._BLOCK
+    b = ep._BLOCK
     for estimator, f in (("exact_arctan", ep.windowed_ratio_exact),
                          ("cosine_approx", ep.windowed_ratio_approx)):
         for n in (0, 1, b - 1, b, b + 1, 2 * b + 1):
@@ -213,6 +214,21 @@ def test_scan_blocks_match_point_estimators(p_max):
             values = ep.scan(chi, 0.3, grid, table, window, estimator=estimator).values
             points = [f(t, 0.3, chi, table, window) for t in grid.tolist()]
             assert values.tobytes() == _bits(points)
+
+
+def test_leaf_size_is_the_widest_leaf_of_an_ordered_sum():
+    # every count up to 70,000 and those within 128 of 2^k * 8192; at 16,385 the first half,
+    # 8,192 terms, is one leaf, while the second splits into leaves of 4,096 and 4,097
+    one = np.zeros(1)
+
+    def widest(m):
+        seen = [0]
+        gp._ordered_sum(lambda lo, k: seen.append(k) or one, 0, m)
+        return max(seen)
+
+    counts = list(range(70_001)) + [(8192 << k) + d for k in range(1, 8) for d in range(-128, 129)]
+    assert [gp._leaf_size(m) for m in counts] == [widest(m) for m in counts]
+    assert gp._leaf_size(16_385) == gp._LEAF
 
 
 def _mp_arctan_sums(ts, epss, chi, table, window):
@@ -368,4 +384,4 @@ def test_prepared_kernel_memory_is_five_prime_arrays(traced_peak):
     assert peak <= 8 * (5 * kept + 8 * gp._LEAF) + (64 << 10)
     grid = np.linspace(-15.0, 15.0, 301)
     peak = traced_peak(lambda: ep.scan(chi, 0.0, grid, table, window))
-    assert peak <= 8 * (5 * kept + 5 * gp._BLOCK * gp._leaf_size(kept) + gp._LEAF) + (64 << 10)
+    assert peak <= 8 * (5 * kept + 5 * ep._BLOCK * gp._leaf_size(kept) + gp._LEAF) + (64 << 10)
