@@ -56,10 +56,6 @@ class SPoint:
     t: float
 
     @property
-    def sigma(self) -> float:
-        return 0.5 + self.eps
-
-    @property
     def s(self) -> complex:
         return complex(0.5 + self.eps, self.t)
 
@@ -304,7 +300,11 @@ _DEFAULT_P_BUDGET = 10 ** 8
 
 @dataclass
 class PrimeTable:
-    """Sorted primes <= p_max and a bound modulus q, whose classes `class_primes` selects."""
+    """Sorted primes <= p_max and the modulus q they were requested for.
+
+    q is recorded, not applied: every prime is kept, and the estimators reduce the primes
+    mod their own character's modulus.
+    """
 
     p_max: int
     q: int
@@ -313,12 +313,6 @@ class PrimeTable:
     @cached_property
     def log_primes(self) -> np.ndarray:
         return np.log(self.primes.astype(np.float64))
-
-    def class_primes(self, h: int) -> np.ndarray:
-        """Ordered primes = h (mod q) for a reduced residue h."""
-        if gcd(h % self.q, self.q) != 1:
-            raise DomainError(f"h={h} is not a reduced residue mod {self.q}")
-        return self.primes[self.primes % self.q == h % self.q]
 
     def count(self) -> int:
         return int(self.primes.size)

@@ -108,10 +108,6 @@ class WindowParams:
         if self.p_max < 2:
             raise DomainError("p_max must be at least 2")
 
-    @property
-    def half_width(self) -> float:
-        return math.pi / math.log(self.p_star)
-
 
 @dataclass
 class PhaseScan:

@@ -20,14 +20,13 @@ functions are float64 kernels on the Bernoulli table, with no scipy: the tails' 
 zeta (`_hurwitz_zeta`) and digamma gap (`_psi_gap`), both memoized, complex digamma
 (`_digamma`) and log Gamma(1+a) (`_log_gamma_1p`).
 
-Asymptotic route ("stirling"): ln Gamma(z+1) with z = (2*eps+2*alpha-3)/4 +
-i*t/2, expanded through a fixed Bernoulli series (the B_2 and B_4 terms; the
-B_6 term bounds the remainder).  The imaginary part splits into a growing part
-(`stirling_phase_main`, whose t-derivative is log sqrt(t*q/(2*pi))), a part
-vanishing as t -> oo (`stirling_phase_correction`), and the Bernoulli tail
-(`stirling_phase_bernoulli`).  Since Re z < 0 on the strip, the remainder
-bound blows up as t -> 0; the route refuses t < 0.5 and the product route
-covers the small-t neighborhood.
+Asymptotic route ("stirling"): `stirling_phase` takes the imaginary part of Stirling's
+series for ln Gamma(z+1), z = (2*eps+2*alpha-3)/4 + i*t/2,
+    (z+1/2) log z - z + B_2/(2z) + B_4/(12 z^3),
+adds (t/2) log(q/pi), and returns with it a bound on its error: the B_6 term, which bounds
+the series remainder, plus the rounding of the steps it takes.  Since Re z < 0 on the
+strip, the remainder bound blows up as t -> 0; the route refuses t < 0.5 (and a NaN t),
+and the product route covers the small-t neighborhood.
 
 The three-case pattern for the mixed derivative d^2 phase / (d eps d t) at
 eps = 0 -- 3/(4t^2), 1/(4t^2), -1/(4t^2) for alpha = 2, 1, 0 -- is exposed
@@ -56,9 +55,6 @@ __all__ = [
     "gamma_log_abs",
     "gw_dphase_dt",
     "prefactor_dphase_dt",
-    "stirling_phase_main",
-    "stirling_phase_correction",
-    "stirling_phase_bernoulli",
     "stirling_phase",
     "mixed_second_derivative",
     "find_t_cross",
@@ -80,6 +76,15 @@ BERNOULLI = [
     Fraction(-236364091, 2730), Fraction(8553103, 6),
 ]
 _STIRLING_K = 3  # the asymptotic route keeps Bernoulli terms k = 1..K-1; term K bounds the rest
+_STIRLING_COEF = [float(BERNOULLI[k - 1]) / (2 * k * (2 * k - 1))  # k = K-1..1, Horner's order
+                  for k in range(_STIRLING_K - 1, 0, -1)]
+# 32u, u = 2^-53.  With log, atan2 and hypot within one ulp, `stirling_phase`'s roundings
+# move its total, to first order, by at most 9u per unit of (t/2)(1 + |log|z|| + |log(q/pi)|)
+# (the logs, and the products and sums that carry them) and by at most 22u|eps + alpha| + 50u
+# from the bounded parts: arg z times the rounded Re z + 1/2, the rounding of Re z itself
+# (the total moves by less than 9 per unit of Re z at |z| >= 1/4) and the series (below 0.52
+# there).  32u covers both and the higher orders.
+_STIRLING_ROUNDING = 2.0 ** -48
 _N_BERN = 11  # Euler-Maclaurin Bernoulli corrections of every Hurwitz zeta (here and `_l_values`)
 _PSI_COEF = [float(BERNOULLI[k - 1]) / (2 * k) for k in range(7, 0, -1)]  # B_2k/(2k), k = 7..1
 _PSI_RE_MIN = 16.0  # digamma's recurrence lifts Re z to at least this before its series
@@ -441,66 +446,37 @@ def prefactor_dphase_dt(s: SPoint, params: PrefactorParams,
 # asymptotic (Stirling) route
 # --------------------------------------------------------------------------
 
-def _stirling_z(t: float, eps: float, alpha: int) -> complex:
-    return complex((2.0 * eps + 2.0 * alpha - 3.0) / 4.0, t / 2.0)
-
-
-def _require_positive_t(t: float) -> None:
-    if t <= 0.0:
-        raise DomainError("the asymptotic branch requires t > 0")
-
-
-def stirling_phase_main(t: float, eps: float, params: PrefactorParams) -> float:
-    """Growing part of the prefactor phase: -t/2 + (t/2) log(tq/2pi) - pi/8 + (pi/4)(eps+alpha)."""
-    _require_positive_t(t)
-    y = eps + params.alpha
-    return (-t / 2.0 + (t / 2.0) * math.log(t * params.q / (2.0 * math.pi))
-            - math.pi / 8.0 + (math.pi / 4.0) * y)
-
-
 def _level(t: float, q: int) -> float:
     """The level log sqrt(|t| q / 2 pi), NaN at t = 0."""
     return 0.5 * math.log(abs(t) * q / (2.0 * math.pi)) if t != 0 else math.nan
 
 
-def stirling_phase_correction(t: float, eps: float, alpha: int) -> float:
-    """Phase part that vanishes as t -> oo (exact closed form in y = eps + alpha and
-    u = (2y - 3)/(2t))."""
-    if t == 0.0:
-        raise DomainError("correction term is undefined at t = 0")
-    y = eps + alpha
-    u = (2.0 * y - 3.0) / (2.0 * t)
-    return (t / 4.0) * math.log1p(u * u) - ((2.0 * y - 1.0) / 4.0) * math.atan(u)
-
-
-def stirling_phase_bernoulli(t: float, eps: float, alpha: int) -> tuple[float, float]:
-    """Bernoulli-series phase terms k = 1..K-1 (K = 3) and the rigorous remainder bound.
-
-    Returns (value, error_bound).  A bound exceeding |value| flags the result
-    as unusable at this t; the caller decides.
-    """
-    _require_positive_t(t)
-    z = _stirling_z(t, eps, alpha)
-    val = 0.0
-    for k in range(1, _STIRLING_K):
-        b = float(BERNOULLI[k - 1])
-        val += (b / (2 * k * (2 * k - 1)) * z ** (1 - 2 * k)).imag
-    K = _STIRLING_K
-    bound = (abs(float(BERNOULLI[K - 1])) / (2 * K * (2 * K - 1) * abs(z) ** (2 * K - 1))
-             / math.cos(math.atan2(z.imag, z.real) / 2.0) ** (2 * K))
-    return val, bound
-
-
 def stirling_phase(t: float, eps: float, params: PrefactorParams) -> tuple[float, float]:
-    """(Total prefactor phase, its Bernoulli remainder bound) by the asymptotic route; t >= 0.5."""
-    if t < T_STIRLING_MIN:
+    """(Total prefactor phase, a bound on its error) by the asymptotic route; t >= 0.5.
+
+    With z = (2 eps + 2 alpha - 3)/4 + i t/2, so that Gamma((s+alpha)/2) = Gamma(z+1), the
+    total is Im[(z+1/2) log z - z + sum_{k<K} B_2k / (2k(2k-1) z^(2k-1))] + (t/2) log(q/pi).
+    The bound is the B_2K term, sec^(2K)(arg z / 2) times its modulus, which bounds the
+    series remainder for |arg z| < pi, plus `_STIRLING_ROUNDING` times the sum of the
+    magnitudes the computed total is rounded against.
+    """
+    if not t >= T_STIRLING_MIN:
         raise DomainError(
             f"asymptotic route is unreliable below t = {T_STIRLING_MIN}; use the product route"
         )
-    bern, bound = stirling_phase_bernoulli(t, eps, params.alpha)
-    total = (stirling_phase_main(t, eps, params)
-             + stirling_phase_correction(t, eps, params.alpha) + bern)
-    return total, bound
+    z = complex((2.0 * eps + 2.0 * params.alpha - 3.0) / 4.0, t / 2.0)
+    log_z, r = complex(math.log(abs(z)), math.atan2(z.imag, z.real)), 1.0 / z
+    r2, series = r * r, 0.0
+    for c in _STIRLING_COEF:
+        series = series * r2 + c
+    log_qpi = math.log(params.q / math.pi)
+    total = ((z + 0.5) * log_z - z + r * series).imag + z.imag * log_qpi
+    K = _STIRLING_K
+    remainder = (abs(float(BERNOULLI[K - 1])) / (2 * K * (2 * K - 1) * abs(z) ** (2 * K - 1))
+                 / math.cos(log_z.imag / 2.0) ** (2 * K))
+    rounding = _STIRLING_ROUNDING * (z.imag * (1.0 + abs(log_z.real) + abs(log_qpi))
+                                     + abs(eps + params.alpha) + 3.0)
+    return total, remainder + rounding
 
 
 # --------------------------------------------------------------------------

@@ -395,16 +395,17 @@ def test_sieve_matches_simple_sieve_across_segment_sizes(segment, p_max):
 
 def test_sieve_class_partition_q4():
     table = arith.sieve_primes(100, 4)
-    assert table.class_primes(1).tolist() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+    primes = table.primes
+    assert primes[primes % 4 == 1].tolist() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
     # union of coprime classes plus primes dividing q recovers everything
-    total = sum(len(table.class_primes(h)) for h in (1, 3))
+    total = sum(int(np.sum(primes % 4 == h)) for h in (1, 3))
     residues = table.primes % 4
     assert total + int(np.sum(residues == 0)) + int(np.sum(residues == 2)) == table.count()
 
 
 def test_sieve_union_property_q6():
     table = arith.sieve_primes(500, 6)
-    coprime = sum(len(table.class_primes(h)) for h in (1, 5))
+    coprime = sum(int(np.sum(table.primes % 6 == h)) for h in (1, 5))
     dividing = int(np.sum((table.primes == 2) | (table.primes == 3)))
     assert coprime + dividing == table.count()
 
@@ -474,4 +475,3 @@ def test_pnt_class_ratio_counts_classes_of_any_table(monkeypatch):
 def test_spoint():
     s = arith.SPoint(0.25, 3.0)
     assert s.s == complex(0.75, 3.0)
-    assert s.sigma == 0.75

@@ -245,8 +245,9 @@ def test_ledger_masses_nonnegative_and_ordered(chi3, primes_1e6_q3):
 
 def test_ledger_single_sign_inside_intervals(chi3, primes_1e6_q3):
     led = _ledger(chi3, primes_1e6_q3)
+    p = primes_1e6_q3.primes
     for e in led.entries[-6:]:
-        pc = primes_1e6_q3.class_primes(e.h).astype(float)
+        pc = p[p % 3 == e.h].astype(float)
         inside = pc[(pc > e.x_up) & (pc < e.x_down)]
         if inside.size:
             c = np.cos(np.log(inside) * led.t - chi3.angle(e.h))
@@ -295,7 +296,7 @@ def test_ledger_reconstruction_identity(chi3, primes_1e6_q3):
         k0 = min(e.k for e in led.entries if e.h == h)
         lo = math.exp((2 * math.pi * k0 - math.pi / 2 + th) / led.t)
         hi = math.exp((2 * math.pi * (led.k_max + 1) - math.pi / 2 + th) / led.t)
-        pc = primes_1e6_q3.class_primes(h).astype(float)
+        pc = primes_1e6_q3.primes[primes_1e6_q3.primes % 3 == h].astype(float)
         pc = pc[(pc > lo) & (pc < hi)]
         direct += float(-lnps / math.pi * np.sum(
             np.cos(np.log(pc) * led.t - th) * np.sin(math.pi * np.log(pc) / lnps)
@@ -374,7 +375,7 @@ def test_spikes_colocated_between_estimators(chi3, primes_1e5_q3):
     top_e = grid[np.argsort(np.abs(exact.values))[-3:]]
     top_a = grid[np.argsort(np.abs(approx.values))[-3:]]
     for te in top_e:
-        assert np.min(np.abs(top_a - te)) <= 2.0 * w.half_width
+        assert np.min(np.abs(top_a - te)) <= 2.0 * math.pi / math.log(w.p_star)
 
 
 def test_level_check_defect_off_line(chi5_odd, primes_1e5_q5):
@@ -398,8 +399,7 @@ def test_window_params_validation():
         ep.WindowParams(p_star=1.0, p_max=100)
     with pytest.raises(DomainError):
         ep.WindowParams(p_star=100.0, p_max=1)
-    w = ep.WindowParams(p_star=math.exp(math.pi), p_max=100)
-    assert w.half_width == pytest.approx(1.0)
+    ep.WindowParams(p_star=math.exp(math.pi), p_max=100)
 
 
 def test_window_params_reject_nan_p_star():

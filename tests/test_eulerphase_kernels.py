@@ -44,7 +44,7 @@ def _ref_arctan_terms(p, lp, th, t, eps):
 
 def _ref_exact(t, eps, chi, primes, window):
     p, lp, th = _ref_prime_data(chi, primes, p_max=window.p_max)
-    w = window.half_width
+    w = math.pi / math.log(window.p_star)
     diff = _ref_arctan_terms(p, lp, th, t + w, eps) - _ref_arctan_terms(p, lp, th, t - w, eps)
     return float(-math.log(window.p_star) / (2.0 * math.pi) * np.sum(diff))
 
@@ -58,7 +58,7 @@ def _ref_approx(t, eps, chi, primes, window):
 
 def _ref_residual(t, eps, chi, primes, window):
     p, lp, th = _ref_prime_data(chi, primes, p_max=window.p_max)
-    w = window.half_width
+    w = math.pi / math.log(window.p_star)
     sigma = 0.5 + eps
     pref = -math.log(window.p_star) / (2.0 * math.pi)
     higher, coupled = np.zeros_like(p), np.zeros_like(p)

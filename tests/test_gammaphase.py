@@ -452,61 +452,45 @@ def test_find_t_cross_strictly_decreasing():
 
 
 # --------------------------------------------------------------------------
-# asymptotic route pieces
+# asymptotic route
 # --------------------------------------------------------------------------
 
-def test_main_term_exact_value():
-    # t = 2 pi, q = 1, alpha = 2: log term vanishes, leaving -pi - pi/8 + pi/2
-    params = gp.PrefactorParams.for_alpha(2)
-    got = gp.stirling_phase_main(2 * math.pi, 0.0, params)
-    assert got == pytest.approx(-5 * math.pi / 8, abs=1e-14)
-
-
-def test_main_term_derivative_against_finite_difference():
-    params = gp.PrefactorParams.for_alpha(1, 5)
-    t, h = 10.0, 1e-5
-    fd = (gp.stirling_phase_main(t + h, 0.0, params)
-          - gp.stirling_phase_main(t - h, 0.0, params)) / (2 * h)
-    assert abs(fd - gp._level(t, 5)) < 1e-8
-    assert gp._level(t, 5) == pytest.approx(0.5 * math.log(t * 5 / (2 * math.pi)), abs=1e-15)
-
-
-def test_main_term_linear_in_eps_plus_alpha():
-    params = gp.PrefactorParams.for_alpha(1, 3)
-    t = 4.0
-    base = gp.stirling_phase_main(t, 0.0, params)
-    assert gp.stirling_phase_main(t, 0.3, params) - base == pytest.approx(
-        math.pi / 4 * 0.3, abs=1e-14)
-
-
-def test_correction_zero_at_special_shift():
-    # eps + alpha = 3/2 kills both closed-form terms
-    assert gp.stirling_phase_correction(7.0, 0.5, 1) == 0.0
-    assert gp.stirling_phase_correction(0.3, 1.5, 0) == 0.0
-
-
-def test_correction_vanishes_at_large_t():
-    vals = [abs(gp.stirling_phase_correction(t, 0.0, 1)) for t in (10.0, 100.0, 1000.0)]
-    assert vals[0] > vals[1] > vals[2]
-    assert vals[2] < 2e-4  # decays like 1/(4t)
-
-
-def test_bernoulli_leading_behavior():
-    val, bound = gp.stirling_phase_bernoulli(100.0, 0.0, 1)
-    assert val == pytest.approx(-1.0 / 600.0, rel=0.02)
-    assert bound > 0
-
-
-def test_bernoulli_bound_decreasing_in_t():
-    bounds = [gp.stirling_phase_bernoulli(t, 0.0, 1)[1] for t in (2.0, 5.0, 20.0, 80.0)]
-    assert all(b > 0 for b in bounds)
-    assert all(a > b for a, b in zip(bounds, bounds[1:]))
+def test_stirling_phase_within_its_bound_of_mpmath():
+    # |total - (Im log Gamma((s+alpha)/2) + (t/2) log(q/pi))| <= bound, the reference at 40
+    # digits and compared there: past t ~ 300 the error is the total's rounding, which the
+    # B_6 remainder term alone falls far below (2e-16 at t = 1000, 2e-26 at 1e5)
+    ts = (0.5, 0.7, 1.0, 2.0, 5.0, 10.0, 31.0, 100.0, 300.0, 1000.0, 3000.0, 1e4, 3e4, 1e5)
+    for alpha, q in ((0, 3), (0, 400), (1, 3), (1, 400), (2, 1)):
+        params = gp.PrefactorParams.for_alpha(alpha, q)
+        for eps in (-0.4, -0.2, 0.0, 0.2, 0.5):
+            for t in ts:
+                total, bound = gp.stirling_phase(t, eps, params)
+                with mp.workdps(40):
+                    z = (mp.mpf(0.5) + mp.mpf(eps) + alpha + mp.mpc(0, t)) / 2
+                    ref = mp.im(mp.loggamma(z)) + mp.mpf(t) / 2 * mp.log(mp.mpf(q) / mp.pi)
+                    assert abs(mp.mpf(total) - ref) <= bound, (alpha, q, eps, t)
 
 
 def test_stirling_route_refuses_small_t():
+    # t < 0.5 and a NaN t are refused; t = 0.5 is the first t taken
     params = gp.PrefactorParams.for_alpha(1, 3)
-    with pytest.raises(DomainError):
-        gp.stirling_phase(0.3, 0.0, params)
+    for t in (0.3, math.nextafter(0.5, 0.0), 0.0, -2.0, math.nan):
+        with pytest.raises(DomainError):
+            gp.stirling_phase(t, 0.0, params)
+    assert math.isfinite(gp.stirling_phase(0.5, 0.0, params)[1])
+
+
+def test_level_is_the_stirling_phase_slope():
+    # log sqrt(|t| q / 2 pi), NaN at t = 0; the Stirling total's t-derivative,
+    # (Re psi(z+1) + log(q/pi))/2, differs from it by (a^2 - a)/t^2 + O(t^-4), a = Re z + 1
+    assert gp._level(10.0, 5) == pytest.approx(0.5 * math.log(10.0 * 5 / (2 * math.pi)), abs=1e-15)
+    assert gp._level(-10.0, 5) == gp._level(10.0, 5)
+    assert math.isnan(gp._level(0.0, 5))
+    params, h = gp.PrefactorParams.for_alpha(1, 5), 1e-3
+    for t in (10.0, 100.0, 1000.0):
+        fd = (gp.stirling_phase(t + h, 0.0, params)[0]
+              - gp.stirling_phase(t - h, 0.0, params)[0]) / (2 * h)
+        assert abs(fd - gp._level(t, 5)) < 0.25 / t ** 2
 
 
 def test_route_agreement_sample_point():
