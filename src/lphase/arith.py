@@ -389,8 +389,8 @@ def li(x: float) -> float:
 
 def pnt_class_ratio(x: float, q: int, table: PrimeTable | None = None) -> dict[int, float]:
     """pi(x; q, h) * phi(q) / Li(x) for every reduced class h mod q, from any table reaching x."""
-    if x < 10:
-        raise DomainError("pnt_class_ratio requires x >= 10")
+    if not 10 <= x < math.inf:
+        raise DomainError(f"pnt_class_ratio requires a finite x >= 10, got {x}")
     if q < 1:
         raise DomainError("modulus must be a positive integer")
     if table is None or table.p_max < int(x):

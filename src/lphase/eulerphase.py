@@ -1,16 +1,16 @@
 """Windowed Euler-product phase estimators and oscillation bookkeeping.
 
-The phase of the Euler product over primes p <= p_max, gcd(p, q) = 1,
+Every estimator here is a windowed increment of the phase of the Euler product over
+primes p <= p_max, gcd(p, q) = 1,
 
     phase(t) = - sum_p arctan( sin(log(p) t - angle(chi(p)))
                                / (p^(1/2+eps) - cos(log(p) t - angle(chi(p)))) ),
 
-converges only conditionally for eps <= 1/2, so the summation order is part
-of every contract here: terms are accumulated over ascending primes, and
-any grouping (class tagging, oscillation braces, block pre-sums) must keep
-that order.  numpy's pairwise reduction satisfies this -- it groups
-contiguous blocks in order and never permutes terms -- and is bit-stable
-across runs.
+never the phase itself.  The sum converges only conditionally for eps <= 1/2, so the
+summation order is part of every contract here: terms are accumulated over ascending
+primes, and any grouping (class tagging, oscillation braces, block pre-sums) must keep that
+order.  numpy's pairwise reduction satisfies this -- it groups contiguous blocks in order
+and never permutes terms -- and is bit-stable across runs.
 
 The incremental ratio over the window t +/- pi/log(p_star) is the working
 phase-derivative estimator (`windowed_ratio_exact`); replacing each arctan
@@ -25,8 +25,8 @@ primes, p^(1/2+eps) and the window tables once; `scan` makes one kernel call for
 grid.  Preparation copies the runs of the prime table between the few primes that divide q
 straight into its arrays and fills the window tables leaf by leaf, so a prepared kernel
 holds five arrays over its primes and leaf-sized buffers.
-The two estimators, the residual and the Euler phase are modes of that kernel's one leaf:
-each value is one sum in numpy's pairwise order over leaves of at most 8192 primes
+The two estimators and the residual are modes of that kernel's one leaf: each value is one
+sum in numpy's pairwise order over leaves of at most 8192 primes
 (`gammaphase._ordered_sum`), so it depends only on its own t.  Each leaf runs on a block
 of up to `_BLOCK` points at once, one row per point: a single-point call is a block of
 one, and every value keeps the bits it has alone.  Every cosine of a per-prime angle, in the
@@ -42,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .arith import DirichletCharacter, PrimeTable, SPoint, euler_phi
+from .arith import DirichletCharacter, PrimeTable, euler_phi
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
 from .gammaphase import _LEAF, _leaf_size, _level, _ordered_sum, _x_minus_arctan
 
@@ -53,7 +53,6 @@ __all__ = [
     "LedgerEntry",
     "MassRatios",
     "LevelCheckResult",
-    "euler_phase",
     "windowed_ratio_exact",
     "windowed_ratio_approx",
     "EstimatorResidual",
@@ -68,6 +67,9 @@ __all__ = [
 
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
 _MAX_LEDGER_ENTRIES = 10 ** 5  # each entry takes two Li quadratures and two prime sums
+# panels of one Li interval, 20 nodes each (`_li_integral`): the CLI ledgers and criterion 13
+# take at most 2, the quadrature tests 68; the count grows like |eps| past |t|
+_MAX_LI_PANELS = 1 << 12
 # Li intervals [a, b] in u = log y are cut into panels with max(|z|, 1/a) (b - a) <= _GL_SPAN,
 # each integrated by the 20 Gauss-Legendre nodes and weights on [-1, 1] below (`_li_integral`):
 # the roots of P_20 and their weights 2 / ((1 - x^2) P_20'(x)^2), each correctly rounded
@@ -126,17 +128,17 @@ class PhaseScan:
 
 
 def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
-                p_max: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                p_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primes p <= p_max coprime to q (ascending), their logs, and character angles.
 
     A prime off the units divides q, so only primes <= q can drop out; the runs of the
     table between them are copied straight into the float primes, their logs and their
     residues mod q, which index the angles.
     """
-    if p_max is not None and p_max > primes.p_max:
+    if p_max > primes.p_max:
         raise DomainError(f"cutoff {p_max} lies past the prime table's p_max {primes.p_max}")
     table = primes.primes
-    n = table.size if p_max is None else int(np.searchsorted(table, p_max, side="right"))
+    n = int(np.searchsorted(table, p_max, side="right"))
     q = chi.q
     drop = [i for i in range(int(np.searchsorted(table[:n], q, side="right")))
             if chi.k[table[i] % q] < 0]
@@ -151,13 +153,8 @@ def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
 
 
 def _check_eps(eps: float) -> None:
-    if eps < MIN_EPS:
-        raise DomainError(f"eps < {MIN_EPS} is outside the supported strip")
-
-
-def euler_phase(s: SPoint, chi: DirichletCharacter, primes: PrimeTable) -> float:
-    """Euler-product phase partial sum at s, accumulated over ascending primes."""
-    return float(_kernel("euler_phase", s.eps, chi, primes, None)([s.t])[0])
+    if not MIN_EPS <= eps < math.inf:
+        raise DomainError(f"eps must be finite and at least {MIN_EPS}, got {eps}")
 
 
 def _cos(x, u, c, d):
@@ -188,12 +185,12 @@ def _window_table(lp, lnps):
 
 
 # leaf buffer rows of each `_kernel` mode: s, c, d; then u, v; then the residual's e, f
-_ROWS = {"euler_phase": 3, "cosine_approx": 3, "exact_arctan": 5, "residual": 7}
+_ROWS = {"cosine_approx": 3, "exact_arctan": 5, "residual": 7}
 _BLOCK = 4  # grid points per leaf of a scan
 
 
 def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
-            window: WindowParams | None):
+            window: WindowParams):
     """One of the Euler-product sums as a function of t, with its primes prepared once.
 
     A value is one ordered sum over ascending primes, computed in leaves of at most _LEAF
@@ -203,25 +200,22 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
     a block of one.
     The buffers are allocated per evaluation, as wide as the largest leaf (`_leaf_size`),
     and each mode has only the rows it uses (`_ROWS`).  The leaf takes cos, and for all but
-    the cosine mode sin, of A = log(p) t - theta from one tan of A/2 (`_cos`, `_sin_cos`);
-    the windowed modes use fixed sin B, cos B tables (`_window_table`, B = pi log p /
-    log p*).  Modes:
+    the cosine mode sin, of A = log(p) t - theta from one tan of A/2 (`_cos`, `_sin_cos`),
+    and uses fixed sin B, cos B tables (`_window_table`, B = pi log p / log p*).  Modes:
     "exact_arctan", the arctan increments x = sin/(p^sigma - cos) at A +- B, reached by
     angle addition; "cosine_approx", their leading terms cos A sin B / p^sigma (scale
     -log p*/pi against -log p*/2pi); "residual", the difference of the two as two rows
-    (higher arctan orders, coupled term); "euler_phase", the phase at A over the whole
-    table (no window).  The leaf works in place in its buffers: the same leaf written as
-    plain expressions gives the same bits but is slower at 665k primes (q = 3, p_max = 1e7,
-    in-process medians on a 2-vCPU host): 13.7-17.0 against 11.9-12.0 ms a point.
+    (higher arctan orders, coupled term).  The leaf works in place in its buffers: the same
+    leaf written as plain expressions gives the same bits but is slower at 665k primes
+    (q = 3, p_max = 1e7, in-process medians on a 2-vCPU host): 13.7-17.0 against
+    11.9-12.0 ms a point.
     """
     _check_eps(eps)
-    p, lp, th = _prime_data(chi, primes, p_max=None if window is None else window.p_max)
+    p, lp, th = _prime_data(chi, primes, window.p_max)
     p_sigma = np.power(p, 0.5 + eps, out=p)
-    scale = -1.0
-    if window is not None:
-        lnps = math.log(window.p_star)
-        scale = -lnps / (math.pi if mode == "cosine_approx" else 2.0 * math.pi)
-        sin_w, cos_w = _window_table(lp, lnps)
+    lnps = math.log(window.p_star)
+    scale = -lnps / (math.pi if mode == "cosine_approx" else 2.0 * math.pi)
+    sin_w, cos_w = _window_table(lp, lnps)
 
     def leaf(buf: np.ndarray, t, lo: int, m: int) -> np.ndarray:
         views, i = buf[..., :m], slice(lo, lo + m)
@@ -231,8 +225,6 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
             _cos(a, s, c, d)
             return np.divide(np.multiply(c, sin_w[i], c), p_sigma[i], c)
         _sin_cos(a, s, c, d)
-        if mode == "euler_phase":
-            return np.arctan(np.divide(s, np.subtract(p_sigma[i], c, c), s), s)
         # sin(A +- B) = s cos B +- c sin B, cos(A +- B) = c cos B -+ s sin B
         u, v = views[3:5]
         np.multiply(s, sin_w[i], v)
@@ -416,6 +408,12 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
     if count > _MAX_LEDGER_ENTRIES:
         raise ResourceLimitError(f"a ledger of {count} entries is over the "
                                  f"{_MAX_LEDGER_ENTRIES}-entry budget; lower k_max")
+    # an interval spans at most pi/t in u = log y, from u >= log 2 (`_li_integral`'s panels)
+    panels = max(math.hypot(0.5 - eps, math.pi / lnps + t), 1.0 / math.log(2.0)) * (
+        math.pi / (t * _GL_SPAN))
+    if count and panels > _MAX_LI_PANELS:
+        raise ResourceLimitError(f"Li intervals of up to {panels:.3g} panels are over the "
+                                 f"{_MAX_LI_PANELS}-panel budget; lower eps")
     # every interval ends at or below the last rising boundary
     p, lp, angles = _prime_data(chi, primes, p_max=math.floor(max(
         oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in first)))

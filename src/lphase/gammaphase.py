@@ -17,7 +17,7 @@ the same head, to near machine precision.  The N-term sums add their first min(N
 terms as one sum in numpy's pairwise order over leaves of 8192 terms and the rest as the
 difference of two tails, in O(min(N, |t|)).  The route is valid for all t.  Its special
 functions are float64 kernels on the Bernoulli table, with no scipy: the tails' Hurwitz
-zeta (`_hurwitz_zeta`) and digamma gap (`_psi_gap`), both memoized, complex digamma
+zeta (`_hurwitz_zeta`) and digamma gap (`_psi_gap`), both memoized, the real digamma
 (`_digamma`) and log Gamma(1+a) (`_log_gamma_1p`).
 
 Asymptotic route ("stirling"): `stirling_phase` takes the imaginary part of Stirling's
@@ -26,7 +26,9 @@ series for ln Gamma(z+1), z = (2*eps+2*alpha-3)/4 + i*t/2,
 adds (t/2) log(q/pi), and returns with it a bound on its error: the B_6 term, which bounds
 the series remainder, plus the rounding of the steps it takes.  Since Re z < 0 on the
 strip, the remainder bound blows up as t -> 0; the route refuses t < 0.5 (and a NaN t),
-and the product route covers the small-t neighborhood.
+and the product route covers the small-t neighborhood.  It refuses as well an input whose
+total or bound is not a finite float: an infinite t, a non-finite eps, or a t large enough
+(about 6e305 at q = 3) that the total overflows.
 
 The three-case pattern for the mixed derivative d^2 phase / (d eps d t) at
 eps = 0 -- 3/(4t^2), 1/(4t^2), -1/(4t^2) for alpha = 2, 1, 0 -- is exposed
@@ -87,7 +89,7 @@ _STIRLING_COEF = [float(BERNOULLI[k - 1]) / (2 * k * (2 * k - 1))  # k = K-1..1,
 _STIRLING_ROUNDING = 2.0 ** -48
 _N_BERN = 11  # Euler-Maclaurin Bernoulli corrections of every Hurwitz zeta (here and `_l_values`)
 _PSI_COEF = [float(BERNOULLI[k - 1]) / (2 * k) for k in range(7, 0, -1)]  # B_2k/(2k), k = 7..1
-_PSI_RE_MIN = 16.0  # digamma's recurrence lifts Re z to at least this before its series
+_PSI_MIN = 16.0  # digamma's recurrence lifts x to at least this before its series
 _LGAMMA_ORDER = 60  # Taylor terms of log Gamma(2+y), |y| <= 1: the next is below 2^-60
 _MEMO_SIZE = 1024  # entries of each tail memo; a prefactor pass asks for about 260 distinct ones
 
@@ -150,26 +152,20 @@ def _hurwitz_zeta(s1: int, count: int, w: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _digamma(z):
-    """psi(z) for Re z > 0: the recurrence psi(z) = psi(z+1) - 1/z lifts Re z to _PSI_RE_MIN,
-    then psi(z) = log z - 1/(2z) - sum_{k=1..7} B_2k / (2k z^(2k)), whose next term is below
-    3e-20 there, added in Cephes' order (scipy's real `digamma` gives the same bits at
-    z >= 16).  A Python float takes plain `math`; an array, real or complex, takes numpy,
-    shifted as often as its least real part needs, the smallest recurrence terms first."""
-    if isinstance(z, float):
-        log, low = math.log, z
-    else:
-        z = np.asarray(z)
-        log, low = np.log, float(np.min(z.real, initial=_PSI_RE_MIN))
-    shift = max(0, math.ceil(_PSI_RE_MIN - low))
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: the recurrence psi(x) = psi(x+1) - 1/x lifts x to _PSI_MIN, then
+    psi(x) = log x - 1/(2x) - sum_{k=1..7} B_2k / (2k x^(2k)), whose next term is below 3e-20
+    there, added in Cephes' order (scipy's `digamma` gives the same bits at x >= 16); the
+    smallest recurrence terms are added first."""
+    shift = max(0, math.ceil(_PSI_MIN - x))
     out = 0.0
     for k in reversed(range(shift)):  # the smallest terms first
-        out = out - 1.0 / (z + k)
-    z = z + shift
-    r, series = 1.0 / (z * z), 0.0
+        out = out - 1.0 / (x + k)
+    x = x + shift
+    r, series = 1.0 / (x * x), 0.0
     for c in _PSI_COEF:
         series = series * r + c
-    return ((log(z) - 0.5 / z) - r * series) + out
+    return ((math.log(x) - 0.5 / x) - r * series) + out
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -458,7 +454,8 @@ def stirling_phase(t: float, eps: float, params: PrefactorParams) -> tuple[float
     total is Im[(z+1/2) log z - z + sum_{k<K} B_2k / (2k(2k-1) z^(2k-1))] + (t/2) log(q/pi).
     The bound is the B_2K term, sec^(2K)(arg z / 2) times its modulus, which bounds the
     series remainder for |arg z| < pi, plus `_STIRLING_ROUNDING` times the sum of the
-    magnitudes the computed total is rounded against.
+    magnitudes the computed total is rounded against.  A total or bound that is not a finite
+    float is refused, as a t below 0.5 is.
     """
     if not t >= T_STIRLING_MIN:
         raise DomainError(
@@ -472,11 +469,14 @@ def stirling_phase(t: float, eps: float, params: PrefactorParams) -> tuple[float
     log_qpi = math.log(params.q / math.pi)
     total = ((z + 0.5) * log_z - z + r * series).imag + z.imag * log_qpi
     K = _STIRLING_K
-    remainder = (abs(float(BERNOULLI[K - 1])) / (2 * K * (2 * K - 1) * abs(z) ** (2 * K - 1))
+    # |z|^(1-2K), not 1/|z|^(2K-1): it underflows to 0 where the other overflows
+    remainder = (abs(float(BERNOULLI[K - 1])) / (2 * K * (2 * K - 1)) * abs(z) ** (1 - 2 * K)
                  / math.cos(log_z.imag / 2.0) ** (2 * K))
-    rounding = _STIRLING_ROUNDING * (z.imag * (1.0 + abs(log_z.real) + abs(log_qpi))
-                                     + abs(eps + params.alpha) + 3.0)
-    return total, remainder + rounding
+    bound = remainder + _STIRLING_ROUNDING * (z.imag * (1.0 + abs(log_z.real) + abs(log_qpi))
+                                              + abs(eps + params.alpha) + 3.0)
+    if not (math.isfinite(total) and math.isfinite(bound)):
+        raise DomainError(f"no finite asymptotic phase at t = {t}, eps = {eps}")
+    return total, bound
 
 
 # --------------------------------------------------------------------------

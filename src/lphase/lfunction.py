@@ -77,7 +77,7 @@ _L_TOL = 1e-10  # the largest remainder estimate l_eval accepts, from its one he
 
 
 def _em_head(t_max: float) -> int:
-    return max(24, int(t_max) + 40)
+    return int(t_max) + 40
 
 
 def _one_modulus(chi) -> tuple[DirichletCharacter, ...]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -97,16 +96,12 @@ def _c1_gauss_sum_law(c: _Check) -> None:
 
 
 def _c2_character_table_q5(c: _Check) -> None:
-    F = Fraction
-    reference = {
-        (F(0), F(0), F(0), F(0)),
-        (F(0), F(1, 4), F(3, 4), F(1, 2)),
-        (F(0), F(1, 2), F(1, 2), F(0)),
-        (F(0), F(3, 4), F(1, 4), F(1, 2)),
-    }
-    rows = {tuple(chi.phase_turns[1:5]) for chi in arith.enumerate_characters(5)}
+    # chi(n) = exp(2 pi i k[n] / 4) for n = 1..4: the turns 0, 1/4, 3/4, 1/2 are k = 0, 1, 3, 2
+    reference = {(0, 0, 0, 0), (0, 1, 3, 2), (0, 2, 2, 0), (0, 3, 1, 2)}
+    chars = arith.enumerate_characters(5)
+    rows = {tuple(chi.k[1:5].tolist()) for chi in chars}
     c.expect("q=5 phase rows match the reference table up to permutation",
-             rows == reference)
+             all(chi.m == 4 for chi in chars) and rows == reference)
 
 
 def _c3_three_case_mixed(c: _Check) -> None:

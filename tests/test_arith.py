@@ -460,6 +460,12 @@ def test_pnt_class_ratios():
     assert all(0.7 <= v <= 1.3 for v in r3.values())
 
 
+def test_pnt_class_ratio_refuses_non_finite_x():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            arith.pnt_class_ratio(x, 4)
+
+
 def test_pnt_class_ratio_counts_classes_of_any_table(monkeypatch):
     # a table sieved mod 3 counts the classes mod 4 as a mod-4 table does, without a re-sieve
     ref = arith.pnt_class_ratio(1e6, 4, table=arith.sieve_primes(10 ** 6, 4))

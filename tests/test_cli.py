@@ -218,12 +218,15 @@ def test_unbounded_t_grids_exit_1(capsys):
 
 
 def test_oversized_tables_exit_1(capsys):
-    # 4e11 character cells and 4.2e6 ledger entries are counted and refused, not built
+    # 4e11 character cells, 4.2e6 ledger entries and Li intervals of 1.6e299 panels are
+    # counted and refused, not built
     assert main(["characters", "--q", "1000000"]) == 1
     assert main(["ledger", "--q", "3", "--chi-index", "1", "--t", "1000000",
                  "--p-max", "1000000", "--p-star", "1000000"]) == 1
+    assert main(["ledger", "--q", "3", "--chi-index", "1", "--t", "10", "--eps", "1e300",
+                 "--p-max", "100000", "--p-star", "100000"]) == 1
     err = capsys.readouterr().err
-    assert err.count("lphase: error:") == 2 and "Traceback" not in err
+    assert err.count("lphase: error:") == 3 and "Traceback" not in err
 
 
 def test_verify_single_passing_criterion(capsys, tmp_path):

@@ -7,46 +7,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lphase import eulerphase as ep
-from lphase.arith import SPoint, enumerate_characters, sieve_primes
+from lphase.arith import enumerate_characters, sieve_primes
 from lphase.errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
 
 
 # --------------------------------------------------------------------------
-# phase partial sums
+# the eps floor
 # --------------------------------------------------------------------------
 
-def test_phase_zero_at_t0_for_real_even_character(chi5_real, primes_1e5_q5):
-    # every sine term vanishes when all character angles are 0 or pi
-    for eps in (0.0, 0.3, 1.0):
-        assert abs(ep.euler_phase(SPoint(eps, 0.0), chi5_real, primes_1e5_q5)) < 1e-12
-
-
-def test_phase_matches_complex_log_oracle(chi3, primes_1e5_q3):
-    s = SPoint(2.0, 1.0)
-    got = ep.euler_phase(s, chi3, primes_1e5_q3)
-    p, _, th = ep._prime_data(chi3, primes_1e5_q3)
-    oracle = float(-np.sum(np.log(1.0 - np.exp(1j * th) * p ** (-(2.5 + 1j))).imag))
-    assert got == pytest.approx(oracle, abs=1e-10)
-
-
-def test_phase_tail_shrinks_when_doubling_pmax(chi3):
-    small = sieve_primes(10 ** 5, 3)
-    large = sieve_primes(2 * 10 ** 5, 3)
-    s = SPoint(0.5, 9.0)
-    delta = abs(ep.euler_phase(s, chi3, large) - ep.euler_phase(s, chi3, small))
-    assert delta < 10.0 * (10 ** 5) ** -0.5
-
-
 def test_eps_floor_guard(chi3, primes_1e5_q3):
-    # every estimator rejects eps just below MIN_EPS, scan even on an empty grid
-    eps = math.nextafter(ep.MIN_EPS, -math.inf)
+    # every estimator rejects eps just below MIN_EPS and a non-finite eps, scan even on an
+    # empty grid
     w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
-    calls = [lambda e=e: ep.euler_phase(SPoint(e, 1.0), chi3, primes_1e5_q3) for e in (-0.45, eps)]
-    calls += [lambda f=f: f(1.0, eps, chi3, primes_1e5_q3, w)
-              for f in (ep.windowed_ratio_exact, ep.windowed_ratio_approx, ep.estimator_residual)]
-    calls += [lambda g=g, e=e: ep.scan(chi3, eps, g, primes_1e5_q3, w, estimator=e)
-              for g in (np.array([1.0, 2.0]), np.array([]))
-              for e in ("exact_arctan", "cosine_approx")]
+    calls = []
+    for eps in (-0.45, math.nextafter(ep.MIN_EPS, -math.inf), math.inf, math.nan):
+        calls += [lambda f=f, e=eps: f(1.0, e, chi3, primes_1e5_q3, w)
+                  for f in (ep.windowed_ratio_exact, ep.windowed_ratio_approx,
+                            ep.estimator_residual)]
+        calls += [lambda g=g, e=eps, m=m: ep.scan(chi3, e, g, primes_1e5_q3, w, estimator=m)
+                  for g in (np.array([1.0, 2.0]), np.array([]))
+                  for m in ("exact_arctan", "cosine_approx")]
     for call in calls:
         with pytest.raises(DomainError):
             call()
@@ -63,17 +43,26 @@ def test_arctan_denominator_bounded_below_at_min_eps(t, q, index):
     # p^sigma - cos >= 2^0.1 - 1 for p >= 2 and eps >= MIN_EPS: no denominator can vanish
     chars = enumerate_characters(q)
     chi = chars[index % len(chars)]
-    p, lp, th = ep._prime_data(chi, sieve_primes(10 ** 4, q))
+    p, lp, th = ep._prime_data(chi, sieve_primes(10 ** 4, q), 10 ** 4)
     denom = p ** (0.5 + ep.MIN_EPS) - np.cos(lp * t - th)
     assert np.all(denom >= 2.0 ** 0.1 - 1.0)
+
+
+def _phase(t, eps, chi, primes):
+    # the Euler-product phase, -sum arctan(sin A / (p^sigma - cos A)), A = log(p) t - theta,
+    # over the whole table in one numpy sum
+    keep = chi.k[primes.primes % chi.q] >= 0
+    p, lp = primes.primes[keep].astype(np.float64), primes.log_primes[keep]
+    a = lp * t - chi.angles_by_residue()[primes.primes[keep] % chi.q]
+    return float(-np.sum(np.arctan(np.sin(a) / (p ** (0.5 + eps) - np.cos(a)))))
 
 
 def test_windowed_matches_derivative_for_narrow_window(chi3, primes_1e5_q3):
     # a window much narrower than the curvature scale reproduces the exact
     # t-derivative of the same finite sum
     t0, h = 10.0, 1e-5
-    fd = (ep.euler_phase(SPoint(1.0, t0 + h), chi3, primes_1e5_q3)
-          - ep.euler_phase(SPoint(1.0, t0 - h), chi3, primes_1e5_q3)) / (2 * h)
+    fd = (_phase(t0 + h, 1.0, chi3, primes_1e5_q3)
+          - _phase(t0 - h, 1.0, chi3, primes_1e5_q3)) / (2 * h)
     narrow = ep.WindowParams(p_star=1e45, p_max=10 ** 5)
     assert abs(ep.windowed_ratio_exact(t0, 1.0, chi3, primes_1e5_q3, narrow) - fd) < 1e-4
 
@@ -329,6 +318,41 @@ def test_ledger_refused_past_entry_budget(chi3, primes_1e6_q3, monkeypatch):
     monkeypatch.setattr(ep, "_prime_data", None)  # counted before any prime is prepared
     with pytest.raises(ResourceLimitError, match=f"of {n} entries"):
         _ledger(chi3, primes_1e6_q3)
+
+
+@pytest.mark.parametrize("eps", (1e8, 1e300))
+def test_ledger_refused_past_li_panel_budget(chi3, primes_1e5_q3, monkeypatch, eps):
+    # an interval's Li panels grow like |eps| past t: refused before any prime or node exists
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    k_max = ep.max_k_for_bound(10.0, chi3, 1e5)
+    monkeypatch.setattr(ep, "_prime_data", None)
+    monkeypatch.setattr(ep, "_li_integral", None)
+    with pytest.raises(ResourceLimitError, match="4096-panel budget"):
+        ep.build_oscillation_ledger(10.0, eps, chi3, primes_1e5_q3, w, k_max)
+
+
+def test_li_panel_budget_is_the_widest_interval(chi3, primes_1e5_q3, monkeypatch):
+    # the ledger's bound on an interval's panels, max(|z|, 1/log 2) pi / (t _GL_SPAN), is
+    # attained within one panel by the intervals `_li_integral` is handed
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    t, k_max = 10.0, ep.max_k_for_bound(10.0, chi3, 1e5)
+    li, spans = ep._li_integral, []
+
+    def counted(th, t, eps, lnps, lo, hi):
+        a, b = math.log(lo), math.log(hi)
+        spans.append(max(math.hypot(0.5 - eps, math.pi / lnps + t), 1.0 / a) * (b - a))
+        return li(th, t, eps, lnps, lo, hi)
+
+    monkeypatch.setattr(ep, "_li_integral", counted)
+    for eps in (0.0, 0.45, 50.0):
+        spans.clear()
+        ep.build_oscillation_ledger(t, eps, chi3, primes_1e5_q3, w, k_max)
+        bound = max(math.hypot(0.5 - eps, math.pi / math.log(1e5) + t), 1.0 / math.log(2.0))
+        widest = max(spans) / ep._GL_SPAN
+        assert widest <= bound * math.pi / (t * ep._GL_SPAN) * (1 + 1e-12) < widest + 1
+    monkeypatch.setattr(ep, "_MAX_LI_PANELS", math.ceil(widest) - 1)
+    with pytest.raises(ResourceLimitError):
+        ep.build_oscillation_ledger(t, 50.0, chi3, primes_1e5_q3, w, k_max)
 
 
 def test_mass_ratios(chi3, primes_1e6_q3):

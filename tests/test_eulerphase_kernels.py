@@ -1,7 +1,7 @@
 """The prepared-prime estimator kernels against the per-call code they replaced.  Every
 sine and cosine of log(p) t - theta comes from one tan of the half angle, and the arctan
 increments reach their window endpoints by angle addition, so both estimators, both
-residual pieces, the Euler phase and the ledger's prime-sum masses must match the per-call
+residual pieces and the ledger's prime-sum masses must match the per-call
 np.sin/np.cos sums within 2e-12 relative, and every estimator a 30-digit mpmath evaluation;
 the ledger's boundaries and Li masses are equal bit for bit, and a scan value must equal
 its own per-point value bit for bit inside any grid."""
@@ -23,18 +23,15 @@ from lphase.gammaphase import _x_minus_arctan
 # reference code: the primes prepared again at every point and every interval
 # --------------------------------------------------------------------------
 
-def _ref_prime_data(chi, primes, p_max=None):
+def _ref_prime_data(chi, primes, p_max):
     angles = chi.angles_by_residue()
     res = primes.primes % chi.q
     theta = angles[res]
     keep = ~np.isnan(theta)
     p = primes.primes[keep].astype(np.float64)
     lp = primes.log_primes[keep]
-    th = theta[keep]
-    if p_max is not None:
-        cut = np.searchsorted(p, p_max, side="right")
-        p, lp, th = p[:cut], lp[:cut], th[:cut]
-    return p, lp, th
+    cut = np.searchsorted(p, p_max, side="right")
+    return p[:cut], lp[:cut], theta[keep][:cut]
 
 
 def _ref_arctan_terms(p, lp, th, t, eps):
@@ -72,11 +69,6 @@ def _ref_residual(t, eps, chi, primes, window):
     coupled_val = float(pref * np.sum(coupled))
     return ep.EstimatorResidual(total=higher_val + coupled_val,
                                 higher_order=higher_val, coupled=coupled_val)
-
-
-def _ref_euler_phase(s, chi, primes):
-    p, lp, th = _ref_prime_data(chi, primes)
-    return float(-np.sum(_ref_arctan_terms(p, lp, th, s.t, s.eps)))
 
 
 def _ref_mass_sum(p_class, lp_class, th, t, eps, lnps, lo, hi):
@@ -179,10 +171,6 @@ def test_point_estimators_match_reference(case, eps, window):
         for name in ("total", "higher_order", "coupled"):
             assert type(getattr(res, name)) is float
             _assert_exact_close(getattr(res, name), getattr(want, name))
-        s = SPoint(eps, t)
-        got = ep.euler_phase(s, chi, table)
-        assert type(got) is float
-        _assert_exact_close(got, _ref_euler_phase(s, chi, table))
 
 
 @pytest.mark.parametrize("estimator", ("exact_arctan", "cosine_approx"))
@@ -233,10 +221,8 @@ def test_leaf_size_is_the_widest_leaf_of_an_ordered_sum():
 
 def _mp_arctan_sums(ts, epss, chi, table, window):
     """At 30 digits for every (t, eps), on the same primes and angles: windowed_ratio_exact,
-    the residual's higher-order, coupled and total values, euler_phase over the table and
-    windowed_ratio_approx."""
+    the residual's higher-order, coupled and total values and windowed_ratio_approx."""
     p, _, th = ep._prime_data(chi, table, p_max=window.p_max)
-    assert p.size == ep._prime_data(chi, table)[0].size
     with mp.workdps(30):
         lnps = mp.log(window.p_star)
         w, pref = mp.pi / lnps, -lnps / (2 * mp.pi)
@@ -245,7 +231,7 @@ def _mp_arctan_sums(ts, epss, chi, table, window):
         ps = {eps: [mp.mpf(int(x)) ** (mp.mpf(0.5) + eps) for x in p] for eps in epss}
         out = {}
         for t in ts:
-            terms = {eps: ([], [], [], [], []) for eps in epss}
+            terms = {eps: ([], [], [], []) for eps in epss}
             for i, (x, theta) in enumerate(zip(lp, th.tolist())):
                 a = x * t - mp.mpf(theta)
                 s, c = mp.sin(a), mp.cos(a)
@@ -254,17 +240,15 @@ def _mp_arctan_sums(ts, epss, chi, table, window):
                 for eps in epss:
                     pse = ps[eps][i]
                     xp, xm = sp / (pse - cp), sm / (pse - cm)
-                    exact, higher, coupled, phase, cosine = terms[eps]
+                    exact, higher, coupled, cosine = terms[eps]
                     exact.append(mp.atan(xp) - mp.atan(xm))
                     higher.append((mp.atan(xp) - xp) - (mp.atan(xm) - xm))
                     coupled.append((xp * cp - xm * cm) / pse)
-                    phase.append(-mp.atan(s / (pse - c)))
                     cosine.append(c * sw[i] / pse)
             for eps in epss:
-                exact, higher, coupled, phase, cosine = (mp.fsum(x) for x in terms[eps])
+                exact, higher, coupled, cosine = (mp.fsum(x) for x in terms[eps])
                 out[t, eps] = (float(pref * exact), float(pref * higher), float(pref * coupled),
-                               float(pref * (higher + coupled)), float(phase),
-                               float(2 * pref * cosine))
+                               float(pref * (higher + coupled)), float(2 * pref * cosine))
     return out
 
 
@@ -278,8 +262,7 @@ def test_windowed_ratio_exact_matches_mpmath_oracle(q, index, p_max, p_star):
     for (t, eps), want in ref.items():
         res = ep.estimator_residual(t, eps, chi, table, window)
         got = (ep.windowed_ratio_exact(t, eps, chi, table, window), res.higher_order,
-               res.coupled, res.total, ep.euler_phase(SPoint(eps, t), chi, table),
-               ep.windowed_ratio_approx(t, eps, chi, table, window))
+               res.coupled, res.total, ep.windowed_ratio_approx(t, eps, chi, table, window))
         for g, r in zip(got, want):
             assert abs(g - r) <= _EXACT_RTOL * max(1.0, abs(r)), (t, eps)
 
@@ -316,7 +299,6 @@ def test_ordered_sums_leave_no_reference_cycles():
             ep.scan(chi, 0.0, _GRID, table, window, estimator=estimator)
         ep.windowed_ratio_exact(7.3, 0.0, chi, table, window)
         ep.estimator_residual(7.3, 0.0, chi, table, window)
-        ep.euler_phase(SPoint(0.0, 7.3), chi, table)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -361,10 +343,10 @@ def test_scan_prepares_primes_once(monkeypatch):
 @pytest.mark.parametrize("q", (1, 2, 3, 12, 30, 60))
 def test_prime_data_matches_masked_copies(q):
     # the kept runs between the primes that divide q, against the mask over the whole table;
-    # p_max = 2, 3 and 5 end the table among those primes
+    # p_max = 2, 3 and 5 end the table among those primes, and 120,000 keeps the whole table
     table = _TABLES[1]
     for chi in enumerate_characters(q):
-        for p_max in (None, 2, 3, 5, 61, 100_003):
+        for p_max in (2, 3, 5, 61, 100_003, 120_000):
             got, want = ep._prime_data(chi, table, p_max), _ref_prime_data(chi, table, p_max)
             for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()

@@ -1,6 +1,7 @@
 """Product and asymptotic Gamma-phase routes, cross-checked against mpmath."""
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -104,31 +105,11 @@ def test_gw_dphase_large_t_asymptote():
     assert abs(val - 0.5 * math.log(t * q / (2 * math.pi))) < 1e-3
 
 
-def _dphase_dt_limit(t, eps, alpha):
-    # the limit of gw_dphase_dt, Re psi((s+alpha)/2) / 2, from the complex digamma kernel
-    return 0.5 * gp._digamma((0.5 + eps + alpha) / 2.0 + 0.5j * np.asarray(t)).real
-
-
 def test_gw_dphase_matches_digamma():
     for t, eps, alpha in ((3.0, 0.0, 1), (11.0, -0.2, 0), (27.0, 0.2, 2)):
         ref = float(0.5 * mp.re(mp.digamma((0.5 + eps + alpha + 1j * t) / 2)))
         got = gp.gw_dphase_dt(SPoint(eps, t), alpha, 10 ** 6)
         assert got == pytest.approx(ref, abs=3e-6)
-        lim = _dphase_dt_limit(t, eps, alpha)
-        assert lim == pytest.approx(ref, abs=1e-12)
-
-
-@pytest.mark.parametrize("alpha", [0, 1, 2])
-@pytest.mark.parametrize("eps", [-0.3, 0.0, 0.4])
-def test_gamma_dphase_dt_matches_digamma_oracle(alpha, eps):
-    # the Gamma phase's t-derivative in the limit N -> oo, over an array of t
-    t = np.concatenate([[0.0, 1e-3, 0.5], np.linspace(-50.0, 2000.0, 83)])
-    got = _dphase_dt_limit(t, eps, alpha)
-    assert got.dtype == np.float64 and got.shape == t.shape
-    with mp.workdps(40):
-        ref = [float(mp.re(mp.digamma(mp.mpc(0.5 + eps + alpha, tt) / 2)) / 2) for tt in t]
-    for tt, g, r in zip(t, got, ref, strict=True):
-        assert abs(g - r) <= 5e-15 * max(1.0, abs(r)), tt
 
 
 # one-block np.sum formulas of the product route: the reference the blocked
@@ -478,6 +459,19 @@ def test_stirling_route_refuses_small_t():
         with pytest.raises(DomainError):
             gp.stirling_phase(t, 0.0, params)
     assert math.isfinite(gp.stirling_phase(0.5, 0.0, params)[1])
+
+
+def test_stirling_route_refuses_non_finite_input():
+    # an infinite t and a non-finite eps are refused, and so is a t whose total overflows;
+    # a huge t below that gives a finite total and bound
+    params = gp.PrefactorParams.for_alpha(1, 3)
+    for t, eps in ((math.inf, 0.0), (10.0, math.inf), (10.0, -math.inf), (10.0, math.nan),
+                   (1e307, 0.0), (sys.float_info.max, 0.0)):
+        with pytest.raises(DomainError):
+            gp.stirling_phase(t, eps, params)
+    for t in (1e62, 1e300):
+        total, bound = gp.stirling_phase(t, 0.0, params)
+        assert math.isfinite(total) and math.isfinite(bound) and bound > 0.0
 
 
 def test_level_is_the_stirling_phase_slope():
