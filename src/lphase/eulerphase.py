@@ -9,8 +9,10 @@ primes p <= p_max, gcd(p, q) = 1,
 never the phase itself.  The sum converges only conditionally for eps <= 1/2, so the
 summation order is part of every contract here: terms are accumulated over ascending
 primes, and any grouping (class tagging, oscillation braces, block pre-sums) must keep that
-order.  numpy's pairwise reduction satisfies this -- it groups contiguous blocks in order
-and never permutes terms -- and is bit-stable across runs.
+order.  Each kernel value is one ordered sum (`gammaphase._ordered_sum`): the primes are
+cut into the fewest 2^k equal contiguous leaves of at most 8192, np.add.reduce sums each
+leaf and the leaf sums are added in ascending order, so no term is permuted and identical
+runs give identical bits.  Every function of t refuses a non-finite t with DomainError.
 
 The incremental ratio over the window t +/- pi/log(p_star) is the working
 phase-derivative estimator (`windowed_ratio_exact`); replacing each arctan
@@ -25,11 +27,10 @@ primes, p^(1/2+eps) and the window tables once; `scan` makes one kernel call for
 grid.  Preparation copies the runs of the prime table between the few primes that divide q
 straight into its arrays and fills the window tables leaf by leaf, so a prepared kernel
 holds five arrays over its primes and leaf-sized buffers.
-The two estimators and the residual are modes of that kernel's one leaf: each value is one
-sum in numpy's pairwise order over leaves of at most 8192 primes
-(`gammaphase._ordered_sum`), so it depends only on its own t.  Each leaf runs on a block
-of up to `_BLOCK` points at once, one row per point: a single-point call is a block of
-one, and every value keeps the bits it has alone.  Every cosine of a per-prime angle, in the
+The two estimators and the residual are modes of that kernel's one leaf, and each value
+depends only on its own t: each leaf runs on a block of up to `_BLOCK` points at once, one
+row per point, a single-point call is a block of one, and every value keeps the bits it
+has alone.  Every cosine of a per-prime angle, in the
 kernel and the ledger, and every sine the kernel uses, comes from one tan of the half angle
 (`_cos`, `_sin_cos`); see `_kernel`.
 """
@@ -38,13 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .arith import DirichletCharacter, PrimeTable, euler_phi
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
-from .gammaphase import _LEAF, _leaf_size, _level, _ordered_sum, _x_minus_arctan
+from .gammaphase import _LEAF, _leaf_plan, _level, _ordered_sum, _x_minus_arctan
 
 __all__ = [
     "WindowParams",
@@ -105,8 +105,8 @@ class WindowParams:
     p_max: int
 
     def __post_init__(self):
-        if not self.p_star > 1.0:
-            raise DomainError("p_star must exceed 1")
+        if not 1.0 < self.p_star < math.inf:
+            raise DomainError("p_star must be finite and exceed 1")
         if self.p_max < 2:
             raise DomainError("p_max must be at least 2")
 
@@ -123,7 +123,7 @@ class PhaseScan:
     def __post_init__(self):
         if len(self.values) != len(self.t_grid):
             raise DomainError("scan values and grid lengths differ")
-        if np.any(np.diff(self.t_grid) <= 0):
+        if not np.all(np.diff(self.t_grid) > 0):  # a NaN fails too
             raise DomainError("t grid must be strictly increasing")
 
 
@@ -155,6 +155,13 @@ def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
 def _check_eps(eps: float) -> None:
     if not MIN_EPS <= eps < math.inf:
         raise DomainError(f"eps must be finite and at least {MIN_EPS}, got {eps}")
+
+
+def _check_t(t) -> None:
+    # a float, or `_kernel`'s array of them; math.isfinite keeps the float check cheap in
+    # the ledger's per-interval `oscillation_boundaries` calls
+    if not (np.isfinite(t).all() if isinstance(t, np.ndarray) else math.isfinite(t)):
+        raise DomainError("t must be finite")
 
 
 def _cos(x, u, c, d):
@@ -190,37 +197,41 @@ _BLOCK = 4  # grid points per leaf of a scan
 
 
 def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
-            window: WindowParams):
-    """One of the Euler-product sums as a function of t, with its primes prepared once.
+            window: WindowParams, t) -> np.ndarray:
+    """One of the Euler-product sums at each t of a 1-D array, its primes prepared once.
 
-    A value is one ordered sum over ascending primes, computed in leaves of at most _LEAF
-    primes, and depends only on its own t.  The function takes a 1-D array of t and runs
-    each leaf on _BLOCK points as one (points, primes) array, whose rows `_ordered_sum`
-    reduces in the same order, so each point keeps the bits it has alone; a single point is
-    a block of one.
-    The buffers are allocated per evaluation, as wide as the largest leaf (`_leaf_size`),
-    and each mode has only the rows it uses (`_ROWS`).  The leaf takes cos, and for all but
+    A value is one ordered sum over ascending primes, in the fewest 2^k equal leaves of at
+    most _LEAF (`_ordered_sum`), and depends only on its own t.  Each leaf runs on _BLOCK
+    points as one (points, primes) array, whose rows `_ordered_sum` reduces in the same
+    order, so each point keeps the bits it has alone; a single point is a block of one.
+    The buffer is allocated once per call, as wide as the widest leaf (`_leaf_plan`), and
+    has only the rows its mode uses (`_ROWS`).  The leaf takes cos, and for all but
     the cosine mode sin, of A = log(p) t - theta from one tan of A/2 (`_cos`, `_sin_cos`),
     and uses fixed sin B, cos B tables (`_window_table`, B = pi log p / log p*).  Modes:
     "exact_arctan", the arctan increments x = sin/(p^sigma - cos) at A +- B, reached by
     angle addition; "cosine_approx", their leading terms cos A sin B / p^sigma (scale
     -log p*/pi against -log p*/2pi); "residual", the difference of the two as two rows
-    (higher arctan orders, coupled term).  The leaf works in place in its buffers: the same
+    (higher arctan orders, coupled term).  A p^sigma past the float range is inf, and its
+    terms are the 0 they round to.  The leaf works in place in its buffers: the same
     leaf written as plain expressions gives the same bits but is slower at 665k primes
     (q = 3, p_max = 1e7, in-process medians on a 2-vCPU host): 13.7-17.0 against
     11.9-12.0 ms a point.
     """
     _check_eps(eps)
+    t = np.reshape(t, (-1, 1))
+    _check_t(t)
     p, lp, th = _prime_data(chi, primes, window.p_max)
-    p_sigma = np.power(p, 0.5 + eps, out=p)
+    with np.errstate(over="ignore"):
+        p_sigma = np.power(p, 0.5 + eps, out=p)
     lnps = math.log(window.p_star)
     scale = -lnps / (math.pi if mode == "cosine_approx" else 2.0 * math.pi)
     sin_w, cos_w = _window_table(lp, lnps)
+    buf = np.empty((_ROWS[mode], min(_BLOCK, t.size), _leaf_plan(lp.size)[1]))
 
-    def leaf(buf: np.ndarray, t, lo: int, m: int) -> np.ndarray:
-        views, i = buf[..., :m], slice(lo, lo + m)
+    def leaf(lo: int, m: int) -> np.ndarray:  # on the block tb of the loop below
+        views, i = buf[:, :tb.size, :m], slice(lo, lo + m)
         s, c, d = views[:3]
-        a = np.subtract(np.multiply(lp[i], t, s), th[i], s)
+        a = np.subtract(np.multiply(lp[i], tb, s), th[i], s)
         if mode == "cosine_approx":  # the leading term cos A sin B / p^sigma of each increment
             _cos(a, s, c, d)
             return np.divide(np.multiply(c, sin_w[i], c), p_sigma[i], c)
@@ -248,28 +259,23 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
         np.subtract(_x_minus_arctan(s), _x_minus_arctan(v), e)
         return views[5:]
 
-    rows, width = _ROWS[mode], _leaf_size(lp.size)
-
-    def values(t):
-        t = np.reshape(t, (-1, 1))
-        buf = np.empty((rows, min(_BLOCK, t.size), width))
-        sums = [_ordered_sum(partial(leaf, buf[:, :tb.size], tb), 0, lp.size)
-                for tb in (t[lo:lo + _BLOCK] for lo in range(0, t.size, _BLOCK))]
-        return scale * np.concatenate(sums, axis=-1) if sums else np.empty(0)
-
-    return values
+    sums = []
+    for k in range(0, t.size, _BLOCK):
+        tb = t[k:k + _BLOCK]
+        sums.append(_ordered_sum(leaf, 0, lp.size))
+    return scale * np.concatenate(sums, axis=-1) if sums else np.empty(0)
 
 
 def windowed_ratio_exact(t: float, eps: float, chi: DirichletCharacter,
                          primes: PrimeTable, window: WindowParams) -> float:
     """Incremental phase ratio over [t - w, t + w], w = pi/log(p_star)."""
-    return float(_kernel("exact_arctan", eps, chi, primes, window)([t])[0])
+    return float(_kernel("exact_arctan", eps, chi, primes, window, [t])[0])
 
 
 def windowed_ratio_approx(t: float, eps: float, chi: DirichletCharacter,
                           primes: PrimeTable, window: WindowParams) -> float:
     """Leading cosine approximation of the windowed ratio (no denominators)."""
-    return float(_kernel("cosine_approx", eps, chi, primes, window)([t])[0])
+    return float(_kernel("cosine_approx", eps, chi, primes, window, [t])[0])
 
 
 @dataclass(frozen=True)
@@ -290,7 +296,7 @@ def estimator_residual(t: float, eps: float, chi: DirichletCharacter,
     so the residual is the ordered sum of the last two pieces evaluated at
     the window endpoints; both remain bounded as p_max grows for eps > 0.
     """
-    higher, coupled = _kernel("residual", eps, chi, primes, window)([t])[:, 0].tolist()
+    higher, coupled = _kernel("residual", eps, chi, primes, window, [t])[:, 0].tolist()
     return EstimatorResidual(total=higher + coupled, higher_order=higher, coupled=coupled)
 
 
@@ -305,6 +311,7 @@ def oscillation_boundaries(k: int, h: int, t: float,
     The cosine increases through zero at the first value and decreases
     through zero at the second.
     """
+    _check_t(t)
     if t <= 0.0:
         raise DomainError("oscillation boundaries require t > 0")
     th = chi.angle(h)
@@ -315,8 +322,9 @@ def oscillation_boundaries(k: int, h: int, t: float,
 
 def max_k_for_bound(t: float, chi: DirichletCharacter, bound: float) -> int:
     """Largest k such that the (k+1)-th rising boundary stays <= bound for all classes."""
-    if t <= 0.0 or bound <= 2.0:
-        raise DomainError("need t > 0 and bound > 2")
+    _check_t(t)
+    if t <= 0.0 or not 2.0 < bound < math.inf:
+        raise DomainError("need t > 0 and a finite bound > 2")
     ks = []
     for h in range(chi.q):
         if chi.k[h] >= 0:
@@ -419,7 +427,8 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
         oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in first)))
     a = lp * t - angles
     cos_a = _cos(a, a, np.empty_like(a), np.empty_like(a))
-    vals = cos_a * _window_table(lp, lnps)[0] / p ** (0.5 + eps)  # the kernel's cosine terms
+    with np.errstate(over="ignore"):  # an inf p^sigma gives the kernel's 0 term
+        vals = cos_a * _window_table(lp, lnps)[0] / p ** (0.5 + eps)  # the kernel's cosine terms
     res = p.astype(np.int64) % chi.q  # chi.q, not primes.q: the table may be sieved mod another q
     entries = []
     for h, k in first.items():
@@ -499,6 +508,6 @@ def scan(chi: DirichletCharacter, eps: float, t_grid: np.ndarray, primes: PrimeT
     t_grid = np.asarray(t_grid, dtype=np.float64)
     out = PhaseScan(chi=chi, eps=eps, t_grid=t_grid, values=np.empty(t_grid.size),
                     estimator=estimator, window=window)  # checks the grid before any prime
-    out.values[:] = _kernel(estimator, eps, chi, primes, window)(t_grid)
+    out.values[:] = _kernel(estimator, eps, chi, primes, window, t_grid)
     return out
 

@@ -14,11 +14,11 @@ so the N-term truncation error is O(1/N).  Past n0 = max(64, ceil(4|v|) + 32) te
 rest of the sum is a digamma difference plus a geometric Hurwitz-zeta series (`_gw_tail`):
 `_log_gamma_grid` adds it to an n0-row head matrix, giving the limit, and log|Gamma| from
 the same head, to near machine precision.  The N-term sums add their first min(N, n0)
-terms as one sum in numpy's pairwise order over leaves of 8192 terms and the rest as the
-difference of two tails, in O(min(N, |t|)).  The route is valid for all t.  Its special
-functions are float64 kernels on the Bernoulli table, with no scipy: the tails' Hurwitz
-zeta (`_hurwitz_zeta`) and digamma gap (`_psi_gap`), both memoized, the real digamma
-(`_digamma`) and log Gamma(1+a) (`_log_gamma_1p`).
+terms as one ordered sum (`_ordered_sum`: the fewest 2^k equal leaves of at most 8192
+terms, in ascending order) and the rest as the difference of two tails, in O(min(N, |t|)).
+The route is valid for all t.  Its special functions are float64 kernels on the Bernoulli
+table, with no scipy: the tails' Hurwitz zeta (`_hurwitz_zeta`) and digamma gap
+(`_psi_gap`), both memoized, the real digamma (`_digamma`) and log Gamma(1+a) (`_log_gamma_1p`).
 
 Asymptotic route ("stirling"): `stirling_phase` takes the imaginary part of Stirling's
 series for ln Gamma(z+1), z = (2*eps+2*alpha-3)/4 + i*t/2,
@@ -65,7 +65,7 @@ __all__ = [
 EULER_GAMMA = float(np.euler_gamma)
 GW_DEFAULT_TERMS = 10 ** 6
 T_STIRLING_MIN = 0.5
-_LEAF = 8192  # >= 128, numpy's pairwise base case; 64 KiB leaf buffers and temporaries fit cache
+_LEAF = 8192  # most terms of one leaf of an ordered sum; 64 KiB buffers and temporaries fit cache
 _HEAD_CELLS = 1 << 15  # cells of one column block of a head matrix (`_column_blocks`)
 _MAX_HEAD_ROWS = 1 << 20  # most rows of a head (|t| ~ 5e5 for Gamma, 1e6 for L); 80 MiB traced
 _T_CROSS_TOL = 1e-4  # bracket width at which find_t_cross's bisection stops
@@ -232,33 +232,26 @@ def _x_minus_arctan(x: np.ndarray) -> np.ndarray:
 
 
 def _ordered_sum(leaf, lo: int, m: int) -> np.float64 | np.ndarray:
-    """The m summands from index lo, added in np.sum's pairwise order.
+    """The m summands from index lo, added leaf by leaf over ascending indices.
 
     `leaf(lo, m)` returns the m summands from index lo along its last axis, one row per
-    sum; it is called only at leaves of at most _LEAF terms of numpy's pairwise split
-    (`_split`), which np.add.reduce finishes in the same order.
-    Module-level, so a call leaves no reference cycle behind.
+    sum.  The range is cut into the equal leaves of `_leaf_plan`; np.add.reduce sums each
+    leaf, and the leaf sums are added in ascending order.  At most _LEAF summands are one
+    leaf, with np.sum's bits.  Module-level, so a call leaves no reference cycle behind.
     """
-    if m <= _LEAF:
-        return np.add.reduce(leaf(lo, m), axis=-1)
-    m2 = _split(m)
-    return _ordered_sum(leaf, lo, m2) + _ordered_sum(leaf, lo + m2, m - m2)
+    n = _leaf_plan(m)[0]
+    total = np.add.reduce(leaf(lo, m // n), axis=-1)
+    for j in range(1, n):  # leaf j: the summands from j m // n up to (j + 1) m // n
+        a, b = j * m // n, (j + 1) * m // n
+        total += np.add.reduce(leaf(lo + a, b - a), axis=-1)
+    return total
 
 
-def _split(m: int) -> int:
-    # the first half of numpy's pairwise split of m > _LEAF summands: m//2 rounded down to a
-    # multiple of 8
-    return m // 2 - (m // 2) % 8
-
-
-def _leaf_size(m: int) -> int:
-    """The most summands `_ordered_sum` passes one leaf when it adds m.  Either half of a
-    split may hold it: a half of at most _LEAF terms is a leaf at once, while the other may
-    split again into narrower ones."""
-    if m <= _LEAF:
-        return m
-    m2 = _split(m)
-    return max(_leaf_size(m2), _leaf_size(m - m2))
+def _leaf_plan(m: int) -> tuple[int, int]:
+    # the leaves of an ordered sum of m summands: the fewest 2^k equal leaves of at most
+    # _LEAF terms, as (2^k, the widest leaf), the width of a caller's leaf buffers
+    n = 1 << (max(m - 1, 0) // _LEAF).bit_length()
+    return n, -(-m // n)
 
 
 def _gw_sum(total: float, n_terms: int, v: float, terms, tail) -> float:

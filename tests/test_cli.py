@@ -173,6 +173,16 @@ def test_ledger_rows(capsys):
         assert all(float(x) >= 0.0 for x in parts[5:])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ("ledger --q 3 --chi-index 1 --t 10",
+                                     "figure-symmetries --q 5 --chi-index 2 --t-min -1 --t-max 1"))
+def test_large_eps_commands_run_without_runtime_warning(command, capsys):
+    # at eps = 100 every p^sigma from p = 1,171 on overflows to inf, and its term is 0
+    argv = command.split() + ["--eps", "100", "--p-star", "100000", "--p-max", "100000"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_table_odd_monotone(capsys):
     assert main(["table-odd", "--gw-terms", "100000"]) == 0
     lines = [l for l in _lines(capsys) if not l.startswith(("#", "q,"))]

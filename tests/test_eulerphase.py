@@ -419,8 +419,9 @@ def test_level_check_rejects_nonpositive_t(chi3, primes_1e5_q3, monkeypatch):
 
 
 def test_window_params_validation():
-    with pytest.raises(DomainError):
-        ep.WindowParams(p_star=1.0, p_max=100)
+    for p_star in (1.0, math.inf):
+        with pytest.raises(DomainError):
+            ep.WindowParams(p_star=p_star, p_max=100)
     with pytest.raises(DomainError):
         ep.WindowParams(p_star=100.0, p_max=1)
     ep.WindowParams(p_star=math.exp(math.pi), p_max=100)
@@ -429,3 +430,59 @@ def test_window_params_validation():
 def test_window_params_reject_nan_p_star():
     with pytest.raises(DomainError):
         ep.WindowParams(p_star=math.nan, p_max=100)
+
+
+# --------------------------------------------------------------------------
+# non-finite t and large eps
+# --------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_t_refused(chi3, primes_1e5_q3, monkeypatch):
+    # every eulerphase function of t refuses +-inf and NaN, before any prime is prepared
+    monkeypatch.setattr(ep, "_prime_data", None)
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    for t in (math.inf, -math.inf, math.nan):
+        calls = [lambda f=f: f(t, 0.0, chi3, primes_1e5_q3, w)
+                 for f in (ep.windowed_ratio_exact, ep.windowed_ratio_approx,
+                           ep.estimator_residual, ep.level_check)]
+        calls += [lambda: ep.max_k_for_bound(t, chi3, 1e5),
+                  lambda: ep.build_oscillation_ledger(t, 0.0, chi3, primes_1e5_q3, w, 1),
+                  lambda: ep.oscillation_boundaries(1, 1, t, chi3)]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+
+def test_max_k_for_bound_refuses_non_finite_bound(chi3):
+    for bound in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ep.max_k_for_bound(10.0, chi3, bound)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", ([1.0, math.nan], [math.nan, 1.0], [math.nan],
+                                  [1.0, math.inf], [-math.inf, 1.0]))
+def test_scan_refuses_non_finite_grid_points(grid, chi3, primes_1e5_q3, monkeypatch):
+    monkeypatch.setattr(ep, "_prime_data", None)
+    w = ep.WindowParams(p_star=1e5, p_max=10 ** 5)
+    for estimator in ("exact_arctan", "cosine_approx"):
+        with pytest.raises(DomainError):
+            ep.scan(chi3, 0.0, np.array(grid), primes_1e5_q3, w, estimator=estimator)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_eps_runs_without_overflow_warning(chi3, primes_1e5_q3):
+    # at eps = 100, p^sigma passes the float range from p = 1,171 on; those terms are the 0
+    # they round to, so each value matches the one over the primes to 1,000, where every
+    # p^sigma is finite
+    eps, t = 100.0, 10.0
+    w, w_small = (ep.WindowParams(p_star=1e5, p_max=p_max) for p_max in (10 ** 5, 1000))
+    for f in (ep.windowed_ratio_exact, ep.windowed_ratio_approx):
+        got, want = f(t, eps, chi3, primes_1e5_q3, w), f(t, eps, chi3, primes_1e5_q3, w_small)
+        assert want != 0.0 and got == pytest.approx(want, rel=1e-14)
+    res = ep.estimator_residual(t, eps, chi3, primes_1e5_q3, w)
+    assert math.isfinite(res.total)
+    assert np.all(np.isfinite(ep.scan(chi3, eps, np.array([1.0, 2.0]), primes_1e5_q3, w).values))
+    k_max = ep.max_k_for_bound(t, chi3, 1e5)
+    ledger = ep.build_oscillation_ledger(t, eps, chi3, primes_1e5_q3, w, k_max)
+    assert ledger.entries and all(math.isfinite(e.o_plus_sum) for e in ledger.entries)

@@ -189,9 +189,9 @@ def test_point_value_independent_of_grid(estimator):
 @pytest.mark.parametrize("p_max", (50_000, 180_617, 10 ** 6))
 def test_scan_blocks_match_point_estimators(p_max):
     # grids of 1, B - 1, B, B + 1 and 2B + 1 points and an empty one, B = _BLOCK points a
-    # leaf, at q = 12 (2 and 3 dropped): 5,131 primes, under one leaf; 16,390, whose widest
-    # leaf is the first half of the split; and 78,496, which take 16 leaves; each scan value
-    # has the bytes of its single-point estimator
+    # leaf, at q = 12 (2 and 3 dropped): 5,131 primes, under one leaf; 16,390, just past two
+    # full leaves, which take 4 leaves of up to 4,098; and 78,496, which take 16 leaves; each
+    # scan value has the bytes of its single-point estimator
     chi, table = enumerate_characters(12)[3], sieve_primes(p_max)
     window = ep.WindowParams(p_star=float(p_max), p_max=p_max)
     b = ep._BLOCK
@@ -204,19 +204,29 @@ def test_scan_blocks_match_point_estimators(p_max):
             assert values.tobytes() == _bits(points)
 
 
-def test_leaf_size_is_the_widest_leaf_of_an_ordered_sum():
-    # every count up to 70,000 and those within 128 of 2^k * 8192; at 16,385 the first half,
-    # 8,192 terms, is one leaf, while the second splits into leaves of 4,096 and 4,097
-    one = np.zeros(1)
+def test_ordered_sum_walks_one_equal_leaf_plan():
+    # every count up to 70,000 and those within 128 of 2^k * 8192: the leaves `_ordered_sum`
+    # visits are contiguous and ascending from lo, cover the m summands, number the fewest
+    # power of two that keeps each within _LEAF, and none is wider than the width the
+    # kernel's leaf buffer takes from `_leaf_plan`
+    one, lo = np.zeros(1), 3
 
-    def widest(m):
-        seen = [0]
-        gp._ordered_sum(lambda lo, k: seen.append(k) or one, 0, m)
-        return max(seen)
+    def leaves(m):
+        seen = []
+        gp._ordered_sum(lambda a, k: seen.append((a, k)) or one, lo, m)
+        return seen
 
     counts = list(range(70_001)) + [(8192 << k) + d for k in range(1, 8) for d in range(-128, 129)]
-    assert [gp._leaf_size(m) for m in counts] == [widest(m) for m in counts]
-    assert gp._leaf_size(16_385) == gp._LEAF
+    for m in counts:
+        seen, (n, width) = leaves(m), gp._leaf_plan(m)
+        assert [a for a, _ in seen] == [lo + sum(k for _, k in seen[:j]) for j in range(n)]
+        assert sum(k for _, k in seen) == m and len(seen) == n and n & (n - 1) == 0
+        assert n == 1 or (n // 2) * gp._LEAF < m
+        assert max(k for _, k in seen) <= width <= gp._LEAF
+    # the eulerphase tables' leaf counts, and their widths, each at most the widest leaf of
+    # numpy's pairwise split (4,799, 4,503, 4,913 and 5,194); 16,385 summands take 4 leaves
+    assert [gp._leaf_plan(m) for m in (9_591, 17_983, 78_497, 664_578, 16_385)] == [
+        (2, 4_796), (4, 4_496), (16, 4_907), (128, 5_193), (4, 4_097)]
 
 
 def _mp_arctan_sums(ts, epss, chi, table, window):
@@ -355,7 +365,7 @@ def test_prime_data_matches_masked_copies(q):
 
 def test_prepared_kernel_memory_is_five_prime_arrays(traced_peak):
     # p^sigma, log p, the angles and the sin B, cos B tables, plus the leaf buffer, as wide
-    # as the largest leaf (4,906 of the 78,497 primes): 5 rows for a point, and 5 rows of
+    # as the widest leaf (4,907 of the 78,497 primes): 5 rows for a point, and 5 rows of
     # _BLOCK points for a scan; and _window_table's one leaf of scratch.  The residues live
     # only inside _prime_data
     chi, table = enumerate_characters(3)[1], sieve_primes(10 ** 6, 3)
@@ -366,4 +376,4 @@ def test_prepared_kernel_memory_is_five_prime_arrays(traced_peak):
     assert peak <= 8 * (5 * kept + 8 * gp._LEAF) + (64 << 10)
     grid = np.linspace(-15.0, 15.0, 301)
     peak = traced_peak(lambda: ep.scan(chi, 0.0, grid, table, window))
-    assert peak <= 8 * (5 * kept + 5 * ep._BLOCK * gp._leaf_size(kept) + gp._LEAF) + (64 << 10)
+    assert peak <= 8 * (5 * kept + 5 * ep._BLOCK * gp._leaf_plan(kept)[1] + gp._LEAF) + (64 << 10)

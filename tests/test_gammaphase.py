@@ -112,7 +112,7 @@ def test_gw_dphase_matches_digamma():
         assert got == pytest.approx(ref, abs=3e-6)
 
 
-# one-block np.sum formulas of the product route: the reference the blocked
+# np.sum formulas of the product route, summed leaf by leaf: the reference the blocked
 # Gauss-Weierstrass kernel must reproduce bit for bit
 
 def _ref_x_minus_arctan(x):
@@ -123,16 +123,29 @@ def _ref_x_minus_arctan(x):
     return np.where(small, series, x - np.arctan(x))
 
 
+def _ref_sum(x):
+    # np.sum over each of the fewest 2^k equal leaves of at most 8192 terms, the leaf sums
+    # added in ascending order: np.sum's own bits up to 8192 terms
+    n = 1
+    while 8192 * n < x.size:
+        n *= 2
+    edges = [j * x.size // n for j in range(n + 1)]
+    total = np.sum(x[:edges[1]])
+    for a, b in zip(edges[1:-1], edges[2:]):
+        total += np.sum(x[a:b])
+    return total
+
+
 def _ref_gw(s, alpha, n_terms):
     a, v = (0.5 + s.eps + alpha) / 2.0, s.t / 2.0
     phase = -gp.EULER_GAMMA * v - math.atan(v / a)
     dphase = -gp.EULER_GAMMA / 2.0 - a / (2.0 * (a * a + v * v))
     n = np.arange(1, n_terms + 1, dtype=np.float64)
-    phase += float(np.sum(v * a / (n * (n + a)) + _ref_x_minus_arctan(v / (n + a))))
+    phase += float(_ref_sum(v * a / (n * (n + a)) + _ref_x_minus_arctan(v / (n + a))))
     na = n + a
-    dphase += float(np.sum(0.5 * (a * na + v * v) / (n * (na * na + v * v))))
+    dphase += float(_ref_sum(0.5 * (a * na + v * v) / (n * (na * na + v * v))))
     mixed = (a * a - v * v) / (4.0 * (a * a + v * v) ** 2)
-    mixed += float(np.sum((na ** 2 - v * v) / (4.0 * (na ** 2 + v * v) ** 2)))
+    mixed += float(_ref_sum((na ** 2 - v * v) / (4.0 * (na ** 2 + v * v) ** 2)))
     return phase, dphase, mixed
 
 
@@ -146,10 +159,11 @@ def _ref_head_rows(t):
        t=st.floats(-3000.0, 3000.0), eps=st.floats(-0.4, 0.5), alpha=st.sampled_from([0, 1, 2]))
 @example(n_terms=10 ** 6, t=0.0, eps=0.0, alpha=1)
 @example(n_terms=12345, t=1800.3, eps=0.0, alpha=1)        # arctan/series split inside the head
-@example(n_terms=10 ** 6, t=-2.0e4, eps=-0.2, alpha=2)     # a head of 40032 terms: 5 leaves
-@example(n_terms=(1 << 20) + 5, t=-7.0e5, eps=0.3, alpha=1)  # a head past 2^20 terms, one sum
+@example(n_terms=10 ** 6, t=-2.0e4, eps=-0.2, alpha=2)     # a head of 40032 terms: 8 leaves
+@example(n_terms=(1 << 20) + 5, t=-7.0e5, eps=0.3, alpha=1)  # a head past 2^20 terms: 256
 def test_gw_sums_bit_identical_to_one_block_sum(n_terms, t, eps, alpha):
-    # up to n0 terms the partial sums are fully explicit and keep the one-block sum's bits
+    # up to n0 terms the partial sums are fully explicit and keep the bits of the sum leaf by
+    # leaf; a head of at most _LEAF terms, as every one at |t| <= 3000, is one np.sum
     n_terms = min(n_terms, _ref_head_rows(t))
     s = SPoint(eps, t)
     phase, dphase, mixed = _ref_gw(s, alpha, n_terms)
