@@ -9,7 +9,7 @@ primes p <= p_max, gcd(p, q) = 1,
 never the phase itself.  The sum converges only conditionally for eps <= 1/2, so the
 summation order is part of every contract here: terms are accumulated over ascending
 primes, and any grouping (class tagging, oscillation braces, block pre-sums) must keep that
-order.  Each kernel value is one ordered sum (`gammaphase._ordered_sum`): the primes are
+order.  Each kernel value is one ordered sum, as in `gammaphase._ordered_sum`: the primes are
 cut into the fewest 2^k equal contiguous leaves of at most 8192, np.add.reduce sums each
 leaf and the leaf sums are added in ascending order, so no term is permuted and identical
 runs give identical bits.  Every function of t refuses a non-finite t with DomainError.
@@ -22,15 +22,15 @@ structurally bounded pieces (higher arctan orders, and the 1/p-coupled
 term).  Oscillation masses collect |cosine summand| between consecutive cosine
 zero-transitions in prime space, once by the ordered prime sum and once by the
 Li integral of the same integrand (composite Gauss-Legendre in log y); their ratios
-at two eps values drive the level-monotonicity checks.  Each call prepares its
-primes, p^(1/2+eps) and the window tables once; `scan` makes one kernel call for its whole
-grid.  Preparation copies the runs of the prime table between the few primes that divide q
-straight into its arrays and fills the window tables leaf by leaf, so a prepared kernel
-holds five arrays over its primes and leaf-sized buffers.
-The two estimators and the residual are modes of that kernel's one leaf, and each value
-depends only on its own t: each leaf runs on a block of up to `_BLOCK` points at once, one
-row per point, a single-point call is a block of one, and every value keeps the bits it
-has alone.  Every cosine of a per-prime angle, in the
+at two eps values drive the level-monotonicity checks.  A kernel call prepares each leaf
+of its primes once, just before it is summed: the runs of the prime table between the few
+primes that divide q are copied into leaf-wide rows of p^(1/2+eps), log p, the angles and
+the window's sin and cos (`_prime_data`), so a call holds leaf-sized buffers, whatever the
+number of primes.  `scan` makes one kernel call for its whole grid, and each prepared leaf
+runs on every block of up to `_BLOCK` points, one row per point, before the next leaf is
+prepared.  The two estimators and the residual are modes of that kernel's one leaf, and
+each value depends only on its own t: a single-point call is a block of one, and every
+value keeps the bits it has alone.  Every cosine of a per-prime angle, in the
 kernel and the ledger, and every sine the kernel uses, comes from one tan of the half angle
 (`_cos`, `_sin_cos`); see `_kernel`.
 """
@@ -44,7 +44,7 @@ import numpy as np
 
 from .arith import DirichletCharacter, PrimeTable, euler_phi
 from .errors import DegenerateInputError, DomainError, ResourceLimitError, TruncationError
-from .gammaphase import _LEAF, _leaf_plan, _level, _ordered_sum, _x_minus_arctan
+from .gammaphase import _leaf_plan, _level, _x_minus_arctan
 
 __all__ = [
     "WindowParams",
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 MIN_EPS = -0.4  # arctan denominators can degenerate for p=2,3 below this
+_LOG_MAX = 709.782712893384  # math.log of the largest float: exp overflows past it only
 _MAX_LEDGER_ENTRIES = 10 ** 5  # each entry takes two Li quadratures and two prime sums
 # panels of one Li interval, 20 nodes each (`_li_integral`): the CLI ledgers and criterion 13
 # take at most 2, the quadrature tests 68; the count grows like |eps| past |t|
@@ -127,14 +128,10 @@ class PhaseScan:
             raise DomainError("t grid must be strictly increasing")
 
 
-def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
-                p_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primes p <= p_max coprime to q (ascending), their logs, and character angles.
-
-    A prime off the units divides q, so only primes <= q can drop out; the runs of the
-    table between them are copied straight into the float primes, their logs and their
-    residues mod q, which index the angles.
-    """
+def _runs(chi: DirichletCharacter, primes: PrimeTable, p_max: int) -> list[tuple[int, int, int]]:
+    """The kept primes, p <= p_max coprime to q, as runs (k0, k1, r): kept primes k0..k1-1
+    are table primes k0 + r..k1 - 1 + r.  A prime off the units divides q, so only primes
+    <= q drop out, r of them before the run, and the last run ends at the count kept."""
     if p_max > primes.p_max:
         raise DomainError(f"cutoff {p_max} lies past the prime table's p_max {primes.p_max}")
     table = primes.primes
@@ -142,14 +139,27 @@ def _prime_data(chi: DirichletCharacter, primes: PrimeTable,
     q = chi.q
     drop = [i for i in range(int(np.searchsorted(table[:n], q, side="right")))
             if chi.k[table[i] % q] < 0]
-    size = n - len(drop)
-    p, lp, res = np.empty(size), np.empty(size), np.empty(size, dtype=table.dtype)
-    for k, (lo, hi) in enumerate(zip([0] + [i + 1 for i in drop], drop + [n])):
-        out = slice(lo - k, hi - k)  # k primes dropped before lo
-        p[out] = table[lo:hi]
-        lp[out] = primes.log_primes[lo:hi]
-        np.remainder(table[lo:hi], q, out=res[out])
-    return p, lp, chi.angles_by_residue()[res]
+    starts = [0] + [i + 1 for i in drop]
+    return [(a - r, b - r, r) for r, (a, b) in enumerate(zip(starts, drop + [n]))]
+
+
+def _prime_data(chi: DirichletCharacter, primes: PrimeTable, runs: list[tuple[int, int, int]],
+                lo: int, out: np.ndarray, lnps: float) -> np.ndarray:
+    """The kept primes from lo of `runs`, one a column of out's six rows, and its first five:
+    p, log p, the angle theta from the residues of these primes only, and sin B and cos B,
+    B = pi log p / log p*, the window's fixed rotation of each prime; the sixth is scratch."""
+    p, lp, th, sin_b, cos_b, d = out
+    table, angles, hi = primes.primes, chi.angles_by_residue(), lo + out.shape[1]
+    for k0, k1, r in runs:
+        i, j = max(lo, k0), min(hi, k1)
+        if i < j:
+            src, dst = slice(i + r, j + r), slice(i - lo, j - lo)
+            p[dst] = table[src]
+            lp[dst] = primes.log_primes[src]
+            # the residues lie in range; take's default mode would buffer out
+            np.take(angles, table[src] % chi.q, out=th[dst], mode="clip")
+    _sin_cos(np.divide(np.multiply(math.pi, lp, sin_b), lnps, sin_b), sin_b, cos_b, d)
+    return out[:5]
 
 
 def _check_eps(eps: float) -> None:
@@ -180,17 +190,6 @@ def _sin_cos(x, s, c, d):
     return np.divide(np.add(s, s, s), d, s), c
 
 
-def _window_table(lp, lnps):
-    # sin B and cos B, B = pi log p / log p*: the window's fixed rotation of each prime,
-    # filled leaf by leaf, so that _sin_cos needs one leaf of scratch
-    sin_b, cos_b, d = np.empty_like(lp), np.empty_like(lp), np.empty(_LEAF)
-    for lo in range(0, lp.size, _LEAF):
-        i = slice(lo, lo + _LEAF)
-        b = np.divide(np.multiply(math.pi, lp[i], sin_b[i]), lnps, sin_b[i])
-        _sin_cos(b, b, cos_b[i], d[:b.size])
-    return sin_b, cos_b
-
-
 # leaf buffer rows of each `_kernel` mode: s, c, d; then u, v; then the residual's e, f
 _ROWS = {"cosine_approx": 3, "exact_arctan": 5, "residual": 7}
 _BLOCK = 4  # grid points per leaf of a scan
@@ -198,55 +197,55 @@ _BLOCK = 4  # grid points per leaf of a scan
 
 def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
             window: WindowParams, t) -> np.ndarray:
-    """One of the Euler-product sums at each t of a 1-D array, its primes prepared once.
+    """One of the Euler-product sums at each t of a 1-D array, each leaf prepared once.
 
     A value is one ordered sum over ascending primes, in the fewest 2^k equal leaves of at
-    most _LEAF (`_ordered_sum`), and depends only on its own t.  Each leaf runs on _BLOCK
-    points as one (points, primes) array, whose rows `_ordered_sum` reduces in the same
-    order, so each point keeps the bits it has alone; a single point is a block of one.
-    The buffer is allocated once per call, as wide as the widest leaf (`_leaf_plan`), and
-    has only the rows its mode uses (`_ROWS`).  The leaf takes cos, and for all but
-    the cosine mode sin, of A = log(p) t - theta from one tan of A/2 (`_cos`, `_sin_cos`),
-    and uses fixed sin B, cos B tables (`_window_table`, B = pi log p / log p*).  Modes:
+    most _LEAF (`_leaf_plan`), and depends only on its own t.  The outer loop runs over the
+    leaves: each is prepared once (`_prime_data`, then p^sigma in place) into six rows as
+    wide as the widest leaf, then runs on every block of _BLOCK points as one (points,
+    primes) array, in a buffer of the rows its mode uses (`_ROWS`).  np.add.reduce sums each
+    leaf; the first leaf's sums start the blocks' totals and the later ones are added in
+    ascending order, as `_ordered_sum` adds, so each point keeps the bits it has alone (a
+    single point is a block of one) and a call holds leaf-sized buffers only.  The leaf
+    takes cos, and for all but the cosine mode sin, of A = log(p) t - theta from one tan of
+    A/2 (`_cos`, `_sin_cos`), and the fixed sin B, cos B of each prime.  Modes:
     "exact_arctan", the arctan increments x = sin/(p^sigma - cos) at A +- B, reached by
     angle addition; "cosine_approx", their leading terms cos A sin B / p^sigma (scale
     -log p*/pi against -log p*/2pi); "residual", the difference of the two as two rows
     (higher arctan orders, coupled term).  A p^sigma past the float range is inf, and its
-    terms are the 0 they round to.  The leaf works in place in its buffers: the same
-    leaf written as plain expressions gives the same bits but is slower at 665k primes
-    (q = 3, p_max = 1e7, in-process medians on a 2-vCPU host): 13.7-17.0 against
-    11.9-12.0 ms a point.
+    terms are the 0 they round to.  The leaf works in place in its buffers: as plain
+    expressions it gives the same bits, slower at 665k primes (q = 3, p_max = 1e7,
+    in-process medians on a 2-vCPU host): 13.7-17.0 against 11.9-12.0 ms a point.
     """
     _check_eps(eps)
     t = np.reshape(t, (-1, 1))
     _check_t(t)
-    p, lp, th = _prime_data(chi, primes, window.p_max)
-    with np.errstate(over="ignore"):
-        p_sigma = np.power(p, 0.5 + eps, out=p)
+    runs = _runs(chi, primes, window.p_max)
+    kept = runs[-1][1]
+    n, width = _leaf_plan(kept)
     lnps = math.log(window.p_star)
     scale = -lnps / (math.pi if mode == "cosine_approx" else 2.0 * math.pi)
-    sin_w, cos_w = _window_table(lp, lnps)
-    buf = np.empty((_ROWS[mode], min(_BLOCK, t.size), _leaf_plan(lp.size)[1]))
+    prep, buf = np.empty((6, width)), np.empty((_ROWS[mode], min(_BLOCK, t.size), width))
 
-    def leaf(lo: int, m: int) -> np.ndarray:  # on the block tb of the loop below
-        views, i = buf[:, :tb.size, :m], slice(lo, lo + m)
+    def leaf(tb: np.ndarray) -> np.ndarray:  # the leaf prepared in the loop below, at tb
+        views = buf[:, :tb.size, :lp.size]
         s, c, d = views[:3]
-        a = np.subtract(np.multiply(lp[i], tb, s), th[i], s)
+        a = np.subtract(np.multiply(lp, tb, s), th, s)
         if mode == "cosine_approx":  # the leading term cos A sin B / p^sigma of each increment
             _cos(a, s, c, d)
-            return np.divide(np.multiply(c, sin_w[i], c), p_sigma[i], c)
+            return np.divide(np.multiply(c, sin_w, c), p_sigma, c)
         _sin_cos(a, s, c, d)
         # sin(A +- B) = s cos B +- c sin B, cos(A +- B) = c cos B -+ s sin B
         u, v = views[3:5]
-        np.multiply(s, sin_w[i], v)
-        np.multiply(s, cos_w[i], s)
-        np.multiply(c, sin_w[i], u)
-        np.multiply(c, cos_w[i], c)
+        np.multiply(s, sin_w, v)
+        np.multiply(s, cos_w, s)
+        np.multiply(c, sin_w, u)
+        np.multiply(c, cos_w, c)
         if mode == "residual":  # cos(A +- B) itself: p^sigma minus the denominator cancels
             e, f = views[5:]
             np.subtract(c, v, e)
             np.add(c, v, f)
-        np.subtract(p_sigma[i], c, c)
+        np.subtract(p_sigma, c, c)
         np.add(c, v, d)
         np.subtract(c, v, c)
         np.divide(np.add(s, u, v), d, v)  # x at A + B
@@ -255,14 +254,20 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
             return np.subtract(np.arctan(v, v), np.arctan(s, s), v)
         # rows: the last two pieces of arctan(x) = sin/p^sigma + x cos/p^sigma + (arctan(x) - x),
         # at A + B minus at A - B
-        np.divide(np.subtract(np.multiply(v, e, e), np.multiply(s, f, f), f), p_sigma[i], f)
+        np.divide(np.subtract(np.multiply(v, e, e), np.multiply(s, f, f), f), p_sigma, f)
         np.subtract(_x_minus_arctan(s), _x_minus_arctan(v), e)
         return views[5:]
 
     sums = []
-    for k in range(0, t.size, _BLOCK):
-        tb = t[k:k + _BLOCK]
-        sums.append(_ordered_sum(leaf, 0, lp.size))
+    for j in range(n):  # leaf j: the kept primes from j kept // n up to (j + 1) kept // n
+        lo = j * kept // n
+        p_sigma, lp, th, sin_w, cos_w = _prime_data(chi, primes, runs, lo,
+                                                     prep[:, :(j + 1) * kept // n - lo], lnps)
+        with np.errstate(over="ignore"):
+            np.power(p_sigma, 0.5 + eps, out=p_sigma)
+        leaf_sums = [np.add.reduce(leaf(t[k:k + _BLOCK]), axis=-1)
+                     for k in range(0, t.size, _BLOCK)]
+        sums = [total + part for total, part in zip(sums, leaf_sums)] if j else leaf_sums
     return scale * np.concatenate(sums, axis=-1) if sums else np.empty(0)
 
 
@@ -309,15 +314,16 @@ def oscillation_boundaries(k: int, h: int, t: float,
     """Zero-transition abscissae of cos(log(x) t - angle(chi(h))) for the k-th turn.
 
     The cosine increases through zero at the first value and decreases
-    through zero at the second.
+    through zero at the second.  A boundary past the float range raises DomainError.
     """
     _check_t(t)
     if t <= 0.0:
         raise DomainError("oscillation boundaries require t > 0")
     th = chi.angle(h)
-    x_up = math.exp((2.0 * math.pi * k - math.pi / 2.0 + th) / t)
-    x_down = math.exp((2.0 * math.pi * k + math.pi / 2.0 + th) / t)
-    return x_up, x_down
+    up, down = ((2.0 * math.pi * k + s + th) / t for s in (-math.pi / 2.0, math.pi / 2.0))
+    if not down <= _LOG_MAX:
+        raise DomainError(f"the boundaries of turn {k} at t = {t} lie past the float range")
+    return math.exp(up), math.exp(down)
 
 
 def max_k_for_bound(t: float, chi: DirichletCharacter, bound: float) -> int:
@@ -423,12 +429,14 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
         raise ResourceLimitError(f"Li intervals of up to {panels:.3g} panels are over the "
                                  f"{_MAX_LI_PANELS}-panel budget; lower eps")
     # every interval ends at or below the last rising boundary
-    p, lp, angles = _prime_data(chi, primes, p_max=math.floor(max(
+    runs = _runs(chi, primes, p_max=math.floor(max(
         oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in first)))
+    prep = np.empty((6, runs[-1][1]))
+    p, lp, angles, sin_b, cos_b = _prime_data(chi, primes, runs, 0, prep, lnps)
     a = lp * t - angles
-    cos_a = _cos(a, a, np.empty_like(a), np.empty_like(a))
+    cos_a = _cos(a, a, cos_b, prep[5])  # in the row of cos B, which the ledger does not use
     with np.errstate(over="ignore"):  # an inf p^sigma gives the kernel's 0 term
-        vals = cos_a * _window_table(lp, lnps)[0] / p ** (0.5 + eps)  # the kernel's cosine terms
+        vals = cos_a * sin_b / p ** (0.5 + eps)  # the kernel's cosine terms
     res = p.astype(np.int64) % chi.q  # chi.q, not primes.q: the table may be sieved mod another q
     entries = []
     for h, k in first.items():

@@ -43,7 +43,10 @@ def test_arctan_denominator_bounded_below_at_min_eps(t, q, index):
     # p^sigma - cos >= 2^0.1 - 1 for p >= 2 and eps >= MIN_EPS: no denominator can vanish
     chars = enumerate_characters(q)
     chi = chars[index % len(chars)]
-    p, lp, th = ep._prime_data(chi, sieve_primes(10 ** 4, q), 10 ** 4)
+    primes = sieve_primes(10 ** 4, q)
+    runs = ep._runs(chi, primes, 10 ** 4)
+    prep = np.empty((6, runs[-1][1]))
+    p, lp, th = ep._prime_data(chi, primes, runs, 0, prep, math.log(1e4))[:3]
     denom = p ** (0.5 + ep.MIN_EPS) - np.cos(lp * t - th)
     assert np.all(denom >= 2.0 ** 0.1 - 1.0)
 
@@ -211,6 +214,17 @@ def test_boundary_interval_widths(chi3):
 def test_boundaries_require_positive_t(chi3):
     with pytest.raises(DomainError):
         ep.oscillation_boundaries(1, 1, -2.0, chi3)
+
+
+def test_boundaries_past_float_range_refused(chi3):
+    # exp of the falling boundary's exponent would overflow: DomainError, not OverflowError;
+    # turn 112 at t = 1, whose falling boundary is 2.0e306, is the last one in range
+    for k, t in ((1000, 1.0), (10 ** 6, 1e-3)):
+        with pytest.raises(DomainError, match="float range"):
+            ep.oscillation_boundaries(k, 1, t, chi3)
+    assert ep.oscillation_boundaries(112, 1, 1.0, chi3)[1] < math.inf
+    with pytest.raises(DomainError):
+        ep.oscillation_boundaries(113, 1, 1.0, chi3)
 
 
 def _ledger(chi, primes, t=10.0, eps=0.0, bound=10 ** 6):

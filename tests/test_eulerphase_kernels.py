@@ -4,7 +4,9 @@ increments reach their window endpoints by angle addition, so both estimators, b
 residual pieces and the ledger's prime-sum masses must match the per-call
 np.sin/np.cos sums within 2e-12 relative, and every estimator a 30-digit mpmath evaluation;
 the ledger's boundaries and Li masses are equal bit for bit, and a scan value must equal
-its own per-point value bit for bit inside any grid."""
+its own per-point value bit for bit inside any grid.  `_ref_kernel` keeps the kernel that
+prepared all its primes before it summed any: the kernel that prepares each leaf in turn
+must reproduce it byte for byte in every mode."""
 
 import gc
 import math
@@ -103,6 +105,71 @@ def _ref_ledger_entries(t, eps, chi, primes, window, k_max):
             ))
     entries.sort(key=lambda e: (e.k, e.h))
     return tuple(entries)
+
+
+# the kernel as it stood before its loops were inverted: the primes prepared once per call into
+# five arrays as long as the kept primes (`_ref_prime_data`, bit for bit the runs copy it
+# used, and `_ref_window_table`), and each block of points summed over every leaf in turn
+
+def _ref_window_table(lp, lnps):
+    # sin B and cos B, B = pi log p / log p*: the window's fixed rotation of each prime,
+    # filled leaf by leaf, so that _sin_cos needs one leaf of scratch
+    sin_b, cos_b, d = np.empty_like(lp), np.empty_like(lp), np.empty(gp._LEAF)
+    for lo in range(0, lp.size, gp._LEAF):
+        i = slice(lo, lo + gp._LEAF)
+        b = np.divide(np.multiply(math.pi, lp[i], sin_b[i]), lnps, sin_b[i])
+        ep._sin_cos(b, b, cos_b[i], d[:b.size])
+    return sin_b, cos_b
+
+
+def _ref_kernel(mode: str, eps: float, chi, primes, window, t) -> np.ndarray:
+    ep._check_eps(eps)
+    t = np.reshape(t, (-1, 1))
+    ep._check_t(t)
+    p, lp, th = _ref_prime_data(chi, primes, window.p_max)
+    with np.errstate(over="ignore"):
+        p_sigma = np.power(p, 0.5 + eps, out=p)
+    lnps = math.log(window.p_star)
+    scale = -lnps / (math.pi if mode == "cosine_approx" else 2.0 * math.pi)
+    sin_w, cos_w = _ref_window_table(lp, lnps)
+    buf = np.empty((ep._ROWS[mode], min(ep._BLOCK, t.size), gp._leaf_plan(lp.size)[1]))
+
+    def leaf(lo: int, m: int) -> np.ndarray:  # on the block tb of the loop below
+        views, i = buf[:, :tb.size, :m], slice(lo, lo + m)
+        s, c, d = views[:3]
+        a = np.subtract(np.multiply(lp[i], tb, s), th[i], s)
+        if mode == "cosine_approx":  # the leading term cos A sin B / p^sigma of each increment
+            ep._cos(a, s, c, d)
+            return np.divide(np.multiply(c, sin_w[i], c), p_sigma[i], c)
+        ep._sin_cos(a, s, c, d)
+        # sin(A +- B) = s cos B +- c sin B, cos(A +- B) = c cos B -+ s sin B
+        u, v = views[3:5]
+        np.multiply(s, sin_w[i], v)
+        np.multiply(s, cos_w[i], s)
+        np.multiply(c, sin_w[i], u)
+        np.multiply(c, cos_w[i], c)
+        if mode == "residual":  # cos(A +- B) itself: p^sigma minus the denominator cancels
+            e, f = views[5:]
+            np.subtract(c, v, e)
+            np.add(c, v, f)
+        np.subtract(p_sigma[i], c, c)
+        np.add(c, v, d)
+        np.subtract(c, v, c)
+        np.divide(np.add(s, u, v), d, v)  # x at A + B
+        np.divide(np.subtract(s, u, s), c, s)  # x at A - B
+        if mode == "exact_arctan":
+            return np.subtract(np.arctan(v, v), np.arctan(s, s), v)
+        # rows: the last two pieces of arctan(x) = sin/p^sigma + x cos/p^sigma + (arctan(x) - x),
+        # at A + B minus at A - B
+        np.divide(np.subtract(np.multiply(v, e, e), np.multiply(s, f, f), f), p_sigma[i], f)
+        np.subtract(_x_minus_arctan(s), _x_minus_arctan(v), e)
+        return views[5:]
+
+    sums = []
+    for k in range(0, t.size, ep._BLOCK):
+        tb = t[k:k + ep._BLOCK]
+        sums.append(gp._ordered_sum(leaf, 0, lp.size))
+    return scale * np.concatenate(sums, axis=-1) if sums else np.empty(0)
 
 
 # --------------------------------------------------------------------------
@@ -204,6 +271,30 @@ def test_scan_blocks_match_point_estimators(p_max):
             assert values.tobytes() == _bits(points)
 
 
+_KERNEL_TABLE = sieve_primes(10 ** 6)
+
+
+@pytest.mark.parametrize("q", (1, 3, 12, 60))
+def test_kernel_matches_reference_kernel_bit_for_bit(q):
+    # every mode against the kernel that prepared whole prime arrays, byte for byte: p_max
+    # = 5e4, 1e5 and 1e6 keep primes in 1, 2 and 16 leaves (the primes that divide q in leaf
+    # 0), and 2, 3 and 5 end among those primes, for every character; eps = 100 makes
+    # p^sigma inf from p = 1,171 on; grids of 1, B - 1, B, B + 1 and 5B + 1 points, B = _BLOCK
+    chars = enumerate_characters(q)
+    grids = [np.linspace(-7.5, 30.0, n) for n in (1, 3, 4, 5, 21)]
+    for p_max, leaves in ((2, 1), (3, 1), (5, 1), (50_000, 1), (100_000, 2), (10 ** 6, 16)):
+        window = ep.WindowParams(p_star=1e5, p_max=p_max)
+        assert gp._leaf_plan(_ref_prime_data(chars[-1], _KERNEL_TABLE, p_max)[0].size)[0] == leaves
+        for chi in chars if p_max < 10 else chars[-1:]:
+            for eps in (0.0, 0.2, -0.3, 100.0):
+                for mode in ("exact_arctan", "cosine_approx", "residual"):
+                    for grid in grids:
+                        got = ep._kernel(mode, eps, chi, _KERNEL_TABLE, window, grid)
+                        want = _ref_kernel(mode, eps, chi, _KERNEL_TABLE, window, grid)
+                        assert got.shape == want.shape and _bits(got) == _bits(want), (
+                            chi, p_max, eps, mode, grid.size)
+
+
 def test_ordered_sum_walks_one_equal_leaf_plan():
     # every count up to 70,000 and those within 128 of 2^k * 8192: the leaves `_ordered_sum`
     # visits are contiguous and ascending from lo, cover the m summands, number the fewest
@@ -232,7 +323,7 @@ def test_ordered_sum_walks_one_equal_leaf_plan():
 def _mp_arctan_sums(ts, epss, chi, table, window):
     """At 30 digits for every (t, eps), on the same primes and angles: windowed_ratio_exact,
     the residual's higher-order, coupled and total values and windowed_ratio_approx."""
-    p, _, th = ep._prime_data(chi, table, p_max=window.p_max)
+    p, _, th = _ref_prime_data(chi, table, p_max=window.p_max)
     with mp.workdps(30):
         lnps = mp.log(window.p_star)
         w, pref = mp.pi / lnps, -lnps / (2 * mp.pi)
@@ -334,46 +425,66 @@ def test_ledger_matches_per_interval_sums(case, eps, window):
             _assert_exact_close((a.o_plus_sum, a.o_minus_sum), (b.o_plus_sum, b.o_minus_sum))
 
 
-def test_scan_prepares_primes_once(monkeypatch):
-    chi, table = _CASES["q5"]
-    calls = []
+@pytest.mark.parametrize("points", (1, 301))
+def test_kernel_prepares_each_leaf_once(monkeypatch, points):
+    # one preparation a leaf, whatever the grid: 16 for the 78,497 primes of q = 3 to 1e6
+    chi, table = enumerate_characters(3)[1], _KERNEL_TABLE
+    window = ep.WindowParams(p_star=1e6, p_max=10 ** 6)
+    kept = _ref_prime_data(chi, table, window.p_max)[0].size
+    n, calls = gp._leaf_plan(kept)[0], []
     prime_data = ep._prime_data
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return prime_data(*args, **kwargs)
+    def counted(*args):
+        calls.append(args[3])
+        return prime_data(*args)
 
     monkeypatch.setattr(ep, "_prime_data", counted)
-    for estimator in ("exact_arctan", "cosine_approx"):
+    grid = np.linspace(-15.0, 15.0, points)
+    for mode in ("exact_arctan", "cosine_approx", "residual"):
         calls.clear()
-        ep.scan(chi, 0.0, _GRID, table, _WINDOWS["pstar=pmax"], estimator=estimator)
-        assert len(calls) == 1
+        ep._kernel(mode, 0.0, chi, table, window, grid)
+        assert calls == [j * kept // n for j in range(n)] and n == 16
 
 
 @pytest.mark.parametrize("q", (1, 2, 3, 12, 30, 60))
 def test_prime_data_matches_masked_copies(q):
-    # the kept runs between the primes that divide q, against the mask over the whole table;
-    # p_max = 2, 3 and 5 end the table among those primes, and 120,000 keeps the whole table
-    table = _TABLES[1]
+    # the kept runs between the primes that divide q, against the mask over the whole table,
+    # and the window rows against the reference table; p_max = 2, 3 and 5 end the table among
+    # those primes, and 120,000 keeps the whole table.  Each range of kept primes, a leaf or
+    # any other, is the same slice of the whole, since every row is elementwise
+    table, lnps = _TABLES[1], math.log(1e4)
     for chi in enumerate_characters(q):
         for p_max in (2, 3, 5, 61, 100_003, 120_000):
-            got, want = ep._prime_data(chi, table, p_max), _ref_prime_data(chi, table, p_max)
+            runs = ep._runs(chi, table, p_max)
+            kept = runs[-1][1]
+            got = ep._prime_data(chi, table, runs, 0, np.empty((6, kept)), lnps)
+            want = _ref_prime_data(chi, table, p_max)
+            want += _ref_window_table(want[1], lnps)
             for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
             assert np.all(np.diff(got[0]) > 0)
+            for lo, hi in ((0, 1), (0, 2), (1, 2), (kept // 3, kept - 1), (kept - 1, kept)):
+                if 0 <= lo < hi <= kept:
+                    part = ep._prime_data(chi, table, runs, lo, np.empty((6, hi - lo)), lnps)
+                    assert part.tobytes() == np.ascontiguousarray(got[:, lo:hi]).tobytes()
 
 
-def test_prepared_kernel_memory_is_five_prime_arrays(traced_peak):
-    # p^sigma, log p, the angles and the sin B, cos B tables, plus the leaf buffer, as wide
-    # as the widest leaf (4,907 of the 78,497 primes): 5 rows for a point, and 5 rows of
-    # _BLOCK points for a scan; and _window_table's one leaf of scratch.  The residues live
-    # only inside _prime_data
-    chi, table = enumerate_characters(3)[1], sieve_primes(10 ** 6, 3)
-    table.log_primes  # the table's own cache, built once per table
-    window = ep.WindowParams(p_star=1e6, p_max=10 ** 6)
-    kept = ep._prime_data(chi, table, window.p_max)[0].size
-    peak = traced_peak(lambda: ep.windowed_ratio_exact(22.0, 0.0, chi, table, window))
-    assert peak <= 8 * (5 * kept + 8 * gp._LEAF) + (64 << 10)
+def test_kernel_memory_is_leaf_bounded(traced_peak):
+    # a call holds six prepared rows and its mode's _ROWS rows of up to _BLOCK points, each as
+    # wide as the widest leaf (4,907 of the 78,497 primes to 1e6), and a leaf of residues
+    # while it prepares; no array as long as the kept primes
+    chi = enumerate_characters(3)[1]
+    tables = [sieve_primes(p_max, 3) for p_max in (10 ** 6, 2 * 10 ** 6)]
+    for table in tables:
+        table.log_primes  # the table's own cache, built once per table
+    windows = [ep.WindowParams(p_star=1e6, p_max=table.p_max) for table in tables]
+    width = gp._leaf_plan(_ref_prime_data(chi, tables[0], 10 ** 6)[0].size)[1]
     grid = np.linspace(-15.0, 15.0, 301)
-    peak = traced_peak(lambda: ep.scan(chi, 0.0, grid, table, window))
-    assert peak <= 8 * (5 * kept + 5 * ep._BLOCK * gp._leaf_plan(kept)[1] + gp._LEAF) + (64 << 10)
+    for mode in ("exact_arctan", "cosine_approx"):  # the residual adds _x_minus_arctan's scratch
+        for t, points in (([22.0], 1), (grid, ep._BLOCK)):
+            peak = traced_peak(lambda: ep._kernel(mode, 0.0, chi, tables[0], windows[0], t))
+            assert peak <= 8 * width * (7 + ep._ROWS[mode] * points) + (64 << 10)
+    # twice the primes: 32 leaves of at most 4,655, so no more memory than 16 of 4,907
+    peaks = [traced_peak(lambda i=i: ep.windowed_ratio_exact(22.0, 0.0, chi, tables[i], windows[i]))
+             for i in (0, 1)]
+    assert abs(peaks[1] - peaks[0]) < 8 * gp._LEAF
