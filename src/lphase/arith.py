@@ -303,16 +303,13 @@ class PrimeTable:
     """Sorted primes <= p_max and the modulus q they were requested for.
 
     q is recorded, not applied: every prime is kept, and the estimators reduce the primes
-    mod their own character's modulus.
+    mod their own character's modulus.  The table holds the primes alone, with no cached
+    log or residue array: each estimator leaf takes log p of its own primes.
     """
 
     p_max: int
     q: int
     primes: np.ndarray            # int64, strictly increasing
-
-    @cached_property
-    def log_primes(self) -> np.ndarray:
-        return np.log(self.primes.astype(np.float64))
 
     def count(self) -> int:
         return int(self.primes.size)
@@ -332,7 +329,11 @@ def sieve_primes(p_max: int, q: int = 1, *, p_budget: int = _DEFAULT_P_BUDGET) -
 
     The primes up to sqrt(p_max) come from `_simple_sieve`; past them each segment holds
     _SEGMENT_SIZE consecutive odd numbers lo, lo + 2, ..., and each odd prime p strikes every
-    p-th cell from its first odd multiple at or past max(p^2, lo).
+    p-th cell from its first odd multiple at or past max(p^2, lo).  Every prime is written
+    straight into one int64 buffer of int(1.25506 p_max / log p_max) + 2 entries, which
+    pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld, Illinois J. Math. 6, 1962)
+    shows is never short; the table is its filled prefix, and the pages past it are never
+    touched, so they never become resident.
     """
     if p_max < 2:
         raise DomainError("p_max must be at least 2")
@@ -345,16 +346,22 @@ def sieve_primes(p_max: int, q: int = 1, *, p_budget: int = _DEFAULT_P_BUDGET) -
 
     root = isqrt(p_max)
     base = _simple_sieve(root)[1:].tolist()  # the odd primes up to the root
-    chunks = [np.array([2] + base, dtype=np.int64)]
+    out = np.empty(int(1.25506 * p_max / math.log(p_max)) + 2, dtype=np.int64)
+    count = len(base) + 1
+    out[:count] = [2] + base
     lo = root + 1 | 1
+    cells = np.empty(min(_SEGMENT_SIZE, (p_max - lo) // 2 + 1), dtype=bool)
     while lo <= p_max:
-        n = min(_SEGMENT_SIZE, (p_max - lo) // 2 + 1)
-        seg = np.ones(n, dtype=bool)
+        seg = cells[:(p_max - lo) // 2 + 1]
+        seg.fill(True)
         for p in base:  # p times the least odd k >= p with p k >= lo
             seg[(p * max(p, (lo + p - 1) // p | 1) - lo) // 2:: p] = False
-        chunks.append((2 * np.flatnonzero(seg) + lo).astype(np.int64))
-        lo += 2 * n
-    return PrimeTable(p_max=p_max, q=q, primes=np.concatenate(chunks))
+        idx = np.flatnonzero(seg)
+        dst = out[count:count + idx.size]
+        np.add(np.multiply(idx, 2, dst), lo, dst)
+        count, lo = count + idx.size, lo + 2 * seg.size
+        del idx  # before the next segment's indices exist
+    return PrimeTable(p_max=p_max, q=q, primes=out[:count])
 
 
 # --------------------------------------------------------------------------

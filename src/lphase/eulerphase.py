@@ -24,15 +24,16 @@ zero-transitions in prime space, once by the ordered prime sum and once by the
 Li integral of the same integrand (composite Gauss-Legendre in log y); their ratios
 at two eps values drive the level-monotonicity checks.  A kernel call prepares each leaf
 of its primes once, just before it is summed: the runs of the prime table between the few
-primes that divide q are copied into leaf-wide rows of p^(1/2+eps), log p, the angles and
-the window's sin and cos (`_prime_data`), so a call holds leaf-sized buffers, whatever the
-number of primes.  `scan` makes one kernel call for its whole grid, and each prepared leaf
-runs on every block of up to `_BLOCK` points, one row per point, before the next leaf is
-prepared.  The two estimators and the residual are modes of that kernel's one leaf, and
-each value depends only on its own t: a single-point call is a block of one, and every
-value keeps the bits it has alone.  Every cosine of a per-prime angle, in the
-kernel and the ledger, and every sine the kernel uses, comes from one tan of the half angle
-(`_cos`, `_sin_cos`); see `_kernel`.
+primes that divide q are copied into leaf-wide rows of p^(1/2+eps), the log p of each leaf
+from its p, the angles and the window's sin and cos (`_prime_data`), so a call holds
+leaf-sized buffers, and the prime table holds nothing but the primes, whatever their
+number.  `scan` makes one kernel call for its whole grid, and each prepared leaf runs on
+every block of up to `_BLOCK` points, one row per point, before the next leaf is prepared.
+The two estimators and the residual are modes of that kernel's one leaf, and each value
+depends only on its own t: a single-point call is a block of one, and every value keeps
+the bits it has alone.  Every cosine of a per-prime angle, in the kernel and the ledger,
+and every sine the kernel uses, comes from one tan of the half angle (`_cos`, `_sin_cos`);
+see `_kernel`.
 """
 
 from __future__ import annotations
@@ -143,21 +144,27 @@ def _runs(chi: DirichletCharacter, primes: PrimeTable, p_max: int) -> list[tuple
     return [(a - r, b - r, r) for r, (a, b) in enumerate(zip(starts, drop + [n]))]
 
 
-def _prime_data(chi: DirichletCharacter, primes: PrimeTable, runs: list[tuple[int, int, int]],
+def _prime_data(angles: np.ndarray, primes: PrimeTable, runs: list[tuple[int, int, int]],
                 lo: int, out: np.ndarray, lnps: float) -> np.ndarray:
     """The kept primes from lo of `runs`, one a column of out's six rows, and its first five:
-    p, log p, the angle theta from the residues of these primes only, and sin B and cos B,
-    B = pi log p / log p*, the window's fixed rotation of each prime; the sixth is scratch."""
+    p, log p of each prime from its p, the angle theta from `angles` (the character's angle
+    of each residue mod q = angles.size) at the residues of these primes only, and sin B and
+    cos B, B = pi log p / log p*, the window's fixed rotation of each prime; the sixth row
+    holds the residues as int64, then serves as scratch."""
     p, lp, th, sin_b, cos_b, d = out
-    table, angles, hi = primes.primes, chi.angles_by_residue(), lo + out.shape[1]
+    q, table, hi = angles.size, primes.primes, lo + out.shape[1]
+    res = d.view(np.int64)
     for k0, k1, r in runs:
         i, j = max(lo, k0), min(hi, k1)
         if i < j:
-            src, dst = slice(i + r, j + r), slice(i - lo, j - lo)
-            p[dst] = table[src]
-            lp[dst] = primes.log_primes[src]
+            x, dst = table[i + r:j + r], slice(i - lo, j - lo)
+            p[dst] = x
+            # x - (x // q) q is x % q for x >= 0, in half the time of int64 %
+            m = res[dst]
+            np.subtract(x, np.multiply(np.floor_divide(x, q, m), q, m), m)
             # the residues lie in range; take's default mode would buffer out
-            np.take(angles, table[src] % chi.q, out=th[dst], mode="clip")
+            np.take(angles, m, out=th[dst], mode="clip")
+    np.log(p, out=lp)
     _sin_cos(np.divide(np.multiply(math.pi, lp, sin_b), lnps, sin_b), sin_b, cos_b, d)
     return out[:5]
 
@@ -201,14 +208,15 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
 
     A value is one ordered sum over ascending primes, in the fewest 2^k equal leaves of at
     most _LEAF (`_leaf_plan`), and depends only on its own t.  The outer loop runs over the
-    leaves: each is prepared once (`_prime_data`, then p^sigma in place) into six rows as
-    wide as the widest leaf, then runs on every block of _BLOCK points as one (points,
-    primes) array, in a buffer of the rows its mode uses (`_ROWS`).  np.add.reduce sums each
-    leaf; the first leaf's sums start the blocks' totals and the later ones are added in
-    ascending order, as `_ordered_sum` adds, so each point keeps the bits it has alone (a
-    single point is a block of one) and a call holds leaf-sized buffers only.  The leaf
-    takes cos, and for all but the cosine mode sin, of A = log(p) t - theta from one tan of
-    A/2 (`_cos`, `_sin_cos`), and the fixed sin B, cos B of each prime.  Modes:
+    leaves: each is prepared once (`_prime_data`, from the character's angle table built
+    once per call, then p^sigma in place) into six rows as wide as the widest leaf, then runs
+    on every block of _BLOCK points as one (points, primes) array, in a buffer of the rows
+    its mode uses (`_ROWS`).  np.add.reduce sums each leaf; the first leaf's sums start the
+    blocks' totals and the later ones are added in ascending order, as `_ordered_sum` adds,
+    so each point keeps the bits it has alone (a single point is a block of one) and a call
+    holds leaf-sized buffers only.  The leaf takes cos, and for all but the cosine mode sin,
+    of A = log(p) t - theta from one tan of A/2 (`_cos`, `_sin_cos`), and the fixed sin B,
+    cos B of each prime.  Modes:
     "exact_arctan", the arctan increments x = sin/(p^sigma - cos) at A +- B, reached by
     angle addition; "cosine_approx", their leading terms cos A sin B / p^sigma (scale
     -log p*/pi against -log p*/2pi); "residual", the difference of the two as two rows
@@ -220,7 +228,7 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
     _check_eps(eps)
     t = np.reshape(t, (-1, 1))
     _check_t(t)
-    runs = _runs(chi, primes, window.p_max)
+    runs, angles = _runs(chi, primes, window.p_max), chi.angles_by_residue()
     kept = runs[-1][1]
     n, width = _leaf_plan(kept)
     lnps = math.log(window.p_star)
@@ -261,7 +269,7 @@ def _kernel(mode: str, eps: float, chi: DirichletCharacter, primes: PrimeTable,
     sums = []
     for j in range(n):  # leaf j: the kept primes from j kept // n up to (j + 1) kept // n
         lo = j * kept // n
-        p_sigma, lp, th, sin_w, cos_w = _prime_data(chi, primes, runs, lo,
+        p_sigma, lp, th, sin_w, cos_w = _prime_data(angles, primes, runs, lo,
                                                      prep[:, :(j + 1) * kept // n - lo], lnps)
         with np.errstate(over="ignore"):
             np.power(p_sigma, 0.5 + eps, out=p_sigma)
@@ -432,7 +440,8 @@ def build_oscillation_ledger(t: float, eps: float, chi: DirichletCharacter,
     runs = _runs(chi, primes, p_max=math.floor(max(
         oscillation_boundaries(k_max + 1, h, t, chi)[0] for h in first)))
     prep = np.empty((6, runs[-1][1]))
-    p, lp, angles, sin_b, cos_b = _prime_data(chi, primes, runs, 0, prep, lnps)
+    p, lp, angles, sin_b, cos_b = _prime_data(chi.angles_by_residue(), primes, runs, 0, prep,
+                                              lnps)
     a = lp * t - angles
     cos_a = _cos(a, a, cos_b, prep[5])  # in the row of cos B, which the ledger does not use
     with np.errstate(over="ignore"):  # an inf p^sigma gives the kernel's 0 term

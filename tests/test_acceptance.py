@@ -7,6 +7,7 @@ pinned below against mpmath; the brackets exclude those roots.
 """
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from lphase import verify
@@ -22,6 +23,13 @@ def test_criterion(cid):
         + (f"; runtime {result.elapsed:.1f}s over budget {result.budget:.0f}s"
            if result.elapsed >= result.budget else "")
     )
+
+
+def test_criterion8_points_are_the_seeded_draws():
+    # the stored points are the draws criterion 8 made, float for float
+    draws = np.random.default_rng(20240911).uniform(1.0, 25.0, size=50)
+    assert verify._C8_TS == tuple(draws.tolist())
+    assert all(type(t) is float for t in verify._C8_TS)
 
 
 def _names(result):

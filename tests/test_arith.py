@@ -393,6 +393,52 @@ def test_sieve_matches_simple_sieve_across_segment_sizes(segment, p_max):
     assert np.array_equal(got, arith._simple_sieve(p_max))
 
 
+def _buffer_entries(p_max):
+    # the sieve's one buffer: pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld,
+    # Illinois J. Math. 6, 1962), tightest at x = 113, plus two entries for the rounding
+    return int(1.25506 * p_max / math.log(p_max)) + 2
+
+
+def test_sieve_buffer_holds_every_prime_to_5000():
+    # every p_max from 2 to 5,000, one segment each: a short buffer would raise on the write
+    # past its end, and the table is the buffer's filled prefix
+    oracle = arith._simple_sieve(5000)
+    for p_max in range(2, 5001):
+        got = arith.sieve_primes(p_max).primes
+        assert np.array_equal(got, oracle[:np.searchsorted(oracle, p_max, side="right")])
+        assert got.base.size == _buffer_entries(p_max) >= got.size
+
+
+def test_sieve_on_both_sides_of_each_segment_edge():
+    # segment k ends at the odd lo + 2 k _SEGMENT_SIZE - 2, lo = isqrt(p_max) + 1 | 1: p_max
+    # on, and next to, the last cell of a segment and the first cell of the next, for the
+    # four edges below 1e7
+    oracle = arith._simple_sieve(10 ** 7)
+    for k in range(1, 5):
+        near = 2 * k * arith._SEGMENT_SIZE
+        edge = (math.isqrt(near) + 1 | 1) + near
+        for p_max in range(edge - 3, edge + 2):
+            assert (math.isqrt(p_max) + 1 | 1) + near == edge
+            got = arith.sieve_primes(p_max).primes
+            assert np.array_equal(got, oracle[:np.searchsorted(oracle, p_max, side="right")])
+            assert got.base.size == _buffer_entries(p_max)
+
+
+def test_sieve_peak_is_one_buffer_and_one_segment(traced_peak):
+    # the primes go straight into the buffer: no chunk list and no concatenated copy (that
+    # sieve peaked at 2.15 times the primes' bytes at 1e7).  Besides the buffer a segment
+    # holds its cells, one byte each, and the int64 offsets of its primes; the first
+    # segment has the most
+    p_max, cells = 10 ** 7, arith._SEGMENT_SIZE
+    table = arith.sieve_primes(p_max)
+    lo = math.isqrt(p_max) + 1 | 1
+    edges = np.searchsorted(table.primes, list(range(lo, p_max + 1, 2 * cells)) + [p_max + 1])
+    segment = cells + 8 * int(np.diff(edges).max())
+    peak = traced_peak(lambda: arith.sieve_primes(p_max))
+    assert peak <= 8 * _buffer_entries(p_max) + segment + (64 << 10)
+    assert peak < 1.7 * table.primes.nbytes
+
+
 def test_sieve_class_partition_q4():
     table = arith.sieve_primes(100, 4)
     primes = table.primes

@@ -46,7 +46,7 @@ def test_arctan_denominator_bounded_below_at_min_eps(t, q, index):
     primes = sieve_primes(10 ** 4, q)
     runs = ep._runs(chi, primes, 10 ** 4)
     prep = np.empty((6, runs[-1][1]))
-    p, lp, th = ep._prime_data(chi, primes, runs, 0, prep, math.log(1e4))[:3]
+    p, lp, th = ep._prime_data(chi.angles_by_residue(), primes, runs, 0, prep, math.log(1e4))[:3]
     denom = p ** (0.5 + ep.MIN_EPS) - np.cos(lp * t - th)
     assert np.all(denom >= 2.0 ** 0.1 - 1.0)
 
@@ -55,7 +55,8 @@ def _phase(t, eps, chi, primes):
     # the Euler-product phase, -sum arctan(sin A / (p^sigma - cos A)), A = log(p) t - theta,
     # over the whole table in one numpy sum
     keep = chi.k[primes.primes % chi.q] >= 0
-    p, lp = primes.primes[keep].astype(np.float64), primes.log_primes[keep]
+    p = primes.primes[keep].astype(np.float64)
+    lp = np.log(p)
     a = lp * t - chi.angles_by_residue()[primes.primes[keep] % chi.q]
     return float(-np.sum(np.arctan(np.sin(a) / (p ** (0.5 + eps) - np.cos(a)))))
 

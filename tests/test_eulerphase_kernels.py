@@ -31,7 +31,7 @@ def _ref_prime_data(chi, primes, p_max):
     theta = angles[res]
     keep = ~np.isnan(theta)
     p = primes.primes[keep].astype(np.float64)
-    lp = primes.log_primes[keep]
+    lp = np.log(p)
     cut = np.searchsorted(p, p_max, side="right")
     return p[:cut], lp[:cut], theta[keep][:cut]
 
@@ -454,10 +454,11 @@ def test_prime_data_matches_masked_copies(q):
     # any other, is the same slice of the whole, since every row is elementwise
     table, lnps = _TABLES[1], math.log(1e4)
     for chi in enumerate_characters(q):
+        angles = chi.angles_by_residue()
         for p_max in (2, 3, 5, 61, 100_003, 120_000):
             runs = ep._runs(chi, table, p_max)
             kept = runs[-1][1]
-            got = ep._prime_data(chi, table, runs, 0, np.empty((6, kept)), lnps)
+            got = ep._prime_data(angles, table, runs, 0, np.empty((6, kept)), lnps)
             want = _ref_prime_data(chi, table, p_max)
             want += _ref_window_table(want[1], lnps)
             for a, b in zip(got, want, strict=True):
@@ -465,25 +466,29 @@ def test_prime_data_matches_masked_copies(q):
             assert np.all(np.diff(got[0]) > 0)
             for lo, hi in ((0, 1), (0, 2), (1, 2), (kept // 3, kept - 1), (kept - 1, kept)):
                 if 0 <= lo < hi <= kept:
-                    part = ep._prime_data(chi, table, runs, lo, np.empty((6, hi - lo)), lnps)
+                    part = ep._prime_data(angles, table, runs, lo, np.empty((6, hi - lo)),
+                                          lnps)
                     assert part.tobytes() == np.ascontiguousarray(got[:, lo:hi]).tobytes()
 
 
 def test_kernel_memory_is_leaf_bounded(traced_peak):
     # a call holds six prepared rows and its mode's _ROWS rows of up to _BLOCK points, each as
-    # wide as the widest leaf (4,907 of the 78,497 primes to 1e6), and a leaf of residues
-    # while it prepares; no array as long as the kept primes
+    # wide as the widest leaf (4,907 of the 78,497 primes to 1e6), and no array as long as
+    # the kept primes; the residues of a leaf live in its sixth row, and the table caches
+    # nothing.  The residual's leaf also holds the two outputs of _x_minus_arctan, the
+    # |x| < 0.1 mask of the second and its three series arrays, at most one cell each:
+    # 41 bytes a cell of a block, not bounded by _ROWS
     chi = enumerate_characters(3)[1]
     tables = [sieve_primes(p_max, 3) for p_max in (10 ** 6, 2 * 10 ** 6)]
-    for table in tables:
-        table.log_primes  # the table's own cache, built once per table
     windows = [ep.WindowParams(p_star=1e6, p_max=table.p_max) for table in tables]
     width = gp._leaf_plan(_ref_prime_data(chi, tables[0], 10 ** 6)[0].size)[1]
     grid = np.linspace(-15.0, 15.0, 301)
-    for mode in ("exact_arctan", "cosine_approx"):  # the residual adds _x_minus_arctan's scratch
+    for mode in ("exact_arctan", "cosine_approx", "residual"):
+        scratch = (2 * 8 + 1 + 3 * 8) if mode == "residual" else 0
         for t, points in (([22.0], 1), (grid, ep._BLOCK)):
             peak = traced_peak(lambda: ep._kernel(mode, 0.0, chi, tables[0], windows[0], t))
-            assert peak <= 8 * width * (7 + ep._ROWS[mode] * points) + (64 << 10)
+            assert peak <= (8 * width * (6 + ep._ROWS[mode] * points)
+                            + scratch * width * points + (64 << 10))
     # twice the primes: 32 leaves of at most 4,655, so no more memory than 16 of 4,907
     peaks = [traced_peak(lambda i=i: ep.windowed_ratio_exact(22.0, 0.0, chi, tables[i], windows[i]))
              for i in (0, 1)]

@@ -1,6 +1,7 @@
 """lphase runs on numpy alone: importing it loads no scipy module, whose import costs every
 CLI call and benchmark process more start-up time and resident memory than lphase's own
-modules, and the commands that reach each special-function kernel run with scipy blocked."""
+modules, and the commands that reach each special-function kernel run with scipy blocked.
+Nor does criterion 8 load numpy.random."""
 
 import os
 import subprocess
@@ -22,6 +23,13 @@ def test_package_import_leaves_out_scipy():
     code = ("import lphase, lphase.cli, lphase.verify, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _run(code).stdout.strip() == "[]"
+
+
+def test_criterion8_leaves_out_numpy_random():
+    # criterion 8's 50 points are stored, so no lphase path loads numpy.random
+    code = ("import sys, lphase.verify as v; v.run_criterion(8); "
+            "print('numpy.random' in sys.modules)")
+    assert _run(code).stdout.strip() == "False"
 
 
 # one command per kernel: the Hurwitz zeta and digamma-gap tails far from the head (N = 1e12)
